@@ -55,6 +55,24 @@ def _map_evolved(w0, hamiltonian, t, dt):
     return qd.evolve_tomogram(w0, m)
 
 
+def _state_tomogram(cfg):
+    """The job's pure state and its tomogram, built once by the pure-state
+    (chirp-z) route.
+
+    validate() refuses a tomogram whose X window cuts off more than 1e-3
+    of a row's mass.
+    radon's Wigner-boundary guard has no counterpart here: it guards the
+    density route's Wigner grid, whose momentum axis spans half the
+    wavefunction's Nyquist range, and this route never builds that grid.
+    """
+    from . import config as cfgmod
+    from . import transforms as tr
+
+    psi = cfgmod.build_state(cfg)
+    w = tr.tomogram_from_wavefunction(psi, cfgmod.tomogram_grid(cfg))
+    return psi, w.validate()
+
+
 def run_job(cfg):
     """Execute one validated job; returns (report dict, list of files written)."""
     import numpy as np
@@ -76,22 +94,17 @@ def run_job(cfg):
     report = {"task": cfg.task}
 
     if cfg.task == "tomogram":
-        from .states import density_from_wavefunction
-
-        rho = density_from_wavefunction(cfgmod.build_state(cfg))
-        w = tr.tomogram_from_density(rho, cfgmod.tomogram_grid(cfg))
+        _, w = _state_tomogram(cfg)
         emit("tomogram.csv", io.write_tomogram, w)
         report["row_norm_max_dev"] = float(np.abs(w.row_norms() - 1.0).max())
         report["min_value"] = float(w.values.min())
 
     elif cfg.task == "evolve":
         from . import pde_evolution as pde
-        from .states import density_from_wavefunction
 
         H = cfgmod.build_hamiltonian(cfg)
         dt = _auto_dt(H)
-        rho = density_from_wavefunction(cfgmod.build_state(cfg))
-        w0 = tr.tomogram_from_density(rho, cfgmod.tomogram_grid(cfg))
+        _, w0 = _state_tomogram(cfg)
         report["dt"] = dt
         report["times"] = list(cfg.times)
         gaps = []
@@ -127,13 +140,9 @@ def run_job(cfg):
         report["hermiticity_defect"] = float(rho.hermiticity_defect)
 
     elif cfg.task == "moments":
-        from .states import density_from_wavefunction
-
-        rho = density_from_wavefunction(cfgmod.build_state(cfg))
-        tg = cfgmod.tomogram_grid(cfg)
-        w = tr.tomogram_from_density(rho, tg)
+        _, w = _state_tomogram(cfg)
         m1, m2 = tr.moments(w, 1), tr.moments(w, 2)
-        emit("moments.csv", io.write_moments, tg, m1, m2)
+        emit("moments.csv", io.write_moments, w.grid, m1, m2)
         report["m1_abs_max"] = float(np.abs(m1).max())
         report["m2_min"] = float(m2.min())
         report["m2_max"] = float(m2.max())
@@ -147,11 +156,11 @@ def run_job(cfg):
         from .states import density_from_wavefunction
 
         kind = "free" if cfg.hamiltonian["omega_sq"]["value"] == 0 else "oscillator"
-        rho = density_from_wavefunction(cfgmod.build_state(cfg))
-        tg = cfgmod.tomogram_grid(cfg)
+        psi, w0 = _state_tomogram(cfg)
+        rho0 = density_from_wavefunction(psi)
         records = []
         for t in cfg.times:
-            rec = oracles.pipeline_discrepancy(rho, kind, t, tgrid=tg)
+            rec = oracles.pipeline_discrepancy(rho0, w0, kind, t)
             records.append({"t": t, **{k: float(v) for k, v in rec.items()}})
         report["kind"] = kind
         report["records"] = records

@@ -163,11 +163,23 @@ def parse_config(text):
     if not isinstance(doc.get("grid", {}), dict):
         bad.append("grid must be an object")
     for f in ("x_max", "q_max"):
-        if not _is_number(grid[f]) or grid[f] <= 0:
-            bad.append(f"grid.{f} must be a positive finite number")
+        if not _is_number(grid[f]):
+            bad.append(f"grid.{f} must be a finite number")
     for f in ("n_x", "n_theta", "n_q"):
-        if not _is_int(grid[f]) or grid[f] < 4:
-            bad.append(f"grid.{f} must be an integer of at least 4")
+        if not _is_int(grid[f]):
+            bad.append(f"grid.{f} must be an integer")
+    # The grid classes own their bounds; asking them here turns a bad size
+    # into a config error instead of a GridError at run time.
+    for cls, fields in ((CoordinateGrid, ("q_max", "n_q")),
+                        (TomogramGrid, ("x_max", "n_x", "n_theta"))):
+        args = [grid[f] for f in fields]
+        if all(_is_number(a) for a in args):
+            bad.extend("grid." + v for v in cls.violations(*args))
+    if task == "validate" and _is_int(grid["n_q"]) and grid["n_q"] % 2:
+        bad.append(
+            f"task 'validate' needs an even grid.n_q (its Wigner transform "
+            f"uses the conjugate momentum axis), got {grid['n_q']}"
+        )
     for k in grid:
         if k not in _DEFAULT_GRID:
             bad.append(f"grid has unknown field {k!r}")

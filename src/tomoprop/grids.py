@@ -13,6 +13,11 @@ import numpy as np
 from .errors import GridError
 
 
+def _raise_violations(bad):
+    if bad:
+        raise GridError("; ".join(bad))
+
+
 @dataclass(frozen=True)
 class CoordinateGrid:
     """Uniform symmetric position grid on [-q_max, q_max]."""
@@ -21,10 +26,17 @@ class CoordinateGrid:
     n_q: int = 512
 
     def __post_init__(self):
-        if not self.q_max > 0:
-            raise GridError(f"q_max must be positive, got {self.q_max}")
-        if self.n_q < 8:
-            raise GridError(f"n_q must be at least 8, got {self.n_q}")
+        _raise_violations(self.violations(self.q_max, self.n_q))
+
+    @staticmethod
+    def violations(q_max, n_q):
+        """Messages for every bound the arguments break; empty when valid."""
+        bad = []
+        if not q_max > 0:
+            bad.append(f"q_max must be a positive number, got {q_max}")
+        if n_q < 8:
+            bad.append(f"n_q must be at least 8, got {n_q}")
+        return bad
 
     @property
     def q_min(self):
@@ -65,12 +77,19 @@ class TomogramGrid:
     n_theta: int = 180
 
     def __post_init__(self):
-        if not self.x_max > 0:
-            raise GridError(f"x_max must be positive, got {self.x_max}")
-        if self.n_x < 16:
-            raise GridError(f"n_x must be at least 16, got {self.n_x}")
-        if self.n_theta < 8:
-            raise GridError(f"n_theta must be at least 8, got {self.n_theta}")
+        _raise_violations(self.violations(self.x_max, self.n_x, self.n_theta))
+
+    @staticmethod
+    def violations(x_max, n_x, n_theta):
+        """Messages for every bound the arguments break; empty when valid."""
+        bad = []
+        if not x_max > 0:
+            bad.append(f"x_max must be a positive number, got {x_max}")
+        if n_x < 16:
+            bad.append(f"n_x must be at least 16, got {n_x}")
+        if n_theta < 8:
+            bad.append(f"n_theta must be at least 8, got {n_theta}")
+        return bad
 
     @cached_property
     def xs(self):

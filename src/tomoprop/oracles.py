@@ -156,15 +156,17 @@ def trace_distance(rho_a, rho_b):
     return 0.5 * float(np.abs(np.linalg.eigvalsh(diff)).sum())
 
 
-def pipeline_discrepancy(rho0, kind, t, tgrid=None, dt=1e-3):
+def pipeline_discrepancy(rho0, w0, kind, t, dt=1e-3):
     """Gap between kernel evolution and the tomogram-route evolution.
 
-    Route A evolves rho0 with the analytic Green kernel.  Route B converts
-    rho0 to its optical tomogram, evolves that with the affine map built
-    from the classical epsilon trajectory, and reconstructs the density
-    matrix.  Returns {"trace_distance", "l_inf"} between the two final
-    densities.  At t = 0 route A is the identity and route B a pure
-    transform round trip, so the record isolates the transform error.
+    Route A evolves rho0 with the analytic Green kernel.  Route B evolves
+    w0, the caller's optical tomogram of rho0 (its grid sets the tomogram
+    grid), with the affine map built from the classical epsilon trajectory,
+    and reconstructs the density matrix by filtered back-projection.
+    Returns {"trace_distance", "l_inf"} between the two final densities.
+    At t = 0 route A is the identity and route B a round trip through the
+    caller's transform and the back-projection, so the record isolates the
+    transform error.
     """
     t = float(t)
     if kind == "free":
@@ -176,7 +178,6 @@ def pipeline_discrepancy(rho0, kind, t, tgrid=None, dt=1e-3):
 
     rho_a = rho0 if t == 0.0 else evolve_density(rho0, green_kernel(kind, t))
 
-    w0 = transforms.tomogram_from_density(rho0, tgrid)
     if t == 0.0:
         w_t = w0
     else:

@@ -94,6 +94,14 @@ def read_tomogram(path):
     idx = data[:, 0].astype(int)
     if idx[0] != 0 or idx[-1] != tg.n_theta - 1 or np.any(np.diff(idx) < 0):
         raise ParseError(f"{path}: theta_index column is not theta-major ordered")
+    tol = 1e-12 * max(tg.x_max, np.pi)
+    for col, name, expected in ((1, "theta", np.repeat(tg.thetas, tg.n_x)),
+                                (2, "X", np.tile(tg.xs, tg.n_theta))):
+        dev = float(np.abs(data[:, col] - expected).max())
+        if not dev <= tol:
+            raise ParseError(
+                f"{path}: {name} column deviates from the header grid by {dev:.3e}"
+            )
     return Tomogram(tg, data[:, 3].reshape(tg.n_theta, tg.n_x))
 
 

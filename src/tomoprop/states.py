@@ -20,6 +20,13 @@ GAUSSIAN_MARGIN = 6.0
 BANDLIMIT_TOL = 1e-8
 
 
+def _require_finite(values, what):
+    """Refuse NaN or Inf, which every tolerance comparison would let pass."""
+    bad = values.size - int(np.count_nonzero(np.isfinite(values)))
+    if bad:
+        raise SupportError(f"{what} holds {bad} non-finite values")
+
+
 @dataclass
 class WaveFunction:
     """Pure state psi(q) sampled on a CoordinateGrid, L2-normalized."""
@@ -35,6 +42,7 @@ class WaveFunction:
             raise GridError(
                 f"wavefunction has shape {self.values.shape}, grid expects ({self.grid.n_q},)"
             )
+        _require_finite(self.values, "wavefunction")
         n = self.norm()
         if abs(n - 1.0) > norm_tol:
             raise SupportError(f"wavefunction norm {n} deviates from 1 by more than {norm_tol}")
@@ -76,6 +84,7 @@ class DensityMatrix:
             raise GridError(
                 f"density matrix shape {self.values.shape} does not match grid size {self.grid.n_q}"
             )
+        _require_finite(self.values, "density matrix")
         herm = float(np.abs(self.values - self.values.conj().T).max())
         if herm > herm_tol:
             raise SupportError(f"hermiticity defect {herm:.3e} exceeds {herm_tol:.1e}")

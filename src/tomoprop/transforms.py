@@ -17,7 +17,7 @@ from scipy.signal import czt
 
 from .errors import DegenerateError, GridError, SingularityError, SupportError
 from .grids import CoordinateGrid, TomogramGrid
-from .states import DensityMatrix
+from .states import GAUSSIAN_MARGIN, DensityMatrix, _require_finite
 
 # Interpolation step (in either phase-space direction) that keeps cubic-spline
 # sampling errors comfortably below the 1e-5 transform accuracy target.
@@ -57,6 +57,7 @@ class Tomogram:
                 f"tomogram shape {self.values.shape} does not match grid "
                 f"({self.grid.n_theta}, {self.grid.n_x})"
             )
+        _require_finite(self.values, "tomogram")
         vmin = float(self.values.min())
         if vmin < -neg_tol:
             raise SupportError(f"tomogram attains {vmin:.3e}, below -{neg_tol:.1e}")
@@ -154,6 +155,7 @@ class WignerFunction:
         return float(wq @ self.values @ wp) / (2.0 * np.pi)
 
     def validate(self, mass_tol=1e-3):
+        _require_finite(self.values, "Wigner function")
         m = self.mass()
         if abs(m - 1.0) > mass_tol:
             raise SupportError(f"Wigner mass {m} deviates from 1 by more than {mass_tol:.1e}")
@@ -596,6 +598,14 @@ def tomogram_from_wavefunction(psi, tgrid=None):
     q -> p, theta -> theta - pi/2, swapping the roles of sin and cos.  Either
     way the division is by a factor of at least 1/sqrt(2).  Squaring the
     amplitude makes every row nonnegative by construction.
+
+    Both transforms are of sampled data, so each repeats: in X / sin(theta)
+    with period 2 pi / dq, in X / cos(theta) with period n_fft * dq.  A row
+    reads |X| <= x_max at a divisor of at least 1/sqrt(2), and a row that
+    fits the window keeps its content there (plus the state's tails), so
+    both periods are made longer than twice that reach: a wide X window
+    refines the q samples spectrally, which is exact for the band-limited
+    states WaveFunction.validate admits, and lengthens the momentum FFT.
     """
     if tgrid is None:
         tgrid = TomogramGrid()
@@ -603,11 +613,26 @@ def tomogram_from_wavefunction(psi, tgrid=None):
     dq = grid.spacing
     dx = tgrid.x_spacing
     x0 = float(tgrid.xs[0])
+    span = 2.0 * np.sqrt(2.0) * (tgrid.x_max + GAUSSIAN_MARGIN)
 
-    # Momentum samples on a q-padded FFT axis.  The padding stretches the
-    # period of the momentum-sampled transform to n_fft * dq, which keeps the
-    # frequency sweep X / cos(theta) of the momentum-side rows unaliased.
-    n_fft = next_fast_len(4 * grid.n_q)
+    qs, wq, vals, dq_s = grid.points, grid.trapezoid_weights, psi.values, dq
+    k = int(np.ceil(span * dq / (2.0 * np.pi)))
+    if k > 1:
+        # Zero-padded spectrum; the state vanishes at both grid edges, so
+        # plain weights stand in for the trapezoid ones.
+        n = grid.n_q
+        h = (n + 1) // 2
+        spec_q = np.fft.fft(psi.values)
+        padded = np.zeros(k * n, dtype=complex)
+        padded[:h] = spec_q[:h]
+        padded[h - n:] = spec_q[h:]
+        dq_s = dq / k
+        vals = np.fft.ifft(padded) * k
+        qs = grid.points[0] + dq_s * np.arange(k * n)
+        wq = np.full(k * n, dq_s)
+
+    # Momentum samples on a q-padded FFT axis.
+    n_fft = next_fast_len(max(4 * grid.n_q, int(np.ceil(span / dq))))
     spec = np.fft.fft(psi.values * grid.trapezoid_weights, n=n_fft)
     ps = 2.0 * np.pi * np.fft.fftshift(np.fft.fftfreq(n_fft, d=dq))
     dp = ps[1] - ps[0]
@@ -619,9 +644,9 @@ def tomogram_from_wavefunction(psi, tgrid=None):
         if abs(s) < 1e-12:
             raise SingularityError("tomogram row requested at sin(theta) = 0")
         if abs(s) >= abs(c):
-            chirp = np.exp(1j * grid.points**2 * c / (2.0 * s))
-            cvec = psi.values * chirp * grid.trapezoid_weights
-            amp = czt(cvec, tgrid.n_x, np.exp(-1j * dx * dq / s), np.exp(1j * x0 * dq / s))
+            chirp = np.exp(1j * qs**2 * c / (2.0 * s))
+            cvec = vals * chirp * wq
+            amp = czt(cvec, tgrid.n_x, np.exp(-1j * dx * dq_s / s), np.exp(1j * x0 * dq_s / s))
             div = abs(s)
         else:
             sp = -c

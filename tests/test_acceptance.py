@@ -158,11 +158,11 @@ def test_acceptance_07_backend_agreement(capsys, coherent_rho, tgrid):
 
 
 def test_acceptance_08_kernel_correspondence(capsys, vacuum_rho, coherent_rho,
-                                             tgrid):
+                                             vacuum_tomogram, coherent_tomogram):
     pairs = []
-    for rho in (vacuum_rho, coherent_rho):
+    for rho, w0 in ((vacuum_rho, vacuum_tomogram), (coherent_rho, coherent_tomogram)):
         for kind, t in (("free", 0.5), ("oscillator", 1.0)):
-            rec = oracles.pipeline_discrepancy(rho, kind, t, tgrid=tgrid)
+            rec = oracles.pipeline_discrepancy(rho, w0, kind, t)
             pairs.append((rec["trace_distance"], 1e-2))
     emit(capsys, 8, "kernel_correspondence", pairs)
 

@@ -119,6 +119,72 @@ def test_pipeline_check_task(tmp_path):
     assert rec["trace_distance"] < 5e-3
 
 
+def test_pipeline_check_builds_the_initial_tomogram_once(tmp_path, monkeypatch):
+    # One pure-state transform serves every requested time; the density
+    # route (Wigner function plus radon) is never taken.
+    from tomoprop import transforms
+
+    calls = {}
+    for name in ("tomogram_from_wavefunction", "tomogram_from_density", "radon"):
+        def counted(*args, _fn=getattr(transforms, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(transforms, name, counted)
+    doc = {"times": [0.5, 1.0], "state": {"kind": "coherent", "alpha_re": 1.0}}
+    assert run(tmp_path, "pipeline-check", doc) == 0
+    assert calls == {"tomogram_from_wavefunction": 1}
+    assert len(read_json(tmp_path, "report.json")["records"]) == 2
+
+
+def test_state_tomogram_keeps_every_needed_refusal():
+    # The pure-state route skips radon's Wigner-boundary guard.  Sweep
+    # coherent states over every momentum the state guards accept on two
+    # coarse grids: each tomogram the CLI's route accepts matches the closed
+    # form, so no refusal it drops protected a result; where the density
+    # route also runs the two agree.
+    from conftest import coherent_tomogram_reference
+    from tomoprop import config as cfgmod
+    from tomoprop import transforms as tr
+    from tomoprop.cli import _state_tomogram
+    from tomoprop.errors import SupportError, TomopropError
+    from tomoprop.states import density_from_wavefunction
+
+    outcomes = set()
+    for n in (64, 128):
+        grid = {"x_max": 8.0, "n_x": n, "n_theta": 16, "q_max": 8.0, "n_q": n}
+        for q_c in (0.0, 2.0):
+            for p_c in np.arange(0.0, 13.0, 0.5):
+                alpha = complex(q_c, p_c) / np.sqrt(2.0)
+                cfg = cfgmod.parse_config(json.dumps({
+                    "task": "tomogram", "grid": grid,
+                    "state": {"kind": "coherent", "alpha_re": alpha.real,
+                              "alpha_im": alpha.imag},
+                }))
+                try:
+                    psi = cfgmod.build_state(cfg)
+                except TomopropError:
+                    continue
+                try:
+                    _, w = _state_tomogram(cfg)
+                except SupportError:
+                    w = None
+                try:
+                    w_rho = tr.tomogram_from_density(density_from_wavefunction(psi),
+                                                     cfgmod.tomogram_grid(cfg))
+                except SupportError:
+                    w_rho = None
+                outcomes.add((w is None, w_rho is None))
+                if w is None:
+                    continue
+                ref = coherent_tomogram_reference(w.grid, alpha)
+                assert np.abs(w.values - ref).max() < 1e-8, (n, q_c, p_c)
+                if w_rho is not None:
+                    assert np.abs(w.values - w_rho.values).max() < 1e-5, (n, q_c, p_c)
+    # The sweep reaches states each route refuses, and one the density
+    # route refuses only for its narrower Wigner momentum axis.
+    assert outcomes == {(False, False), (True, False), (True, True), (False, True)}
+
+
 # ---------------------------------------------------------------------------
 # metadata and overrides
 
@@ -189,6 +255,44 @@ def test_numeric_failure_exits_3_with_error_file(tmp_path, capsys):
     assert record["error"] == "SupportError"
     err = read_json(tmp_path, "error.json")
     assert err == record
+
+
+def test_invert_refuses_non_finite_tomogram(tmp_path, capsys):
+    assert run(tmp_path, "tomogram", {}) == 0
+    path = tmp_path / "out" / "tomogram.csv"
+    lines = path.read_text().splitlines()
+    lines[100] = lines[100].rsplit(",", 1)[0] + ",nan"
+    path.write_text("\n".join(lines) + "\n")
+    rc = main(["invert", "--config", write_config(tmp_path, {"input_path": str(path)}),
+               "--output-dir", str(tmp_path / "out2")])
+    assert rc == 3
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "SupportError"
+    assert "non-finite" in record["message"]
+    with open(tmp_path / "out2" / "error.json", encoding="utf-8") as fh:
+        assert json.load(fh) == record
+    assert not (tmp_path / "out2" / "report.json").exists()
+
+
+def test_grid_below_constructor_bounds_exits_2_listing_all(tmp_path, capsys):
+    grid = {"x_max": 8.0, "n_x": 8, "n_theta": 4, "q_max": 8.0, "n_q": 6}
+    assert run(tmp_path, "tomogram", {"grid": grid}) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "ValidationError"
+    assert record["violations"] == [
+        "grid.n_q must be at least 8, got 6",
+        "grid.n_x must be at least 16, got 8",
+        "grid.n_theta must be at least 8, got 4",
+    ]
+
+
+def test_odd_n_q_is_a_config_error_for_validate_only(tmp_path, capsys):
+    grid = {**SMALL_GRID, "n_q": 511}
+    assert run(tmp_path, "validate", {"grid": grid}) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert any("even grid.n_q" in v for v in record["violations"])
+    assert run(tmp_path, "tomogram", {"grid": grid}) == 0
+    assert read_json(tmp_path, "report.json")["row_norm_max_dev"] < 1e-8
 
 
 def test_missing_input_exits_4(tmp_path, capsys):

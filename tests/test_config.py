@@ -94,6 +94,22 @@ def test_bool_is_not_an_integer():
     assert any("grid.n_q" in b for b in bad)
 
 
+def test_grid_bounds_come_from_the_grid_classes():
+    bad = violations_of({"task": "tomogram", "grid": {
+        "x_max": -1.0, "n_x": 15, "n_theta": 7, "q_max": 0.0, "n_q": 7}})
+    assert bad == [
+        "grid.q_max must be a positive number, got 0.0",
+        "grid.n_q must be at least 8, got 7",
+        "grid.x_max must be a positive number, got -1.0",
+        "grid.n_x must be at least 16, got 15",
+        "grid.n_theta must be at least 8, got 7",
+    ]
+    # The smallest sizes the constructors accept pass the config check too.
+    cfg = parse({"task": "tomogram", "grid": {"n_x": 16, "n_theta": 8, "n_q": 8}})
+    assert config.tomogram_grid(cfg).n_x == 16
+    assert config.coordinate_grid(cfg).n_q == 8
+
+
 def test_negative_times_rejected():
     bad = violations_of({"task": "evolve", "times": [-0.5, 1.0]})
     assert any("nonnegative" in b for b in bad)

@@ -60,6 +60,16 @@ def test_tomogram_grid_rejects_bad_parameters(kwargs):
         TomogramGrid(**kwargs)
 
 
+def test_grid_errors_list_every_violation():
+    with pytest.raises(GridError, match="x_max must be a positive number, got 0.0; "
+                                        "n_x must be at least 16, got 8; "
+                                        "n_theta must be at least 8, got 4"):
+        TomogramGrid(x_max=0.0, n_x=8, n_theta=4)
+    assert TomogramGrid.violations(8.0, 16, 8) == []
+    assert CoordinateGrid.violations(-1.0, 4) == [
+        "q_max must be a positive number, got -1.0", "n_q must be at least 8, got 4"]
+
+
 def test_tomogram_grid_x_weights():
     tg = TomogramGrid(x_max=8.0, n_x=1024)
     assert np.sum(tg.x_trapezoid_weights) == pytest.approx(16.0, rel=1e-13)

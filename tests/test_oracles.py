@@ -11,6 +11,7 @@ from tomoprop.states import (
 )
 from tomoprop import oracles
 from tomoprop import quad_dynamics as qd
+from tomoprop import transforms as tr
 
 
 # -------------------------------------------------------------- kernel form
@@ -161,23 +162,25 @@ def test_trace_distance_grid_mismatch(vacuum_rho, grid9):
 
 # ------------------------------------------------------------ full pipeline
 
-def test_pipeline_discrepancy_at_zero_time_is_transform_error(vacuum_rho):
-    rec = oracles.pipeline_discrepancy(vacuum_rho, "oscillator", 0.0)
+def test_pipeline_discrepancy_at_zero_time_is_transform_error(vacuum_rho,
+                                                             vacuum_tomogram):
+    rec = oracles.pipeline_discrepancy(vacuum_rho, vacuum_tomogram, "oscillator", 0.0)
     assert rec["trace_distance"] < 1e-3
     assert rec["l_inf"] < 1e-3
 
 
-def test_pipeline_unknown_kind(vacuum_rho):
+def test_pipeline_unknown_kind(vacuum_rho, vacuum_tomogram):
     with pytest.raises(ValueError):
-        oracles.pipeline_discrepancy(vacuum_rho, "kepler", 0.5)
+        oracles.pipeline_discrepancy(vacuum_rho, vacuum_tomogram, "kepler", 0.5)
 
 
 def test_pipeline_discrepancy_shrinks_under_refinement(vacuum_rho):
-    coarse = oracles.pipeline_discrepancy(
-        vacuum_rho, "oscillator", 1.0, tgrid=TomogramGrid(x_max=8.0, n_x=512, n_theta=90)
-    )
-    fine = oracles.pipeline_discrepancy(
-        vacuum_rho, "oscillator", 1.0, tgrid=TomogramGrid(x_max=8.0, n_x=1024, n_theta=180)
+    coarse, fine = (
+        oracles.pipeline_discrepancy(
+            vacuum_rho, tr.tomogram_from_density(vacuum_rho, tg), "oscillator", 1.0
+        )
+        for tg in (TomogramGrid(x_max=8.0, n_x=512, n_theta=90),
+                   TomogramGrid(x_max=8.0, n_x=1024, n_theta=180))
     )
     assert fine["trace_distance"] < coarse["trace_distance"]
     assert fine["trace_distance"] < 1e-3

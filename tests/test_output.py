@@ -65,6 +65,21 @@ def test_read_tomogram_rejects_scrambled_order(tmp_path, small_tomogram):
         output.read_tomogram(path)
 
 
+def test_read_tomogram_rejects_shifted_grid_columns(tmp_path, small_tomogram):
+    path = tmp_path / "w.csv"
+    output.write_tomogram(path, small_tomogram)
+    lines = path.read_text().splitlines()
+    for col, name in ((2, "X"), (1, "theta")):
+        body = []
+        for line in lines[4:]:
+            fields = line.split(",")
+            fields[col] = output.FLOAT_FMT % (float(fields[col]) + 1e-9)
+            body.append(",".join(fields))
+        path.write_text("\n".join(lines[:4] + body) + "\n")
+        with pytest.raises(ParseError, match=f"{name} column deviates"):
+            output.read_tomogram(path)
+
+
 def test_repeated_writes_are_byte_identical(tmp_path, small_tomogram):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     output.write_tomogram(a, small_tomogram)

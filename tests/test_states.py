@@ -114,3 +114,21 @@ def test_density_validate_rejects_wrong_trace(grid, vacuum_rho):
 
     with pytest.raises(SupportError):
         DensityMatrix(grid, 1.5 * vacuum_rho.values).validate()
+
+
+def test_density_validate_rejects_non_finite(grid, vacuum_rho):
+    from tomoprop.states import DensityMatrix
+
+    for bad in (np.nan, complex(np.inf, 0.0), complex(0.0, np.nan)):
+        vals = vacuum_rho.values.copy()
+        vals[3, 5] = bad
+        with pytest.raises(SupportError, match="non-finite"):
+            DensityMatrix(grid, vals).validate()
+
+
+def test_wavefunction_validate_rejects_non_finite(grid, vacuum_psi):
+    for bad in (np.nan, np.inf):
+        vals = vacuum_psi.values.astype(complex)
+        vals[200] = bad
+        with pytest.raises(SupportError, match="non-finite"):
+            WaveFunction(grid, vals).validate()

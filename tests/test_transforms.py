@@ -46,6 +46,19 @@ def test_wavefunction_route_agrees_with_density_route(cat_psi, cat_rho, tgrid9):
     assert np.abs(w_psi.values - w_rho.values).max() < 1e-5
 
 
+def test_wavefunction_route_on_x_window_wider_than_the_q_grid():
+    # Both row transforms repeat with a period set by the sampling; an X
+    # window several times q_max needs the refined q samples and the longer
+    # momentum FFT, or repeats of the state fold into the rows.
+    g = CoordinateGrid(q_max=8.0, n_q=256)
+    for x_max in (24.0, 40.0, 100.0):
+        tg = TomogramGrid(x_max=x_max, n_x=1024, n_theta=16)
+        for alpha in (0.0, 1.0 + 1.0j, 7.0j):
+            w = tr.tomogram_from_wavefunction(make_coherent(alpha, g), tg)
+            ref = coherent_tomogram_reference(tg, alpha)
+            assert np.abs(w.values - ref).max() < 1e-9, (x_max, alpha)
+
+
 def test_wavefunction_route_is_nonnegative(cat_psi, tgrid9):
     w = tr.tomogram_from_wavefunction(cat_psi, tgrid9)
     assert w.values.min() >= 0.0
@@ -84,6 +97,25 @@ def test_tomogram_validate_rejects_negative_and_unnormalized(tgrid):
     misshapen = tr.Tomogram(tgrid, np.zeros((3, 3)))
     with pytest.raises(GridError):
         misshapen.validate()
+
+
+def test_tomogram_validate_rejects_non_finite(vacuum_tomogram):
+    for bad in (np.nan, np.inf, -np.inf):
+        vals = vacuum_tomogram.values.copy()
+        vals[3, 5] = bad
+        with pytest.raises(SupportError, match="1 non-finite"):
+            tr.Tomogram(vacuum_tomogram.grid, vals).validate()
+
+
+def test_wigner_validate_rejects_non_finite():
+    axis = np.linspace(-6.0, 6.0, 64)
+    vals = 2.0 * np.exp(-axis[:, None] ** 2 - axis[None, :] ** 2)
+    tr.WignerFunction(axis, axis, vals).validate()
+    for bad in (np.nan, np.inf):
+        broken = vals.copy()
+        broken[10, 20] = bad
+        with pytest.raises(SupportError, match="non-finite"):
+            tr.WignerFunction(axis, axis, broken).validate()
 
 
 # ---------------------------------------------------------- twisted sampling
