@@ -63,8 +63,6 @@ _EXPORTS = {
     "optical_map": "quad_dynamics",
     "compose": "quad_dynamics",
     "evolve_tomogram": "quad_dynamics",
-    "CharacteristicState": "pde_evolution",
-    "characteristic_rhs": "pde_evolution",
     "evolve_semilagrangian": "pde_evolution",
     "GreenKernel": "oracles",
     "green_kernel": "oracles",

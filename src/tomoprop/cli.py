@@ -43,18 +43,6 @@ def _auto_dt(hamiltonian):
     return min(1e-3, 2.5e-3 / sup)
 
 
-def _map_evolved(w0, hamiltonian, t, dt):
-    from . import quad_dynamics as qd
-
-    if t == 0.0:
-        from .transforms import Tomogram
-
-        return Tomogram(w0.grid, w0.values.copy())
-    traj = qd.solve_epsilon(hamiltonian, t, dt)
-    m = qd.optical_map(qd.motion_integrals(traj, t))
-    return qd.evolve_tomogram(w0, m)
-
-
 def _state_tomogram(cfg):
     """The job's pure state and its tomogram, built once by the pure-state
     (chirp-z) route.
@@ -101,17 +89,22 @@ def run_job(cfg):
 
     elif cfg.task == "evolve":
         from . import pde_evolution as pde
+        from . import quad_dynamics as qd
 
         H = cfgmod.build_hamiltonian(cfg)
         dt = _auto_dt(H)
         _, w0 = _state_tomogram(cfg)
         report["dt"] = dt
         report["times"] = list(cfg.times)
+        if cfg.backend in ("map", "both"):
+            # One eps(t) solve serves every requested time.
+            traj = qd.solve_epsilon(H, max(cfg.times), dt)
         gaps = []
         for i, t in enumerate(cfg.times):
             per_backend = {}
             if cfg.backend in ("map", "both"):
-                per_backend["map"] = _map_evolved(w0, H, t, dt)
+                m = qd.optical_map(qd.motion_integrals(traj, t))
+                per_backend["map"] = qd.evolve_tomogram(w0, m)
                 emit("tomogram_map_%03d.csv" % i, io.write_tomogram, per_backend["map"])
             if cfg.backend in ("pde", "both"):
                 per_backend["pde"] = pde.evolve_semilagrangian(w0, H, t, dt)

@@ -88,7 +88,7 @@ def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _check_sampler(name, spec, bad):
+def _check_sampler(name, spec, bad, t_end=None):
     if not isinstance(spec, dict):
         bad.append(f"{name} must be a sampler object, got {type(spec).__name__}")
         return
@@ -116,10 +116,7 @@ def _check_sampler(name, spec, bad):
             if not isinstance(arr, list) or not all(_is_number(x) for x in arr):
                 bad.append(f"{name}.{label} must be a list of finite numbers")
                 return
-        if len(ts) != len(vs) or len(ts) < 2:
-            bad.append(f"{name} table needs matching times/values with at least 2 rows")
-        elif any(b <= a for a, b in zip(ts, ts[1:])):
-            bad.append(f"{name}.times must be strictly increasing")
+        bad.extend(f"{name}." + v for v in TableSampler.violations(ts, vs, t_end))
     for k in spec:
         if k not in known:
             bad.append(f"{name} has unknown field {k!r}")
@@ -184,6 +181,16 @@ def parse_config(text):
         if k not in _DEFAULT_GRID:
             bad.append(f"grid has unknown field {k!r}")
 
+    times = doc.get("times", [])
+    if not isinstance(times, list) or not all(_is_number(t) for t in times):
+        bad.append("times must be a list of finite numbers")
+        times = []
+    else:
+        if any(t < 0 for t in times):
+            bad.append("times must be nonnegative")
+        if any(b <= a for a, b in zip(times, times[1:])):
+            bad.append("times not increasing")
+
     ham_doc = doc.get("hamiltonian", {})
     if not isinstance(ham_doc, dict):
         bad.append("hamiltonian must be an object")
@@ -195,22 +202,15 @@ def parse_config(text):
     for k in ham_doc:
         if k not in ham:
             bad.append(f"hamiltonian has unknown field {k!r}")
-    _check_sampler("hamiltonian.omega_sq", ham["omega_sq"], bad)
-    _check_sampler("hamiltonian.force", ham["force"], bad)
+    # evolve reads the Hamiltonian over [0, max(times)], so a table sampler
+    # has to cover that span (pipeline-check admits constant samplers only).
+    t_end = max(times) if task == "evolve" and times else None
+    _check_sampler("hamiltonian.omega_sq", ham["omega_sq"], bad, t_end)
+    _check_sampler("hamiltonian.force", ham["force"], bad, t_end)
 
     backend = doc.get("backend", "map")
     if backend not in BACKENDS:
         bad.append(f"backend must be one of {BACKENDS}, got {backend!r}")
-
-    times = doc.get("times", [])
-    if not isinstance(times, list) or not all(_is_number(t) for t in times):
-        bad.append("times must be a list of finite numbers")
-        times = []
-    else:
-        if any(t < 0 for t in times):
-            bad.append("times must be nonnegative")
-        if any(b <= a for a, b in zip(times, times[1:])):
-            bad.append("times not increasing")
 
     output_dir = doc.get("output_dir", "tomoprop_out")
     if not isinstance(output_dir, str) or not output_dir:

@@ -18,54 +18,20 @@ Theta characteristics run on the whole real line; folding into [0, pi)
 happens only inside the twisted sampler, so no step ever crosses the branch
 seam of the extension.
 
-This backend shares nothing numerical with the affine-map route in
-quad_dynamics beyond the twisted sampler, which is what makes their
-agreement a meaningful cross-check.
+The feet (theta, mu X + nu) and amplitudes are integrated here, independently
+of the affine-map route in quad_dynamics; the two backends share only the
+final row-affine pull-back (Tomogram.pull_back: twisted sampling, X-window
+edge guard, validation), which is what makes their agreement a meaningful
+cross-check of the integrators.
 """
 
 import numpy as np
-from dataclasses import dataclass
 
-from .errors import StepError, SupportError, TimeError
+from .errors import StepError, TimeError
 from .transforms import Tomogram
 
 # Ceiling on the characteristic time step, tightened when omega^2 exceeds 1.
 STEP_LIMIT = 5e-3
-
-
-@dataclass(frozen=True)
-class CharacteristicState:
-    """State carried along one backward characteristic.
-
-    X and theta locate the point on the twisted extension; amp is the
-    accumulated multiplicative factor (starts at 1 at the final time).
-    """
-
-    X: float
-    theta: float
-    amp: float = 1.0
-
-    def __post_init__(self):
-        if not np.all(np.asarray(self.amp) > 0.0):
-            raise ValueError(f"amp must stay positive, got {self.amp}")
-
-
-def characteristic_rhs(state, t, hamiltonian):
-    """Advection field of the tomogram evolution equation.
-
-    Returns the derivative triple (dX/dt, dtheta/dt, dlog_amp/dt) at time t.
-    The field is smooth everywhere, including theta = 0 and pi/2 where only
-    the force term survives in dX/dt.
-    """
-    w2 = hamiltonian.omega_sq(t)
-    f = hamiltonian.force(t)
-    s = np.sin(state.theta)
-    c = np.cos(state.theta)
-    sc = s * c
-    dX = (1.0 - w2) * sc * state.X + f * s
-    dtheta = -(c * c + w2 * s * s)
-    dlog_amp = -(1.0 - w2) * sc
-    return dX, dtheta, dlog_amp
 
 
 def evolve_semilagrangian(w0, hamiltonian, T, dt=1e-3, interp="linear"):
@@ -134,24 +100,5 @@ def evolve_semilagrangian(w0, hamiltonian, T, dt=1e-3, interp="linear"):
         log_amp -= (h / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
         t_now -= h
 
-    X0 = mu[:, None] * tg.xs[None, :] + nu[:, None]
-    if np.any(np.abs(X0) > tg.x_max):
-        edge = max(np.abs(w0.values[:, 0]).max(), np.abs(w0.values[:, -1]).max())
-        if edge > 1e-8:
-            raise SupportError(
-                "backward characteristics leave the X window while the "
-                f"tomogram still carries {edge:.3e} at its edge; enlarge x_max"
-            )
-
     # Backward accumulation flips the sign of the ln-amp integral.
-    amp = np.exp(-log_amp)
-    vals = amp[:, None] * w0.sample_twisted(X0, theta[:, None], interp=interp)
-
-    w = Tomogram(tg, vals)
-    floor = min(0.0, float(w0.values.min()))
-    base_tol = 1e-12 if interp == "linear" else 1e-6
-    w.validate(
-        neg_tol=base_tol + 1.01 * abs(floor) * max(1.0, float(amp.max())),
-        norm_tol=2e-3,
-    )
-    return w
+    return w0.pull_back(theta, mu, nu, np.exp(-log_amp), interp=interp, norm_tol=2e-3)

@@ -18,7 +18,7 @@ evolved tomograms); see the repository README for the derivation sketch.
 import numpy as np
 from dataclasses import dataclass, field
 
-from .errors import RangeError, StepError, SupportError, TimeError
+from .errors import RangeError, StepError, TimeError
 from .transforms import Tomogram
 
 # Interpolating the trajectory between RK4 nodes breaks det Lambda = 1 at
@@ -26,6 +26,9 @@ from .transforms import Tomogram
 # the raw defect recorded.  Node values themselves hold det to ~1e-12.
 DET_TOL = 1e-8
 WRONSKIAN_TOL = 1e-8
+
+# How far outside its table a TableSampler may be read (integrator rounding).
+TABLE_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -75,19 +78,34 @@ class TableSampler:
     values: np.ndarray
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        values = np.asarray(self.values, dtype=float)
+        bad = self.violations(self.times, self.values)
+        if bad:
+            raise ValueError("table sampler: " + "; ".join(bad))
+        object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
+        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
+
+    @staticmethod
+    def violations(times, values, t_end=None):
+        """Messages for every bound the table breaks; empty when valid.
+
+        With t_end given, the table must also cover [0, t_end].
+        """
+        times = np.asarray(times, dtype=float)
+        values = np.asarray(values, dtype=float)
         if times.ndim != 1 or times.size < 2 or values.shape != times.shape:
-            raise ValueError("table sampler needs matching 1-d times and values, length >= 2")
+            return ["times and values must be matching 1-d tables of at least 2 rows"]
+        bad = []
         if np.any(np.diff(times) <= 0):
-            raise ValueError("table sampler times must be strictly increasing")
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
+            bad.append("times must be strictly increasing")
+        lo, hi = float(times[0]), float(times[-1])
+        if t_end is not None and (lo > TABLE_SLACK or hi < t_end - TABLE_SLACK):
+            bad.append(f"times cover [{lo:g}, {hi:g}], not the job's [0, {t_end:g}]")
+        return bad
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         lo, hi = self.times[0], self.times[-1]
-        if np.any(t < lo - 1e-12) or np.any(t > hi + 1e-12):
+        if np.any(t < lo - TABLE_SLACK) or np.any(t > hi + TABLE_SLACK):
             raise RangeError(
                 f"sampler evaluated at t outside its table range [{lo:g}, {hi:g}]"
             )
@@ -253,6 +271,7 @@ class OpticalAffineMap:
     With the row vector N = (sin theta, cos theta) and N' = N Lambda^-1:
     r = |N'|, theta0 = atan2(N'_1, N'_2) folded into [0, pi) with the X-parity
     flip of the twisted extension, X0 = (X + N' . Delta)/r, weight = 1/r.
+    X0 is affine in X at fixed theta; frames() gives its coefficients.
     """
 
     lambda_mat: np.ndarray
@@ -268,11 +287,13 @@ class OpticalAffineMap:
                 f"map runs backward: t_to = {self.t_to:g} < t_from = {self.t_from:g}"
             )
 
-    def map_points(self, X, theta):
-        """Source coordinates and weight for target points (X, theta)."""
-        X = np.asarray(X, dtype=float)
+    def frames(self, theta):
+        """Per-angle frames (theta0, a, b, weight) with X0 = a X + b.
+
+        The parity flip that comes with folding theta0 into [0, pi) is
+        carried by the sign of a and b.
+        """
         theta = np.asarray(theta, dtype=float)
-        X, theta = np.broadcast_arrays(X, theta)
         lam = self.lambda_mat
         # det Lambda = 1, so the inverse is the adjugate.
         inv = np.array([[lam[1, 1], -lam[0, 1]], [-lam[1, 0], lam[0, 0]]])
@@ -281,17 +302,12 @@ class OpticalAffineMap:
         n2 = s * inv[0, 1] + c * inv[1, 1]
         r = np.hypot(n1, n2)
         theta0 = np.arctan2(n1, n2)
-        X0 = (X + n1 * self.delta[0] + n2 * self.delta[1]) / r
         neg = theta0 < 0.0
         theta0 = np.where(neg, theta0 + np.pi, theta0)
         wrap = theta0 >= np.pi
         theta0 = np.where(wrap, theta0 - np.pi, theta0)
-        X0 = np.where(neg ^ wrap, -X0, X0)
-        return X0, theta0, 1.0 / r
-
-    @property
-    def elapsed(self):
-        return self.t_to - self.t_from
+        a = np.where(neg ^ wrap, -1.0, 1.0) / r
+        return theta0, a, a * (n1 * self.delta[0] + n2 * self.delta[1]), 1.0 / r
 
 
 def optical_map(mi, t_from=0.0):
@@ -331,28 +347,12 @@ def compose(outer, inner):
 def evolve_tomogram(w0, m, interp="linear"):
     """Pull back a tomogram through an affine map: w(X,theta) = weight * w0(X0, theta0).
 
-    Bilinear sampling on the twisted extension preserves nonnegativity and
-    per-row normalization within grid tolerances; cubic sampling is sharper
-    but can undershoot, so its negativity allowance is relaxed.
+    The identity map returns an exact copy.  Otherwise every row is one
+    affine frame of Tomogram.pull_back: bilinear sampling preserves
+    nonnegativity and per-row normalization within grid tolerances, cubic
+    sampling is sharper but can undershoot.
     """
-    tg = w0.grid
-    rows = np.empty_like(w0.values)
-    out_of_range = False
-    max_weight = 0.0
-    for j, theta in enumerate(tg.thetas):
-        X0, theta0, weight = m.map_points(tg.xs, theta)
-        out_of_range = out_of_range or bool(np.any(np.abs(X0) > tg.x_max))
-        max_weight = max(max_weight, float(np.max(weight)))
-        rows[j] = weight * w0.sample_twisted(X0, theta0, interp=interp)
-    if out_of_range:
-        edge = max(np.abs(w0.values[:, 0]).max(), np.abs(w0.values[:, -1]).max())
-        if edge > 1e-8:
-            raise SupportError(
-                "mapped source points leave the X window while the tomogram "
-                f"still carries {edge:.3e} at its edge; enlarge x_max"
-            )
-    w = Tomogram(tg, rows)
-    floor = min(0.0, float(w0.values.min()))
-    base_tol = 1e-12 if interp == "linear" else 1e-6
-    w.validate(neg_tol=base_tol + 1.01 * abs(floor) * max(1.0, max_weight), norm_tol=1e-3)
-    return w
+    if np.array_equal(m.lambda_mat, np.eye(2)) and not np.any(m.delta):
+        return Tomogram(w0.grid, w0.values.copy())
+    theta0, a, b, weight = m.frames(w0.grid.thetas)
+    return w0.pull_back(theta0, a, b, weight, interp=interp, norm_tol=1e-3)

@@ -40,6 +40,12 @@ BOUNDARY_REL_TOL = 1e-4
 # Absolute tomogram magnitude at the X edge above which inversion refuses.
 EDGE_MASS_TOL = 1e-8
 
+# Fraction of momentum mass allowed beyond the conjugate Wigner axis, where it
+# aliases: coherent states swept across that edge (q_max 8, n_q 256) gave
+# tomogram errors ~40x the fraction, so 1e-9 keeps them at the route's own
+# ~2e-8; states well inside the band sit at the 1e-17 round-off floor.
+ALIAS_MASS_TOL = 1e-9
+
 
 @dataclass
 class Tomogram:
@@ -108,6 +114,38 @@ class Tomogram:
             cval=0.0,
         )
         return out.reshape(X.shape)
+
+    def pull_back(self, theta0, a, b, weight, interp="linear", norm_tol=1e-3):
+        """Row-affine pull-back w(X, theta_j) = weight_j * self(a_j X + b_j, theta0_j),
+        the delta-kernel form of every quadratic propagator.
+
+        The frames are float arrays of length n_theta (theta0 anywhere on the
+        real line), sampled in one sample_twisted call.  SupportError when a
+        source point leaves the X window while this tomogram has mass at its
+        edge.
+        The result must keep rows normalized within norm_tol and nonnegative
+        (cubic may undershoot by 1e-6; a negative input floor may grow by the
+        largest weight).
+        """
+        tg = self.grid
+        # X0 is affine in X on each row, so its extremes sit at the row ends.
+        ends = a[:, None] * tg.xs[[0, -1]] + b[:, None]
+        if np.any(np.abs(ends) > tg.x_max):
+            edge = max(np.abs(self.values[:, 0]).max(), np.abs(self.values[:, -1]).max())
+            if edge > EDGE_MASS_TOL:
+                raise SupportError(
+                    "mapped source points leave the X window while the tomogram "
+                    f"still carries {edge:.3e} at its edge; enlarge x_max"
+                )
+        X0 = a[:, None] * tg.xs + b[:, None]
+        w = Tomogram(tg, weight[:, None] * self.sample_twisted(X0, theta0[:, None], interp=interp))
+        floor = min(0.0, float(self.values.min()))
+        base_tol = 1e-12 if interp == "linear" else 1e-6
+        w.validate(
+            neg_tol=base_tol + 1.01 * abs(floor) * max(1.0, float(weight.max())),
+            norm_tol=norm_tol,
+        )
+        return w
 
 
 @dataclass
@@ -376,13 +414,23 @@ def wigner_from_density(rho):
     """W(q, p) as the Fourier transform of rho(q + u/2, q - u/2) over u.
 
     The momentum axis is FFT-conjugate to the coordinate grid (spacing
-    pi / (n_q dq)); requires an even grid size.
+    pi / (n_q dq)); requires an even grid size.  That axis ends at
+    pi / (2 dq), so more momentum mass beyond it than ALIAS_MASS_TOL raises
+    SupportError instead of aliasing.
     """
     grid = rho.grid
     n = grid.n_q
     if n % 2 != 0:
         raise GridError("wigner_from_density needs an even n_q for the conjugate p-axis")
     dq = grid.spacing
+    # Diagonal of rho in the momentum basis: the momentum distribution.
+    p_mass = np.real(np.diag(np.fft.ifft(np.fft.fft(rho.values, axis=0), axis=1)))
+    beyond = float(p_mass[np.abs(np.fft.fftfreq(n)) > 0.25].sum() / p_mass.sum())
+    if beyond > ALIAS_MASS_TOL:
+        raise SupportError(
+            f"momentum mass fraction {beyond:.3e} beyond |p| = {np.pi / (2.0 * dq):.4g} "
+            f"exceeds {ALIAS_MASS_TOL:.0e}; the Wigner grid would alias it, refine n_q"
+        )
     du = 2.0 * dq
 
     m = np.arange(n) - n // 2

@@ -136,6 +136,24 @@ def test_pipeline_check_builds_the_initial_tomogram_once(tmp_path, monkeypatch):
     assert len(read_json(tmp_path, "report.json")["records"]) == 2
 
 
+def test_evolve_solves_epsilon_once(tmp_path, monkeypatch):
+    # One eps(t) trajectory to max(times) serves the map at every time.
+    from tomoprop import quad_dynamics
+
+    calls = []
+    solve = quad_dynamics.solve_epsilon
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(quad_dynamics, "solve_epsilon", counted)
+    assert run(tmp_path, "evolve", {"times": [0.5, 1.0, 1.5, 2.0]}) == 0
+    assert calls == [2.0]
+    for i in range(4):
+        assert (tmp_path / "out" / ("tomogram_map_%03d.csv" % i)).exists()
+
+
 def test_state_tomogram_keeps_every_needed_refusal():
     # The pure-state route skips radon's Wigner-boundary guard.  Sweep
     # coherent states over every momentum the state guards accept on two
@@ -284,6 +302,20 @@ def test_grid_below_constructor_bounds_exits_2_listing_all(tmp_path, capsys):
         "grid.n_x must be at least 16, got 8",
         "grid.n_theta must be at least 8, got 4",
     ]
+
+
+def test_short_table_sampler_exits_2_before_any_data_file(tmp_path, capsys):
+    table = {"kind": "table", "times": [0.0, 1.0], "values": [1.0, 1.1]}
+    doc = {"times": [0.5, 2.0], "backend": "both",
+           "hamiltonian": {"omega_sq": table, "force": {**table, "values": [0.0, 0.1]}}}
+    assert run(tmp_path, "evolve", doc) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "ValidationError"
+    assert record["violations"] == [
+        "hamiltonian.omega_sq.times cover [0, 1], not the job's [0, 2]",
+        "hamiltonian.force.times cover [0, 1], not the job's [0, 2]",
+    ]
+    assert not (tmp_path / "out").exists()
 
 
 def test_odd_n_q_is_a_config_error_for_validate_only(tmp_path, capsys):

@@ -187,6 +187,19 @@ def test_table_sampler_shape_and_order():
     assert any("strictly increasing" in b for b in bad)
 
 
+def test_table_sampler_must_cover_the_evolved_span():
+    table = {"kind": "table", "times": [0.0, 1.0], "values": [1.0, 1.1]}
+    doc = {"task": "evolve", "times": [0.5, 2.0],
+           "hamiltonian": {"omega_sq": table, "force": dict(table)}}
+    bad = violations_of(doc)
+    assert "hamiltonian.omega_sq.times cover [0, 1], not the job's [0, 2]" in bad
+    assert "hamiltonian.force.times cover [0, 1], not the job's [0, 2]" in bad
+    # The same table serves a job that stays inside it, and tasks that
+    # never evolve do not read it at all.
+    assert parse({**doc, "times": [0.5, 1.0]}).times == (0.5, 1.0)
+    assert parse({**doc, "task": "tomogram"}).task == "tomogram"
+
+
 def test_sampler_unknown_field():
     bad = violations_of({
         "task": "tomogram",

@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -18,11 +20,50 @@ def mathieu(force=0.0):
 
 
 # ----------------------------------------------------------- characteristics
+#
+# A per-node referee for the solver's row-factored RK4: one characteristic
+# at a time, through the field written out term by term.
+
+
+@dataclass(frozen=True)
+class CharacteristicState:
+    """State carried along one backward characteristic.
+
+    X and theta locate the point on the twisted extension; amp is the
+    accumulated multiplicative factor (starts at 1 at the final time).
+    """
+
+    X: float
+    theta: float
+    amp: float = 1.0
+
+    def __post_init__(self):
+        if not np.all(np.asarray(self.amp) > 0.0):
+            raise ValueError(f"amp must stay positive, got {self.amp}")
+
+
+def characteristic_rhs(state, t, hamiltonian):
+    """Advection field of the tomogram evolution equation.
+
+    Returns the derivative triple (dX/dt, dtheta/dt, dlog_amp/dt) at time t.
+    The field is smooth everywhere, including theta = 0 and pi/2 where only
+    the force term survives in dX/dt.
+    """
+    w2 = hamiltonian.omega_sq(t)
+    f = hamiltonian.force(t)
+    s = np.sin(state.theta)
+    c = np.cos(state.theta)
+    sc = s * c
+    dX = (1.0 - w2) * sc * state.X + f * s
+    dtheta = -(c * c + w2 * s * s)
+    dlog_amp = -(1.0 - w2) * sc
+    return dX, dtheta, dlog_amp
+
 
 def test_rhs_harmonic_is_pure_angle_advection():
     H = qd.QuadraticHamiltonian.harmonic()
-    state = pde.CharacteristicState(X=1.3, theta=0.8)
-    dX, dtheta, dlog = pde.characteristic_rhs(state, 0.0, H)
+    state = CharacteristicState(X=1.3, theta=0.8)
+    dX, dtheta, dlog = characteristic_rhs(state, 0.0, H)
     assert dX == pytest.approx(0.0, abs=1e-15)
     assert dtheta == pytest.approx(-1.0)
     assert dlog == pytest.approx(0.0, abs=1e-15)
@@ -33,15 +74,15 @@ def test_rhs_free_advects_tangent_uniformly():
     # dtheta/dt = -cos^2(theta).
     H = qd.QuadraticHamiltonian.free()
     for theta in (0.3, 1.0, 2.2):
-        state = pde.CharacteristicState(X=0.7, theta=theta)
-        _, dtheta, _ = pde.characteristic_rhs(state, 0.0, H)
+        state = CharacteristicState(X=0.7, theta=theta)
+        _, dtheta, _ = characteristic_rhs(state, 0.0, H)
         assert dtheta == pytest.approx(-np.cos(theta) ** 2, abs=1e-14)
 
 
 def test_rhs_force_term_vanishes_at_theta_zero():
     H = qd.QuadraticHamiltonian(qd.ConstantSampler(1.0), qd.ConstantSampler(0.5))
-    state = pde.CharacteristicState(X=2.0, theta=0.0)
-    dX, dtheta, dlog = pde.characteristic_rhs(state, 0.0, H)
+    state = CharacteristicState(X=2.0, theta=0.0)
+    dX, dtheta, dlog = characteristic_rhs(state, 0.0, H)
     assert dX == pytest.approx(0.0, abs=1e-15)
     assert dtheta == pytest.approx(-1.0)
     assert dlog == pytest.approx(0.0, abs=1e-15)
@@ -49,9 +90,9 @@ def test_rhs_force_term_vanishes_at_theta_zero():
 
 def test_characteristic_state_requires_positive_amp():
     with pytest.raises(ValueError):
-        pde.CharacteristicState(X=0.0, theta=0.0, amp=0.0)
+        CharacteristicState(X=0.0, theta=0.0, amp=0.0)
     with pytest.raises(ValueError):
-        pde.CharacteristicState(X=0.0, theta=0.0, amp=-1.0)
+        CharacteristicState(X=0.0, theta=0.0, amp=-1.0)
 
 
 # ------------------------------------------------------------------ solver
@@ -123,17 +164,17 @@ def test_factored_advection_matches_per_node_integration(coherent_tomogram, tgri
         X, th, la = float(tgrid.xs[i]), float(tgrid.thetas[j]), 0.0
         t = T
         for _ in range(n):
-            s1 = pde.characteristic_rhs(pde.CharacteristicState(X, th), t, H)
-            s2 = pde.characteristic_rhs(
-                pde.CharacteristicState(X - 0.5 * h * s1[0], th - 0.5 * h * s1[1]),
+            s1 = characteristic_rhs(CharacteristicState(X, th), t, H)
+            s2 = characteristic_rhs(
+                CharacteristicState(X - 0.5 * h * s1[0], th - 0.5 * h * s1[1]),
                 t - 0.5 * h, H,
             )
-            s3 = pde.characteristic_rhs(
-                pde.CharacteristicState(X - 0.5 * h * s2[0], th - 0.5 * h * s2[1]),
+            s3 = characteristic_rhs(
+                CharacteristicState(X - 0.5 * h * s2[0], th - 0.5 * h * s2[1]),
                 t - 0.5 * h, H,
             )
-            s4 = pde.characteristic_rhs(
-                pde.CharacteristicState(X - h * s3[0], th - h * s3[1]), t - h, H
+            s4 = characteristic_rhs(
+                CharacteristicState(X - h * s3[0], th - h * s3[1]), t - h, H
             )
             X -= (h / 6.0) * (s1[0] + 2.0 * s2[0] + 2.0 * s3[0] + s4[0])
             th -= (h / 6.0) * (s1[1] + 2.0 * s2[1] + 2.0 * s3[1] + s4[1])

@@ -180,7 +180,8 @@ def test_harmonic_map_is_pure_rotation(tgrid):
     t = np.pi / 5
     traj = qd.solve_epsilon(qd.QuadraticHamiltonian.harmonic(), t)
     m = qd.optical_map(qd.motion_integrals(traj, t))
-    X0, theta0, weight = m.map_points(tgrid.xs, tgrid.thetas[:, None])
+    theta0, a, b, weight = m.frames(tgrid.thetas[:, None])
+    X0 = a * tgrid.xs + b
     np.testing.assert_allclose(weight, 1.0, atol=1e-10)
     # Rotation shifts theta by t (mod pi with the twisted X flip).
     shifted = tgrid.thetas[:, None] + t
@@ -195,7 +196,8 @@ def test_free_map_scales_rows(tgrid):
     traj = qd.solve_epsilon(qd.QuadraticHamiltonian.free(), 1.0)
     m = qd.optical_map(qd.motion_integrals(traj, 1.0))
     theta = tgrid.thetas
-    X0, theta0, weight = m.map_points(1.0, theta)
+    _, a, b, weight = m.frames(theta)
+    X0 = a * 1.0 + b
     s, c = np.sin(theta), np.cos(theta)
     r = np.hypot(s + c, c)
     np.testing.assert_allclose(weight, 1.0 / r, atol=1e-9)
@@ -261,3 +263,66 @@ def test_evolve_cubic_allows_small_undershoot(coherent_tomogram):
     m = qd.optical_map(qd.motion_integrals(traj, 0.5))
     wt = qd.evolve_tomogram(coherent_tomogram, m, interp="cubic")
     assert wt.values.min() > -1e-6
+
+
+def test_evolve_identity_map_is_copy(coherent_tomogram):
+    m = qd.optical_map(qd.motion_integrals(qd.solve_epsilon(mathieu(), 0.0), 0.0))
+    wt = qd.evolve_tomogram(coherent_tomogram, m)
+    np.testing.assert_array_equal(wt.values, coherent_tomogram.values)
+    assert wt.values is not coherent_tomogram.values
+
+
+def test_evolve_samples_all_rows_in_one_call(coherent_tomogram, monkeypatch):
+    # One twisted extension (and one cubic prefilter) per evolve, not one
+    # per theta row.
+    calls = []
+    sample = tr.Tomogram.sample_twisted
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return sample(self, *args, **kwargs)
+
+    monkeypatch.setattr(tr.Tomogram, "sample_twisted", counted)
+    m = qd.optical_map(qd.motion_integrals(qd.solve_epsilon(mathieu(0.3), 1.0), 1.0))
+    qd.evolve_tomogram(coherent_tomogram, m, interp="cubic")
+    assert len(calls) == 1
+
+
+def _per_row_reference(w0, m, interp):
+    """Row-by-row pull-back with the frames written out from Lambda, Delta:
+    N' = N Lambda^-1, r = |N'|, X0 = (X + N' . Delta) / r, folded into
+    [0, pi) with the twisted parity flip."""
+    lam, delta = m.lambda_mat, m.delta
+    inv = np.array([[lam[1, 1], -lam[0, 1]], [-lam[1, 0], lam[0, 0]]])
+    tg = w0.grid
+    rows = np.empty_like(w0.values)
+    for j, theta in enumerate(tg.thetas):
+        n1, n2 = np.array([np.sin(theta), np.cos(theta)]) @ inv
+        r = np.hypot(n1, n2)
+        X0 = (tg.xs + n1 * delta[0] + n2 * delta[1]) / r
+        theta0 = np.arctan2(n1, n2)
+        if theta0 < 0.0:
+            theta0, X0 = theta0 + np.pi, -X0
+        rows[j] = w0.sample_twisted(X0, theta0, interp=interp) / r
+    return rows
+
+
+@pytest.mark.parametrize("interp", ["linear", "cubic"])
+def test_evolve_matches_per_row_reference(coherent_tomogram, interp):
+    m = qd.optical_map(qd.motion_integrals(qd.solve_epsilon(mathieu(0.3), 1.3), 1.3))
+    wt = qd.evolve_tomogram(coherent_tomogram, m, interp=interp)
+    ref = _per_row_reference(coherent_tomogram, m, interp)
+    assert np.abs(wt.values - ref).max() < 1e-14
+
+
+def test_table_sampler_violations():
+    assert qd.TableSampler.violations([0.0, 1.0], [1.0, 2.0]) == []
+    assert qd.TableSampler.violations([0.0, 2.0], [1.0, 2.0], t_end=2.0) == []
+    (short,) = qd.TableSampler.violations([0.0, 1.0], [1.0, 2.0], t_end=2.0)
+    assert "cover [0, 1]" in short
+    (late,) = qd.TableSampler.violations([0.5, 3.0], [1.0, 2.0], t_end=2.0)
+    assert "cover [0.5, 3]" in late
+    assert len(qd.TableSampler.violations([0.0, 0.0, 0.5], [1.0, 2.0, 3.0], t_end=1.0)) == 2
+    assert qd.TableSampler.violations([0.0], [1.0]) == [
+        "times and values must be matching 1-d tables of at least 2 rows"
+    ]

@@ -187,6 +187,25 @@ def test_wigner_needs_even_grid():
         tr.wigner_from_density(rho)
 
 
+@pytest.mark.parametrize("p", [20.0, 29.0, 30.0, 31.0])
+def test_wigner_refuses_momentum_beyond_its_axis(p):
+    # The conjugate p-axis ends at pi / (2 dq) = 25.0 on this grid, half the
+    # wavefunction's band: p = 29-31 pass the state guards but would alias
+    # into rows 0.56 off the exact tomogram; p = 20 is well inside.
+    g = CoordinateGrid(q_max=8.0, n_q=256)
+    tg = TomogramGrid(x_max=8.0, n_x=256, n_theta=32)
+    alpha = 1j * p / np.sqrt(2.0)
+    rho = density_from_wavefunction(make_coherent(alpha, g))
+    if p < 25.0:
+        w = tr.tomogram_from_density(rho, tg)
+        assert np.abs(w.values - coherent_tomogram_reference(tg, alpha)).max() < 1e-6
+        return
+    with pytest.raises(SupportError, match="momentum mass fraction"):
+        tr.wigner_from_density(rho)
+    with pytest.raises(SupportError, match="momentum mass fraction"):
+        tr.tomogram_from_density(rho, tg)
+
+
 def test_density_wigner_round_trip_is_exact(vacuum_rho, grid):
     W = tr.wigner_from_density(vacuum_rho)
     back = tr.density_from_wigner(W, grid)
