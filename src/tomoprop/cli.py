@@ -97,8 +97,8 @@ def run_job(cfg):
         report["dt"] = dt
         report["times"] = list(cfg.times)
         if cfg.backend in ("map", "both"):
-            # One eps(t) solve serves every requested time.
-            traj = qd.solve_epsilon(H, max(cfg.times), dt)
+            # One eps(t) solve, with a node at every requested time.
+            traj = qd.solve_epsilon(H, max(cfg.times), dt, stops=cfg.times)
         gaps = []
         for i, t in enumerate(cfg.times):
             per_backend = {}

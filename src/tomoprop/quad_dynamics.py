@@ -160,9 +160,14 @@ def _rhs(t, eps, eps_dot, beta, H):
     return eps_dot, -om * eps, (-1j / np.sqrt(2.0)) * eps * f
 
 
-def solve_epsilon(H, T, dt=1e-3):
+def solve_epsilon(H, T, dt=1e-3, stops=()):
     """Integrate eps'' + omega_sq(t) eps = 0 with eps(0)=1, eps'(0)=i,
     accumulating beta' = -(i/sqrt(2)) eps f(t), by classic RK4.
+
+    Every time in stops that lies in (0, T) is made a node: each segment
+    between consecutive stops is split into equal steps no longer than dt,
+    so the first segment is the trajectory solve_epsilon(H, stop) gives and
+    motion_integrals reads every stop without interpolating.
 
     The Wronskian 2 Im(eps' eps*) = 2 is checked at every node; drift beyond
     1e-8 (or an oversized step) raises StepError.
@@ -185,9 +190,14 @@ def solve_epsilon(H, T, dt=1e-3):
             np.array([0.0 + 0.0j]), H,
         )
 
-    n = int(np.ceil(T / dt - 1e-9))
-    h = T / n
-    times = np.linspace(0.0, T, n + 1)
+    ends = sorted({float(s) for s in stops if 0.0 < s < T} | {T})
+    times, steps = [np.array([0.0])], []
+    for start, end in zip([0.0] + ends, ends):
+        n = max(1, int(np.ceil((end - start) / dt - 1e-9)))
+        times.append(np.linspace(start, end, n + 1)[1:])
+        steps.append(np.full(n, (end - start) / n))
+    times, steps = np.concatenate(times), np.concatenate(steps)
+    n = steps.size
     eps = np.empty(n + 1, dtype=complex)
     eps_dot = np.empty(n + 1, dtype=complex)
     beta = np.empty(n + 1, dtype=complex)
@@ -195,7 +205,7 @@ def solve_epsilon(H, T, dt=1e-3):
 
     e, ed, b = eps[0], eps_dot[0], beta[0]
     for i in range(n):
-        t = times[i]
+        t, h = times[i], steps[i]
         k1 = _rhs(t, e, ed, b, H)
         k2 = _rhs(t + 0.5 * h, e + 0.5 * h * k1[0], ed + 0.5 * h * k1[1], b + 0.5 * h * k1[2], H)
         k3 = _rhs(t + 0.5 * h, e + 0.5 * h * k2[0], ed + 0.5 * h * k2[1], b + 0.5 * h * k2[2], H)

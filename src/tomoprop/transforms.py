@@ -128,16 +128,15 @@ class Tomogram:
         largest weight).
         """
         tg = self.grid
+        X0 = a[:, None] * tg.xs + b[:, None]
         # X0 is affine in X on each row, so its extremes sit at the row ends.
-        ends = a[:, None] * tg.xs[[0, -1]] + b[:, None]
-        if np.any(np.abs(ends) > tg.x_max):
+        if np.any(np.abs(X0[:, [0, -1]]) > tg.x_max):
             edge = max(np.abs(self.values[:, 0]).max(), np.abs(self.values[:, -1]).max())
             if edge > EDGE_MASS_TOL:
                 raise SupportError(
                     "mapped source points leave the X window while the tomogram "
                     f"still carries {edge:.3e} at its edge; enlarge x_max"
                 )
-        X0 = a[:, None] * tg.xs + b[:, None]
         w = Tomogram(tg, weight[:, None] * self.sample_twisted(X0, theta0[:, None], interp=interp))
         floor = min(0.0, float(self.values.min()))
         base_tol = 1e-12 if interp == "linear" else 1e-6

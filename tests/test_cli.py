@@ -154,6 +154,41 @@ def test_evolve_solves_epsilon_once(tmp_path, monkeypatch):
         assert (tmp_path / "out" / ("tomogram_map_%03d.csv" % i)).exists()
 
 
+def test_evolve_reads_every_time_at_a_node(tmp_path, monkeypatch):
+    # Times off the step grid get nodes of their own in the one eps(t)
+    # solve, so each map matches a solve to that time alone instead of an
+    # interpolation between nodes (which was 2.4e-8 off in Lambda here).
+    from tomoprop import quad_dynamics as qd
+
+    solves, maps = [], []
+    solve, evolve = qd.solve_epsilon, qd.evolve_tomogram
+
+    def solve_recorded(H, T, dt, **kwargs):
+        solves.append((H, dt))
+        return solve(H, T, dt, **kwargs)
+
+    def evolve_recorded(w0, m, **kwargs):
+        maps.append(m)
+        return evolve(w0, m, **kwargs)
+
+    monkeypatch.setattr(qd, "solve_epsilon", solve_recorded)
+    monkeypatch.setattr(qd, "evolve_tomogram", evolve_recorded)
+    doc = {
+        "times": [0.3333, 1.0], "backend": "both",
+        "hamiltonian": {
+            "omega_sq": {"kind": "cosine", "a": 1.0, "b": 0.2, "freq": 2.0, "phase": 0.0},
+            "force": {"kind": "constant", "value": 0.25},
+        },
+    }
+    assert run(tmp_path, "evolve", doc) == 0
+    (H, dt), = solves
+    for t, m in zip(doc["times"], maps):
+        ref = qd.optical_map(qd.motion_integrals(solve(H, t, dt), t))
+        np.testing.assert_allclose(m.lambda_mat, ref.lambda_mat, rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(m.delta, ref.delta, rtol=0.0, atol=1e-14)
+    assert max(read_json(tmp_path, "report.json")["l1_backend_gap"]) < 1e-10
+
+
 def test_state_tomogram_keeps_every_needed_refusal():
     # The pure-state route skips radon's Wigner-boundary guard.  Sweep
     # coherent states over every momentum the state guards accept on two

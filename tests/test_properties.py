@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from tomoprop import pde_evolution as pde
 from tomoprop import quad_dynamics as qd
 from tomoprop import transforms as tr
+from tomoprop.cli import _auto_dt
 from tomoprop.grids import CoordinateGrid, TomogramGrid
 from tomoprop.states import make_coherent
 
@@ -42,16 +43,11 @@ hamiltonians = st.one_of(mathieu, forced)
 alphas = st.builds(complex, st.floats(-0.5, 0.5), st.floats(-0.5, 0.5))
 
 
-def _dt(H):
-    # The CLI's step: inside both backends' limits with a factor-2 margin.
-    return min(1e-3, 2.5e-3 / max(1.0, H.omega_sq.upper_bound()))
-
-
 @PROPERTY_SETTINGS
 @given(H=hamiltonians, T=st.floats(0.05, 1.5), alpha=alphas)
 def test_backends_conserve_rows_and_agree(H, T, alpha):
     w0 = tr.tomogram_from_wavefunction(make_coherent(alpha, GRID), TGRID)
-    dt = _dt(H)
+    dt = _auto_dt(H)
     m = qd.optical_map(qd.motion_integrals(qd.solve_epsilon(H, T, dt), T))
     w_map = qd.evolve_tomogram(w0, m)
     w_pde = pde.evolve_semilagrangian(w0, H, T, dt)

@@ -109,6 +109,24 @@ def test_zero_time_trajectory():
     assert traj.final_time == 0.0
 
 
+def test_stops_become_nodes():
+    # The first segment is the solve to the first stop alone; later stops
+    # are nodes too, read without interpolation, and no step exceeds dt.
+    H = mathieu()
+    traj = qd.solve_epsilon(H, 1.0, 1e-3, stops=[0.0, 0.3333, 0.7071, 1.0])
+    alone = qd.solve_epsilon(H, 0.3333, 1e-3)
+    k = alone.times.size
+    for name in ("times", "eps", "eps_dot", "beta"):
+        np.testing.assert_array_equal(getattr(traj, name)[:k], getattr(alone, name))
+    assert 0.7071 in traj.times and traj.final_time == 1.0
+    assert 0.0 < np.diff(traj.times).min() and np.diff(traj.times).max() <= 1e-3
+    mi = qd.motion_integrals(traj, 0.7071)
+    ref = qd.motion_integrals(qd.solve_epsilon(H, 0.7071), 0.7071)
+    assert mi.det_defect < 1e-13
+    np.testing.assert_allclose(mi.lambda_mat, ref.lambda_mat, rtol=0.0, atol=1e-13)
+    np.testing.assert_allclose(mi.delta, ref.delta, rtol=0.0, atol=1e-13)
+
+
 # --------------------------------------------------------- motion integrals
 
 def test_motion_integrals_free():
