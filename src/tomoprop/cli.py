@@ -123,9 +123,11 @@ def run_job(cfg):
         except OSError as e:
             raise _IOFailure(f"cannot read input tomogram: {e}")
         w.validate()
-        W = tr.inverse_radon(w)
+        # One FBP onto the coordinate grid serves both files.
+        g = cfgmod.coordinate_grid(cfg)
+        W = tr.inverse_radon(w, q_axis=g.points, p_axis=g.points)
         emit("wigner.csv", io.write_wigner, W)
-        rho = tr.density_from_tomogram(w, cfgmod.coordinate_grid(cfg))
+        rho = tr.density_from_wigner(W, g)
         emit("density.csv", io.write_density, rho)
         report["wigner_mass"] = float(W.mass())
         report["trace"] = float(rho.trace())

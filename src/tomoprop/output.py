@@ -10,28 +10,34 @@ place, so readers never observe a half-written file.
 Column layouts: tomograms are theta-major "theta_index,theta,X,w";
 density matrices "qi,qj,re,im" (grid in the header); Wigner functions
 "q,p,w".
+
+Each data file body is formatted in one `%` call: a row template holds
+every fixed column (indices and grid coordinates, already printed) and one
+FLOAT_FMT slot per value, and the values fill it in row-major order.  This
+prints every value with the same conversion as formatting it alone.
 """
 
 import json
 import os
 import tempfile
+from functools import lru_cache
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import GridError, ParseError
 from .grids import TomogramGrid
 from .transforms import Tomogram
 
 FLOAT_FMT = "%.17g"
 
 
-def _atomic_write(path, text):
+def _atomic_write(path, *chunks):
     d = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tomoprop-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -46,20 +52,44 @@ def write_report(path, record):
     _atomic_write(path, json.dumps(record, indent=2, sort_keys=True) + "\n")
 
 
+def _rows(prefixes, cells):
+    """Row template: each prefix followed by each cell, one row per line."""
+    return "\n".join(p + ("\n" + p).join(cells) for p in prefixes)
+
+
+def _fill(template, columns, shape):
+    """The template filled row by row from the value columns, each of the
+    grid's shape, after checking that shape."""
+    for name, values in columns.items():
+        if np.shape(values) != shape:
+            raise GridError(f"{name} shape {np.shape(values)} does not match grid {shape}")
+    values = np.stack(list(columns.values()), axis=-1)
+    return template % tuple(values.ravel().tolist())
+
+
+def _write_table(path, headers, body):
+    _atomic_write(path, "\n".join(headers) + "\n", body, "\n")
+
+
+# evolve writes every tomogram of a job on one grid.
+@lru_cache(maxsize=2)
+def _tomogram_rows(tg):
+    return _rows(
+        ["%d," % j + (FLOAT_FMT % theta) + "," for j, theta in enumerate(tg.thetas)],
+        [(FLOAT_FMT % x) + "," + FLOAT_FMT for x in tg.xs],
+    )
+
+
 def write_tomogram(path, w):
     tg = w.grid
-    lines = [
+    headers = [
         "# x_max=" + (FLOAT_FMT % tg.x_max),
         "# n_x=%d" % tg.n_x,
         "# n_theta=%d" % tg.n_theta,
         "# columns=theta_index,theta,X,w",
     ]
-    xs = [FLOAT_FMT % x for x in tg.xs]
-    for j in range(tg.n_theta):
-        prefix = "%d," % j + (FLOAT_FMT % tg.thetas[j]) + ","
-        row = w.values[j]
-        lines.extend(prefix + xs[i] + "," + (FLOAT_FMT % row[i]) for i in range(tg.n_x))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    body = _fill(_tomogram_rows(tg), {"tomogram": w.values}, (tg.n_theta, tg.n_x))
+    _write_table(path, headers, body)
 
 
 def _read_headers(path):
@@ -107,23 +137,21 @@ def read_tomogram(path):
 
 def write_density(path, rho):
     g = rho.grid
-    lines = [
+    headers = [
         "# q_max=" + (FLOAT_FMT % g.q_max),
         "# n_q=%d" % g.n_q,
         "# columns=qi,qj,re,im",
     ]
-    re, im = np.real(rho.values), np.imag(rho.values)
-    for i in range(g.n_q):
-        re_i, im_i = re[i], im[i]
-        lines.extend(
-            "%d,%d," % (i, j) + (FLOAT_FMT % re_i[j]) + "," + (FLOAT_FMT % im_i[j])
-            for j in range(g.n_q)
-        )
-    _atomic_write(path, "\n".join(lines) + "\n")
+    rows = _rows(
+        ["%d," % i for i in range(g.n_q)],
+        ["%d," % j + FLOAT_FMT + "," + FLOAT_FMT for j in range(g.n_q)],
+    )
+    columns = {"density re": np.real(rho.values), "density im": np.imag(rho.values)}
+    _write_table(path, headers, _fill(rows, columns, (g.n_q, g.n_q)))
 
 
 def write_wigner(path, W):
-    lines = [
+    headers = [
         "# q_min=" + (FLOAT_FMT % W.q_axis[0]),
         "# q_max=" + (FLOAT_FMT % W.q_axis[-1]),
         "# n_q=%d" % W.q_axis.size,
@@ -132,23 +160,22 @@ def write_wigner(path, W):
         "# n_p=%d" % W.p_axis.size,
         "# columns=q,p,w",
     ]
-    ps = [FLOAT_FMT % p for p in W.p_axis]
-    for i, q in enumerate(W.q_axis):
-        qs = FLOAT_FMT % q
-        row = W.values[i]
-        lines.extend(qs + "," + ps[j] + "," + (FLOAT_FMT % row[j]) for j in range(len(ps)))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    rows = _rows(
+        [(FLOAT_FMT % q) + "," for q in W.q_axis],
+        [(FLOAT_FMT % p) + "," + FLOAT_FMT for p in W.p_axis],
+    )
+    shape = (W.q_axis.size, W.p_axis.size)
+    _write_table(path, headers, _fill(rows, {"Wigner array": W.values}, shape))
 
 
 def write_moments(path, tg, m1, m2):
-    lines = [
+    headers = [
         "# x_max=" + (FLOAT_FMT % tg.x_max),
         "# n_theta=%d" % tg.n_theta,
         "# columns=theta_index,theta,m1,m2",
     ]
-    lines.extend(
-        "%d," % j + (FLOAT_FMT % tg.thetas[j]) + ","
-        + (FLOAT_FMT % m1[j]) + "," + (FLOAT_FMT % m2[j])
-        for j in range(tg.n_theta)
+    rows = _rows(
+        ["%d," % j + (FLOAT_FMT % theta) + "," for j, theta in enumerate(tg.thetas)],
+        [FLOAT_FMT + "," + FLOAT_FMT],
     )
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _write_table(path, headers, _fill(rows, {"m1": m1, "m2": m2}, (tg.n_theta,)))

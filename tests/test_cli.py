@@ -84,6 +84,40 @@ def test_invert_task(tmp_path):
     assert (tmp_path / "out2" / "density.csv").exists()
 
 
+def test_invert_runs_one_fbp(tmp_path, monkeypatch):
+    # One back-projection onto the coordinate grid serves wigner.csv and
+    # density.csv, so the Wigner axes are the density's q grid (n_q 256
+    # here, where the tomogram window alone would give 512 points).
+    from tomoprop import transforms
+    from tomoprop.grids import CoordinateGrid
+
+    run(tmp_path, "tomogram", {})
+    calls = []
+    fbp = transforms.inverse_radon
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fbp(*args, **kwargs)
+
+    monkeypatch.setattr(transforms, "inverse_radon", counted)
+    doc = {"input_path": str(tmp_path / "out" / "tomogram.csv")}
+    cfg = write_config(tmp_path, doc, name="invert.json")
+    out = tmp_path / "out2"
+    assert main(["invert", "--config", cfg, "--output-dir", str(out)]) == 0
+    assert len(calls) == 1
+
+    def header(name):
+        lines = (out / name).read_text().splitlines()
+        return dict(line[2:].split("=", 1) for line in lines if line.startswith("# "))
+
+    rho = header("density.csv")
+    q = CoordinateGrid(q_max=float(rho["q_max"]), n_q=int(rho["n_q"])).points
+    data = np.loadtxt(out / "wigner.csv", comments="#", delimiter=",")
+    assert np.array_equal(np.unique(data[:, 0]), q)
+    assert np.array_equal(np.unique(data[:, 1]), q)
+    assert data.shape[0] == q.size ** 2
+
+
 def test_moments_task(tmp_path):
     assert run(tmp_path, "moments", {}) == 0
     report = read_json(tmp_path, "report.json")

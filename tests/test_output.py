@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from tomoprop import output, states, transforms
-from tomoprop.errors import ParseError
-from tomoprop.grids import TomogramGrid
+from tomoprop.errors import GridError, ParseError
+from tomoprop.grids import CoordinateGrid, TomogramGrid
 
 
 @pytest.fixture(scope="module")
@@ -144,3 +144,160 @@ def test_write_report_sorts_keys(tmp_path):
     text = path.read_text()
     assert text.index('"alpha"') < text.index('"zeta"')
     assert text.endswith("\n")
+
+
+# ---------------------------------------------------------------------------
+# byte identity with the per-value writers
+#
+# The reference writers below format one value at a time, as the package
+# did before each file body became one `%` call over a row template.
+
+F = output.FLOAT_FMT
+
+
+def reference_tomogram(w):
+    tg = w.grid
+    lines = [
+        "# x_max=" + (F % tg.x_max),
+        "# n_x=%d" % tg.n_x,
+        "# n_theta=%d" % tg.n_theta,
+        "# columns=theta_index,theta,X,w",
+    ]
+    xs = [F % x for x in tg.xs]
+    for j in range(tg.n_theta):
+        prefix = "%d," % j + (F % tg.thetas[j]) + ","
+        row = w.values[j]
+        lines.extend(prefix + xs[i] + "," + (F % row[i]) for i in range(tg.n_x))
+    return "\n".join(lines) + "\n"
+
+
+def reference_density(rho):
+    g = rho.grid
+    lines = [
+        "# q_max=" + (F % g.q_max),
+        "# n_q=%d" % g.n_q,
+        "# columns=qi,qj,re,im",
+    ]
+    re, im = np.real(rho.values), np.imag(rho.values)
+    for i in range(g.n_q):
+        re_i, im_i = re[i], im[i]
+        lines.extend(
+            "%d,%d," % (i, j) + (F % re_i[j]) + "," + (F % im_i[j])
+            for j in range(g.n_q)
+        )
+    return "\n".join(lines) + "\n"
+
+
+def reference_wigner(W):
+    lines = [
+        "# q_min=" + (F % W.q_axis[0]),
+        "# q_max=" + (F % W.q_axis[-1]),
+        "# n_q=%d" % W.q_axis.size,
+        "# p_min=" + (F % W.p_axis[0]),
+        "# p_max=" + (F % W.p_axis[-1]),
+        "# n_p=%d" % W.p_axis.size,
+        "# columns=q,p,w",
+    ]
+    ps = [F % p for p in W.p_axis]
+    for i, q in enumerate(W.q_axis):
+        qs = F % q
+        row = W.values[i]
+        lines.extend(qs + "," + ps[j] + "," + (F % row[j]) for j in range(len(ps)))
+    return "\n".join(lines) + "\n"
+
+
+def reference_moments(tg, m1, m2):
+    lines = [
+        "# x_max=" + (F % tg.x_max),
+        "# n_theta=%d" % tg.n_theta,
+        "# columns=theta_index,theta,m1,m2",
+    ]
+    lines.extend(
+        "%d," % j + (F % tg.thetas[j]) + ","
+        + (F % m1[j]) + "," + (F % m2[j])
+        for j in range(tg.n_theta)
+    )
+    return "\n".join(lines) + "\n"
+
+
+# Signed zeros, the smallest subnormal, the switches of %g to exponent form
+# (below 1e-4, at 1e17 for 17 digits) and a value with no short decimal form.
+EDGE_VALUES = [-0.0, 0.0, 1.0, 5e-324, 1e-300, 1e-4, 1e-5, 1e16, 1e17, 0.1,
+               -0.1, -1e-5, -1e17, 1.0 / 3.0, np.inf, -np.inf, np.nan]
+
+
+def values_with_edges(shape, seed):
+    v = np.random.default_rng(seed).normal(size=shape) * np.logspace(-8, 8, shape[-1])
+    flat = v.reshape(-1)
+    flat[: len(EDGE_VALUES)] = EDGE_VALUES
+    flat[-len(EDGE_VALUES):] = EDGE_VALUES[::-1]
+    return v
+
+
+def assert_bytes(path, text):
+    assert path.read_bytes() == text.encode("utf-8")
+
+
+def test_write_tomogram_bytes_match_reference(tmp_path):
+    tg = TomogramGrid(x_max=0.1 * 37, n_x=16, n_theta=9)
+    w = transforms.Tomogram(tg, values_with_edges((9, 16), 1))
+    output.write_tomogram(tmp_path / "w.csv", w)
+    assert_bytes(tmp_path / "w.csv", reference_tomogram(w))
+
+
+def test_write_density_bytes_match_reference(tmp_path):
+    g = CoordinateGrid(q_max=0.1 * 29, n_q=11)
+    vals = np.empty((11, 11), complex)
+    vals.real, vals.imag = values_with_edges((11, 11), 2), values_with_edges((11, 11), 3)[::-1]
+    rho = states.DensityMatrix(g, vals)
+    output.write_density(tmp_path / "rho.csv", rho)
+    assert_bytes(tmp_path / "rho.csv", reference_density(rho))
+
+
+def test_write_wigner_bytes_match_reference(tmp_path):
+    # Non-square axes, so a transposed layout cannot pass.
+    q, p = np.linspace(-1.3, 1.3, 9), np.linspace(-2.1, 2.1, 12)
+    W = transforms.WignerFunction(q, p, values_with_edges((9, 12), 4))
+    output.write_wigner(tmp_path / "wig.csv", W)
+    assert_bytes(tmp_path / "wig.csv", reference_wigner(W))
+
+
+def test_write_moments_bytes_match_reference(tmp_path):
+    tg = TomogramGrid(x_max=0.1 * 37, n_x=16, n_theta=len(EDGE_VALUES) + 2)
+    m1 = values_with_edges((tg.n_theta,), 5)
+    m2 = m1[::-1].copy()
+    output.write_moments(tmp_path / "m.csv", tg, m1, m2)
+    assert_bytes(tmp_path / "m.csv", reference_moments(tg, m1, m2))
+
+
+def test_writers_refuse_values_off_the_grid(tmp_path):
+    tg = TomogramGrid(x_max=4.0, n_x=16, n_theta=8)
+    g = CoordinateGrid(q_max=4.0, n_q=8)
+    W = transforms.WignerFunction(g.points, g.points, np.zeros((8, 8)))
+    W.values = np.zeros((8, 9))
+    cases = [
+        (output.write_tomogram, (transforms.Tomogram(tg, np.zeros((8, 15))),)),
+        (output.write_tomogram, (transforms.Tomogram(tg, np.zeros((16, 8))),)),
+        (output.write_density, (states.DensityMatrix(g, np.zeros((8, 9), complex)),)),
+        (output.write_wigner, (W,)),
+        (output.write_moments, (tg, np.zeros(8), np.zeros(7))),
+    ]
+    for writer, args in cases:
+        with pytest.raises(GridError, match="does not match grid"):
+            writer(tmp_path / "bad.csv", *args)
+    assert os.listdir(tmp_path) == []
+
+
+def test_tomogram_template_cache_keeps_grids_apart(tmp_path):
+    # Two grids of the same shape, so another grid's template would fill
+    # without error and only its X and theta columns would be wrong.
+    a = TomogramGrid(x_max=3.0, n_x=16, n_theta=8)
+    b = TomogramGrid(x_max=3.5, n_x=16, n_theta=8)
+    output._tomogram_rows.cache_clear()
+    for k, tg in enumerate((a, b, a)):
+        w = transforms.Tomogram(tg, values_with_edges((8, 16), 10 + k))
+        path = tmp_path / ("w%d.csv" % k)
+        output.write_tomogram(path, w)
+        assert_bytes(path, reference_tomogram(w))
+    info = output._tomogram_rows.cache_info()
+    assert (info.hits, info.misses) == (1, 2)
