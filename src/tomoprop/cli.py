@@ -18,10 +18,12 @@ imports into the task bodies.
 """
 
 import argparse
+import contextlib
 import datetime
 import json
 import os
 import sys
+import tempfile
 
 
 def _apply_thread_env():
@@ -62,22 +64,45 @@ def _state_tomogram(cfg):
 
 
 def run_job(cfg):
-    """Execute one validated job; returns (report dict, list of files written)."""
+    """Execute one validated job; returns (report dict, list of files written).
+
+    A run leaves all of its data files or none: each is written under a
+    temporary name in the output directory and renamed into place only
+    after the whole task, with every guard, has succeeded.  On any failure
+    the staged files are removed.  report.json is written last.
+    """
+    from . import output as io
+
+    outdir = cfg.output_dir
+    os.makedirs(outdir, exist_ok=True)
+    staged = []
+
+    def emit(name, writer, *args):
+        fd, tmp = tempfile.mkstemp(dir=outdir, prefix=".tomoprop-", suffix=".tmp")
+        os.close(fd)
+        staged.append((tmp, name))
+        writer(tmp, *args)
+
+    try:
+        report = _run_task(cfg, emit)
+        for tmp, name in staged:
+            os.replace(tmp, os.path.join(outdir, name))
+    finally:
+        for tmp, _ in staged:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
+    io.write_report(os.path.join(outdir, "report.json"), report)
+    return report, [name for _, name in staged] + ["report.json"]
+
+
+def _run_task(cfg, emit):
+    """The task body: computes the report and hands each data file to
+    emit(name, writer, *args)."""
     import numpy as np
 
     from . import config as cfgmod
     from . import output as io
     from . import transforms as tr
-
-    outdir = cfg.output_dir
-    os.makedirs(outdir, exist_ok=True)
-    files = []
-
-    def emit(name, writer, *args):
-        path = os.path.join(outdir, name)
-        writer(path, *args)
-        files.append(name)
-        return path
 
     report = {"task": cfg.task}
 
@@ -148,14 +173,18 @@ def run_job(cfg):
 
     elif cfg.task == "pipeline-check":
         from . import oracles
+        from . import quad_dynamics as qd
         from .states import density_from_wavefunction
 
         kind = "free" if cfg.hamiltonian["omega_sq"]["value"] == 0 else "oscillator"
         psi, w0 = _state_tomogram(cfg)
         rho0 = density_from_wavefunction(psi)
+        H = oracles.kernel_hamiltonian(kind)
+        # One eps(t) solve, with a node at every requested time.
+        traj = qd.solve_epsilon(H, max(cfg.times), _auto_dt(H), stops=cfg.times)
         records = []
         for t in cfg.times:
-            rec = oracles.pipeline_discrepancy(rho0, w0, kind, t)
+            rec = oracles.pipeline_discrepancy(rho0, w0, kind, t, traj=traj)
             records.append({"t": t, **{k: float(v) for k, v in rec.items()}})
         report["kind"] = kind
         report["records"] = records
@@ -163,8 +192,7 @@ def run_job(cfg):
     else:
         raise ValidationError([f"unhandled task {cfg.task!r}"])
 
-    emit("report.json", io.write_report, report)
-    return report, files
+    return report
 
 
 def _invariant_suite(cfg):

@@ -156,7 +156,16 @@ def trace_distance(rho_a, rho_b):
     return 0.5 * float(np.abs(np.linalg.eigvalsh(diff)).sum())
 
 
-def pipeline_discrepancy(rho0, w0, kind, t, dt=1e-3):
+def kernel_hamiltonian(kind):
+    """The quadratic Hamiltonian whose Green function green_kernel(kind, t) is."""
+    if kind == "free":
+        return quad_dynamics.QuadraticHamiltonian.free()
+    if kind == "oscillator":
+        return quad_dynamics.QuadraticHamiltonian.harmonic()
+    raise ValueError(f"unknown Hamiltonian kind {kind!r}")
+
+
+def pipeline_discrepancy(rho0, w0, kind, t, traj=None):
     """Gap between kernel evolution and the tomogram-route evolution.
 
     Route A evolves rho0 with the analytic Green kernel.  Route B evolves
@@ -167,21 +176,23 @@ def pipeline_discrepancy(rho0, w0, kind, t, dt=1e-3):
     At t = 0 route A is the identity and route B a round trip through the
     caller's transform and the back-projection, so the record isolates the
     transform error.
+
+    traj is an eps(t) trajectory of kernel_hamiltonian(kind) that reaches t,
+    so that one solve_epsilon(..., stops=times) serves every time; by
+    default one is solved to t with dt = 1e-3.
     """
     t = float(t)
-    if kind == "free":
-        H = quad_dynamics.QuadraticHamiltonian.free()
-    elif kind == "oscillator":
-        H = quad_dynamics.QuadraticHamiltonian.harmonic()
-    else:
-        raise ValueError(f"unknown Hamiltonian kind {kind!r}")
+    H = kernel_hamiltonian(kind)
+    if traj is not None and traj.hamiltonian != H:
+        raise ValueError(f"trajectory was not solved for the {kind} Hamiltonian")
 
     rho_a = rho0 if t == 0.0 else evolve_density(rho0, green_kernel(kind, t))
 
     if t == 0.0:
         w_t = w0
     else:
-        traj = quad_dynamics.solve_epsilon(H, t, dt)
+        if traj is None:
+            traj = quad_dynamics.solve_epsilon(H, t, 1e-3)
         m = quad_dynamics.optical_map(quad_dynamics.motion_integrals(traj, t))
         w_t = quad_dynamics.evolve_tomogram(w0, m)
     rho_b = transforms.density_from_tomogram(w_t, rho0.grid)

@@ -466,16 +466,20 @@ def density_from_wigner(W, grid=None):
     shifted = np.real(
         np.fft.ifft(np.fft.fft(W.values, axis=0) * np.exp(1j * k * dq / 2.0)[:, None], axis=0)
     )
-    rows_half = np.empty((2 * n - 1, W.p_axis.size))
-    rows_half[0::2] = W.values
-    rows_half[1::2] = shifted[: n - 1]
-
-    d = np.arange(-(n - 1), n)
-    phase = np.exp(1j * np.outer(W.p_axis, d * dq)) * (W.p_spacing / (2.0 * np.pi))
-    P = rows_half.astype(complex) @ phase
+    # rho(q_i, q_i') is P[m, d] = sum_p W_m(p) exp(i p d dq) dp / 2pi at
+    # m = i + i' (even m: row m/2 of W, odd m: a half-step-shifted row) and
+    # d = i - i', which has the parity of m.  Each parity class needs only
+    # its own n offsets d = 2c - (n - 1) + ((n - 1 + parity) % 2), c < n,
+    # so P is kept as C[m, c] with c = (d + n - 1) // 2.
+    c = np.arange(n)
+    C = np.empty((2 * n - 1, n), dtype=complex)
+    for parity, rows in ((0, W.values), (1, shifted[: n - 1])):
+        d = 2 * c - (n - 1) + (n - 1 + parity) % 2
+        phase = np.exp(1j * np.outer(W.p_axis, d * dq)) * (W.p_spacing / (2.0 * np.pi))
+        C[parity::2] = rows.astype(complex) @ phase
 
     ii = np.arange(n)
-    vals = P[ii[:, None] + ii[None, :], ii[:, None] - ii[None, :] + (n - 1)]
+    vals = C[ii[:, None] + ii[None, :], (ii[:, None] - ii[None, :] + (n - 1)) // 2]
     defect = float(np.abs(vals - vals.conj().T).max())
     vals = 0.5 * (vals + vals.conj().T)
     return DensityMatrix(grid, vals, hermiticity_defect=defect)
@@ -512,6 +516,71 @@ def radon(W, tgrid=None):
     return Tomogram(tgrid, rows)
 
 
+# Points per block of the back-projection: its work buffers of this length
+# stay in the L2 cache while every angle passes over them.
+BACKPROJECT_BLOCK = 16384
+
+
+def _back_project(xs, rows, thetas, q, p):
+    """Sum over j of np.interp(q cos(thetas[j]) + p sin(thetas[j]), xs,
+    rows[j], left=0, right=0), accumulated in j order, bit for bit.
+
+    q and p are flat point coordinates and xs is strictly increasing and
+    uniform up to rounding.  Each point's bracket comes from arithmetic,
+    j = int((s - xs[0]) / dx), instead of np.interp's binary search; the
+    value replays np.interp's own steps, slopes[j] * (s - xs[j]) + rows[j],
+    with slopes = diff(rows) / diff(xs) as np.interp precomputes them.  The
+    residual s - xs[j] vouches for the bracket when it lies in [0, smallest
+    step): then xs[j] <= s < xs[j + 1] exactly.  Every other point (a
+    rounding miss, s on or beyond the last node, s outside the window, NaN)
+    is redone with np.interp itself.
+    """
+    m = q.size
+    acc = np.zeros(m)
+    if m == 0:
+        return acc
+    x_lo, x_lower = xs[0], xs[:-1]
+    inv_dx = (xs.size - 1) / (xs[-1] - xs[0])
+    slopes = np.diff(rows, axis=1) / np.diff(xs)
+    # Nonnegative doubles order like their bit patterns; negative ones (and
+    # NaN) map above every positive step, so one unsigned compare finds both.
+    step_bits = np.diff(xs).min().view(np.uint64)
+    trig = [(np.cos(theta), np.sin(theta)) for theta in thetas]
+
+    b = min(BACKPROJECT_BLOCK, m)
+    s_buf, t_buf, r_buf, v_buf = (np.empty(b) for _ in range(4))
+    j_buf, bad_buf = np.empty(b, dtype=np.intp), np.empty(b, dtype=bool)
+    # An s far outside the window (or NaN) casts to an arbitrary index,
+    # which the residual check then rejects.
+    with np.errstate(invalid="ignore"):
+        for lo in range(0, m, b):
+            k = min(b, m - lo)
+            qb, pb, ab = q[lo:lo + k], p[lo:lo + k], acc[lo:lo + k]
+            s, t, r, v = s_buf[:k], t_buf[:k], r_buf[:k], v_buf[:k]
+            j, bad = j_buf[:k], bad_buf[:k]
+            for slope, f, (c, sn) in zip(slopes, rows, trig):
+                np.multiply(qb, c, out=s)
+                np.multiply(pb, sn, out=t)
+                np.add(s, t, out=s)
+                np.subtract(s, x_lo, out=t)
+                np.multiply(t, inv_dx, out=t)
+                np.copyto(j, t, casting="unsafe")
+                # Clipping to the last bracket start leaves any point past it
+                # to the residual check.
+                np.take(x_lower, j, out=r, mode="clip")
+                np.subtract(s, r, out=r)
+                np.greater_equal(r.view(np.uint64), step_bits, out=bad)
+                np.take(slope, j, out=v, mode="clip")
+                np.multiply(v, r, out=v)
+                np.take(f[:-1], j, out=t, mode="clip")
+                np.add(v, t, out=v)
+                if bad.any():
+                    redo = np.flatnonzero(bad)
+                    v[redo] = np.interp(s[redo], xs, f, left=0.0, right=0.0)
+                np.add(ab, v, out=ab)
+    return acc
+
+
 def inverse_radon(w, q_axis=None, p_axis=None, window=None):
     """Filtered back-projection of a tomogram onto a phase-space grid.
 
@@ -521,15 +590,20 @@ def inverse_radon(w, q_axis=None, p_axis=None, window=None):
     and midpoint-rule theta sum.  The row FFT is zero-padded so the ramp acts
     as a linear (not circular) convolution; the filtered projections decay
     only like 1/X^2 and would otherwise wrap their tails back into the
-    window.  The result is masked to the reconstruction circle r < x_max:
+    window.  The result is confined to the reconstruction disc r < x_max:
     outside it the projections carry no information and the truncated tails
-    leave percent-level junk.
+    leave percent-level junk, so only points strictly inside are
+    back-projected and every other point is exactly 0.  The back-projection
+    is bit-identical to one np.interp(s, X, row, left=0, right=0) per theta
+    summed in theta order over the whole grid and masked afterwards.
+    A tomogram holding NaN or Inf is refused (SupportError).
     """
     tg = w.grid
     if q_axis is None:
         q_axis = np.linspace(-tg.x_max, tg.x_max, min(tg.n_x, 512))
     if p_axis is None:
         p_axis = np.linspace(-tg.x_max, tg.x_max, min(tg.n_x, 512))
+    _require_finite(w.values, "tomogram")
     edge = max(np.abs(w.values[:, 0]).max(), np.abs(w.values[:, -1]).max())
     if edge > EDGE_MASS_TOL:
         raise SupportError(
@@ -554,18 +628,19 @@ def inverse_radon(w, q_axis=None, p_axis=None, window=None):
     elif window is not None:
         raise ValueError(f"unknown window {window!r}")
 
-    spec = np.fft.fft(w.values, n=n_fft, axis=1) * ramp
-    filtered = np.real(np.fft.ifft(spec, axis=1))[:, : tg.n_x]
+    filtered = np.fft.ifft(np.fft.fft(w.values, n=n_fft, axis=1) * ramp, axis=1)
+    # Keep only the window's real part: the padded complex rows (24 MB on
+    # the default grids) are freed before the back-projection starts.
+    filtered = filtered[:, : tg.n_x].real.copy()
 
-    out = np.zeros((q_axis.size, p_axis.size))
-    qq = np.asarray(q_axis)[:, None]
-    pp = np.asarray(p_axis)[None, :]
-    for j, theta in enumerate(tg.thetas):
-        s = qq * np.cos(theta) + pp * np.sin(theta)
-        out += np.interp(s.ravel(), tg.xs, filtered[j], left=0.0, right=0.0).reshape(out.shape)
-    out *= tg.theta_spacing
-    out[np.hypot(qq, pp) >= tg.x_max] = 0.0
-    return WignerFunction(np.asarray(q_axis, dtype=float), np.asarray(p_axis, dtype=float), out)
+    q_axis = np.asarray(q_axis, dtype=float)
+    p_axis = np.asarray(p_axis, dtype=float)
+    qq, pp = np.broadcast_arrays(q_axis[:, None], p_axis[None, :])
+    inside = np.hypot(qq, pp) < tg.x_max
+    out = np.zeros(inside.shape)
+    acc = _back_project(tg.xs, filtered, tg.thetas, qq[inside], pp[inside])
+    out[inside] = acc * tg.theta_spacing
+    return WignerFunction(q_axis, p_axis, out)
 
 
 def tomogram_from_density(rho, tgrid=None, route="via_wigner"):

@@ -11,6 +11,7 @@ import pytest
 
 from tomoprop.grids import CoordinateGrid, TomogramGrid
 from tomoprop.states import (
+    DensityMatrix,
     density_from_wavefunction,
     make_cat,
     make_coherent,
@@ -109,3 +110,58 @@ def coherent_tomogram_reference(tg, alpha):
         alpha.real * np.cos(tg.thetas) + alpha.imag * np.sin(tg.thetas)
     )
     return np.exp(-((tg.xs[None, :] - xbar[:, None]) ** 2)) / np.sqrt(np.pi)
+
+
+def reference_inverse_radon(w, q_axis=None, p_axis=None, window=None):
+    """Filtered back-projection as one np.interp per theta over the whole
+    (q, p) square, masked to the reconstruction disc afterwards: the loop
+    transforms.inverse_radon must reproduce bit for bit."""
+    tg = w.grid
+    if q_axis is None:
+        q_axis = np.linspace(-tg.x_max, tg.x_max, min(tg.n_x, 512))
+    if p_axis is None:
+        p_axis = np.linspace(-tg.x_max, tg.x_max, min(tg.n_x, 512))
+    n_fft = tr.next_fast_len(8 * tg.n_x)
+    dx = tg.x_spacing
+    n = np.fft.fftfreq(n_fft, d=1.0 / n_fft).astype(int)
+    kern = np.zeros(n_fft)
+    kern[0] = np.pi / (2.0 * dx * dx)
+    odd = (n % 2) != 0
+    kern[odd] = -2.0 / (np.pi * (n[odd] * dx) ** 2)
+    ramp = np.real(np.fft.fft(kern)) * dx
+    if window == "hann":
+        eta = 2.0 * np.pi * np.fft.fftfreq(n_fft, d=dx)
+        ramp = ramp * 0.5 * (1.0 + np.cos(eta * dx))
+    spec = np.fft.fft(w.values, n=n_fft, axis=1) * ramp
+    filtered = np.real(np.fft.ifft(spec, axis=1))[:, : tg.n_x]
+
+    out = np.zeros((q_axis.size, p_axis.size))
+    qq = np.asarray(q_axis)[:, None]
+    pp = np.asarray(p_axis)[None, :]
+    for j, theta in enumerate(tg.thetas):
+        s = qq * np.cos(theta) + pp * np.sin(theta)
+        out += np.interp(s.ravel(), tg.xs, filtered[j], left=0.0, right=0.0).reshape(out.shape)
+    out *= tg.theta_spacing
+    out[np.hypot(qq, pp) >= tg.x_max] = 0.0
+    return tr.WignerFunction(np.asarray(q_axis, dtype=float), np.asarray(p_axis, dtype=float), out)
+
+
+def reference_density_from_wigner(W, grid):
+    """Wigner inversion through the full (2n - 1) x (2n - 1) offset table P,
+    of which transforms.density_from_wigner computes only the entries read."""
+    n = W.q_axis.size
+    dq = W.q_spacing
+    k = 2.0 * np.pi * np.fft.fftfreq(n, d=dq)
+    shifted = np.real(
+        np.fft.ifft(np.fft.fft(W.values, axis=0) * np.exp(1j * k * dq / 2.0)[:, None], axis=0)
+    )
+    rows_half = np.empty((2 * n - 1, W.p_axis.size))
+    rows_half[0::2] = W.values
+    rows_half[1::2] = shifted[: n - 1]
+    d = np.arange(-(n - 1), n)
+    phase = np.exp(1j * np.outer(W.p_axis, d * dq)) * (W.p_spacing / (2.0 * np.pi))
+    P = rows_half.astype(complex) @ phase
+    ii = np.arange(n)
+    vals = P[ii[:, None] + ii[None, :], ii[:, None] - ii[None, :] + (n - 1)]
+    defect = float(np.abs(vals - vals.conj().T).max())
+    return DensityMatrix(grid, 0.5 * (vals + vals.conj().T), hermiticity_defect=defect)

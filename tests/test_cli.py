@@ -55,8 +55,10 @@ def test_evolve_task_both_backends(tmp_path):
     assert report["times"] == [0.5]
     assert report["dt"] == 1e-3
     assert report["l1_backend_gap"][0] < 1e-10
-    for name in ("tomogram_map_000.csv", "tomogram_pde_000.csv"):
-        assert (tmp_path / "out" / name).exists()
+    # Every staged data file is in place and no temporary is left behind.
+    assert sorted(os.listdir(tmp_path / "out")) == [
+        "report.json", "run_meta.json", "tomogram_map_000.csv", "tomogram_pde_000.csv",
+    ]
 
 
 def test_evolve_task_map_only(tmp_path):
@@ -116,6 +118,25 @@ def test_invert_runs_one_fbp(tmp_path, monkeypatch):
     assert np.array_equal(np.unique(data[:, 0]), q)
     assert np.array_equal(np.unique(data[:, 1]), q)
     assert data.shape[0] == q.size ** 2
+
+
+def test_fbp_outputs_match_reference_loop(tmp_path, monkeypatch):
+    # The blocked back-projection and the Wigner inversion must leave every
+    # invert output byte for byte as the reference loops write it.
+    from conftest import reference_density_from_wigner, reference_inverse_radon
+    from tomoprop import transforms
+
+    cat = {"kind": "cat", "alpha_re": 1.2, "alpha_im": 0.0, "sign": 1}
+    assert run(tmp_path, "tomogram", {"state": cat}) == 0
+    cfg = write_config(tmp_path, {"input_path": str(tmp_path / "out" / "tomogram.csv")},
+                       name="invert.json")
+    assert main(["invert", "--config", cfg, "--output-dir", str(tmp_path / "shipped")]) == 0
+    monkeypatch.setattr(transforms, "inverse_radon", reference_inverse_radon)
+    monkeypatch.setattr(transforms, "density_from_wigner", reference_density_from_wigner)
+    assert main(["invert", "--config", cfg, "--output-dir", str(tmp_path / "reference")]) == 0
+    for name in ("wigner.csv", "density.csv", "report.json"):
+        assert (tmp_path / "shipped" / name).read_bytes() == \
+            (tmp_path / "reference" / name).read_bytes(), name
 
 
 def test_moments_task(tmp_path):
@@ -186,6 +207,25 @@ def test_evolve_solves_epsilon_once(tmp_path, monkeypatch):
     assert calls == [2.0]
     for i in range(4):
         assert (tmp_path / "out" / ("tomogram_map_%03d.csv" % i)).exists()
+
+
+def test_pipeline_check_solves_epsilon_once(tmp_path, monkeypatch):
+    # One eps(t) trajectory to max(times), with a node at each time,
+    # serves the map at every requested time.
+    from tomoprop import quad_dynamics
+
+    calls = []
+    solve = quad_dynamics.solve_epsilon
+
+    def counted(*args, **kwargs):
+        calls.append((args[1], tuple(kwargs.get("stops", ()))))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(quad_dynamics, "solve_epsilon", counted)
+    doc = {"times": [0.5, 1.0], "state": {"kind": "coherent", "alpha_re": 1.0}}
+    assert run(tmp_path, "pipeline-check", doc) == 0
+    assert calls == [(1.0, (0.5, 1.0))]
+    assert len(read_json(tmp_path, "report.json")["records"]) == 2
 
 
 def test_evolve_reads_every_time_at_a_node(tmp_path, monkeypatch):
@@ -385,6 +425,19 @@ def test_short_table_sampler_exits_2_before_any_data_file(tmp_path, capsys):
         "hamiltonian.force.times cover [0, 1], not the job's [0, 2]",
     ]
     assert not (tmp_path / "out").exists()
+
+
+def test_failed_evolve_leaves_no_data_file(tmp_path, capsys):
+    # The free-particle pull-back on a 0.126 X step breaks the row-norm
+    # guard at t = 0.5, after the t = 0 tomogram has been written: the run
+    # must exit 3 and take that file (and every temporary) with it.
+    grid = {**SMALL_GRID, "n_x": 128}
+    doc = {"grid": grid, "times": [0.0, 0.5],
+           "hamiltonian": {"omega_sq": {"kind": "constant", "value": 0.0}}}
+    assert run(tmp_path, "evolve", doc) == 3
+    record = json.loads(capsys.readouterr().err)
+    assert "row normalization" in record["message"]
+    assert sorted(os.listdir(tmp_path / "out")) == ["error.json"]
 
 
 def test_odd_n_q_is_a_config_error_for_validate_only(tmp_path, capsys):

@@ -174,6 +174,12 @@ def test_pipeline_unknown_kind(vacuum_rho, vacuum_tomogram):
         oracles.pipeline_discrepancy(vacuum_rho, vacuum_tomogram, "kepler", 0.5)
 
 
+def test_pipeline_refuses_a_trajectory_of_another_hamiltonian(vacuum_rho, vacuum_tomogram):
+    traj = qd.solve_epsilon(oracles.kernel_hamiltonian("free"), 0.5)
+    with pytest.raises(ValueError, match="oscillator"):
+        oracles.pipeline_discrepancy(vacuum_rho, vacuum_tomogram, "oscillator", 0.5, traj=traj)
+
+
 def test_pipeline_discrepancy_shrinks_under_refinement(vacuum_rho):
     coarse, fine = (
         oracles.pipeline_discrepancy(

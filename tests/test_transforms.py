@@ -11,7 +11,12 @@ from tomoprop.grids import CoordinateGrid, TomogramGrid
 from tomoprop.states import _coherent_values, density_from_wavefunction, make_coherent
 from tomoprop import transforms as tr
 
-from conftest import coherent_tomogram_reference, vacuum_tomogram_reference
+from conftest import (
+    coherent_tomogram_reference,
+    reference_density_from_wigner,
+    reference_inverse_radon,
+    vacuum_tomogram_reference,
+)
 
 
 # ---------------------------------------------------------------- tomograms
@@ -257,6 +262,109 @@ def test_inverse_radon_keeps_cat_negativity(cat_tomogram):
     # (true minimum about -1.49 for the alpha = 2 even cat).
     W = tr.inverse_radon(cat_tomogram)
     assert -2.0 < W.values.min() < -1.0
+
+
+def test_inverse_radon_refuses_non_finite_tomogram(vacuum_tomogram):
+    vals = vacuum_tomogram.values.copy()
+    vals[3, 500] = np.nan
+    with pytest.raises(SupportError, match="non-finite"):
+        tr.inverse_radon(tr.Tomogram(vacuum_tomogram.grid, vals))
+
+
+def _assert_matches_reference_loop(w, q_axis=None, p_axis=None, window=None):
+    got = tr.inverse_radon(w, q_axis, p_axis, window)
+    ref = reference_inverse_radon(w, q_axis, p_axis, window)
+    assert np.array_equal(got.q_axis, ref.q_axis)
+    assert np.array_equal(got.p_axis, ref.p_axis)
+    assert np.array_equal(got.values, ref.values)
+    # Also the sign of every zero, which the data files print.
+    assert got.values.tobytes() == ref.values.tobytes()
+    return got
+
+
+def test_inverse_radon_matches_reference_loop_on_default_grids(coherent_tomogram, grid,
+                                                                cat_tomogram):
+    _assert_matches_reference_loop(coherent_tomogram, grid.points, grid.points)
+    _assert_matches_reference_loop(cat_tomogram)
+
+
+def test_inverse_radon_matches_reference_loop_on_odd_grids(coherent_psi):
+    tg = TomogramGrid(x_max=8.0, n_x=301, n_theta=45)
+    w = tr.tomogram_from_wavefunction(coherent_psi, tg)
+    _assert_matches_reference_loop(w, np.linspace(-8.0, 8.0, 129), np.linspace(-8.0, 8.0, 129))
+
+
+def test_inverse_radon_matches_reference_loop_beyond_the_disc(coherent_psi):
+    tg = TomogramGrid(x_max=8.0, n_x=300, n_theta=37)
+    w = tr.tomogram_from_wavefunction(coherent_psi, tg)
+    q, p = np.linspace(-10.0, 10.0, 101), np.linspace(-9.0, 9.0, 77)
+    W = _assert_matches_reference_loop(w, q, p)
+    outside = np.hypot(q[:, None], p[None, :]) >= tg.x_max
+    assert outside.any() and not outside.all()
+    assert not np.any(W.values[outside])
+
+
+def test_inverse_radon_matches_reference_loop_on_asymmetric_axes(coherent_psi):
+    tg = TomogramGrid(x_max=8.0, n_x=300, n_theta=37)
+    w = tr.tomogram_from_wavefunction(coherent_psi, tg)
+    _assert_matches_reference_loop(w, np.linspace(-3.0, 10.0, 64), np.linspace(-10.0, 2.5, 51))
+    # No point inside the disc at all.
+    W = _assert_matches_reference_loop(w, np.linspace(9.0, 12.0, 16), np.linspace(-2.0, 2.0, 9))
+    assert not np.any(W.values)
+
+
+def test_inverse_radon_matches_reference_loop_with_hann_window(coherent_tomogram):
+    _assert_matches_reference_loop(coherent_tomogram, window="hann")
+    _assert_matches_reference_loop(
+        coherent_tomogram, np.linspace(-9.0, 9.0, 101), np.linspace(-8.5, 8.5, 77), window="hann"
+    )
+
+
+def test_back_project_brackets_equal_np_interp(monkeypatch):
+    # s = q at theta = 0.  Points on every X node and one ulp to either
+    # side, on and past both window ends, far outside and NaN: the
+    # arithmetic bracket is off or undefined for many of them, so the
+    # residual guard has to send them to np.interp itself.
+    xs = np.linspace(-2.0, 2.0, 17)
+    f = np.random.default_rng(3).normal(size=xs.size)
+    q = np.concatenate([
+        xs, np.nextafter(xs, np.inf), np.nextafter(xs, -np.inf),
+        [-100.0, 100.0, 1e300, -1e300, np.nan, 0.3, -1.7],
+    ])
+    expected = 0.0 + np.interp(q, xs, f, left=0.0, right=0.0)
+
+    interp, redone = np.interp, []
+
+    def counted(x, *args, **kwargs):
+        redone.append(np.size(x))
+        return interp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "interp", counted)
+    got = tr._back_project(xs, f[None, :], [0.0], q, np.zeros_like(q))
+    monkeypatch.undo()
+    assert sum(redone) > 0
+    assert np.array_equal(got, expected, equal_nan=True)
+    finite = np.isfinite(expected)
+    assert got[finite].tobytes() == expected[finite].tobytes()
+
+
+@pytest.mark.parametrize("n", [64, 65, 256, 257])
+def test_density_from_wigner_matches_full_offset_table(coherent_tomogram, n):
+    g = CoordinateGrid(q_max=8.0, n_q=n)
+    W = tr.inverse_radon(coherent_tomogram, g.points, g.points)
+    for W_ in (W, tr.WignerFunction(W.q_axis, W.p_axis[::3], W.values[:, ::3])):
+        got = tr.density_from_wigner(W_, g)
+        ref = reference_density_from_wigner(W_, g)
+        assert got.values.tobytes() == ref.values.tobytes()
+        assert got.hermiticity_defect == ref.hermiticity_defect
+
+
+def test_density_from_wigner_matches_full_offset_table_on_conjugate_axes(vacuum_rho, grid):
+    W = tr.wigner_from_density(vacuum_rho)
+    got = tr.density_from_wigner(W, grid)
+    ref = reference_density_from_wigner(W, grid)
+    assert got.values.tobytes() == ref.values.tobytes()
+    assert got.hermiticity_defect == ref.hermiticity_defect
 
 
 def test_tomogram_round_trip(vacuum_tomogram, cat_tomogram, tgrid, tgrid9):
