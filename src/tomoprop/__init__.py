@@ -36,8 +36,6 @@ _EXPORTS = {
     "make_coherent": "states",
     "make_cat": "states",
     "density_from_wavefunction": "states",
-    "position_expectation": "states",
-    "momentum_expectation": "states",
     "Tomogram": "transforms",
     "WignerFunction": "transforms",
     "wigner_from_density": "transforms",
@@ -47,10 +45,7 @@ _EXPORTS = {
     "tomogram_from_density": "transforms",
     "tomogram_from_wavefunction": "transforms",
     "density_from_tomogram": "transforms",
-    "density_point_from_tomogram": "transforms",
     "moments": "transforms",
-    "SymplecticTomogram": "transforms",
-    "symplectic_tomogram": "transforms",
     "ConstantSampler": "quad_dynamics",
     "CosineSampler": "quad_dynamics",
     "TableSampler": "quad_dynamics",
@@ -68,7 +63,6 @@ _EXPORTS = {
     "green_kernel": "oracles",
     "evolve_wavefunction": "oracles",
     "evolve_density": "oracles",
-    "kernel_norm_defect": "oracles",
     "ClassicalTrajectory": "oracles",
     "classical_trajectory": "oracles",
     "trace_distance": "oracles",

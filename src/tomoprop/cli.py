@@ -51,9 +51,6 @@ def _state_tomogram(cfg):
 
     validate() refuses a tomogram whose X window cuts off more than 1e-3
     of a row's mass.
-    radon's Wigner-boundary guard has no counterpart here: it guards the
-    density route's Wigner grid, whose momentum axis spans half the
-    wavefunction's Nyquist range, and this route never builds that grid.
     """
     from . import config as cfgmod
     from . import transforms as tr
@@ -229,10 +226,8 @@ def _invariant_suite(cfg):
     rho_back = tr.density_from_tomogram(w0, g)
     add("density_round_trip_trace_distance", oracles.trace_distance(rho0, rho_back), 1e-2)
 
-    W = tr.wigner_from_density(rho0)
-    w_r = tr.radon(W, tg)
-    w_rb = tr.radon(tr.inverse_radon(w_r), tg)
-    add("tomogram_round_trip_linf", np.abs(w_rb.values - w_r.values).max(), 2e-3)
+    w_rb = tr.radon(tr.inverse_radon(w0), tg)
+    add("tomogram_round_trip_linf", np.abs(w_rb.values - w0.values).max(), 2e-3)
 
     H = qd.QuadraticHamiltonian(qd.CosineSampler(1.0, 0.2, 2.0), qd.ConstantSampler(0.0))
     traj = qd.solve_epsilon(H, 10.0, 1e-3)

@@ -172,11 +172,6 @@ def parse_config(text):
         args = [grid[f] for f in fields]
         if all(_is_number(a) for a in args):
             bad.extend("grid." + v for v in cls.violations(*args))
-    if task == "validate" and _is_int(grid["n_q"]) and grid["n_q"] % 2:
-        bad.append(
-            f"task 'validate' needs an even grid.n_q (its Wigner transform "
-            f"uses the conjugate momentum axis), got {grid['n_q']}"
-        )
     for k in grid:
         if k not in _DEFAULT_GRID:
             bad.append(f"grid has unknown field {k!r}")

@@ -88,16 +88,6 @@ def evolve_wavefunction(psi, kernel):
     return WaveFunction(psi.grid, out)
 
 
-def kernel_norm_defect(kernel, psi):
-    """Norm change of psi under G dq, the usable discretized-unitarity measure.
-
-    The full matrix (G dq) can never be unitary on a finite non-periodic
-    grid (it is a band-limited projector off the resolved subspace), so
-    unitarity is checked where it matters: on states the grid resolves.
-    """
-    return abs(evolve_wavefunction(psi, kernel).norm() - psi.norm())
-
-
 def evolve_density(rho0, kernel):
     """rho_t = (G dq) rho0 (G dq)^dagger, Hermitian by construction."""
     diag0 = np.real(np.diag(rho0.values))

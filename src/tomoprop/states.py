@@ -158,16 +158,3 @@ def density_from_wavefunction(psi):
     rho = DensityMatrix(psi.grid, vals, hermiticity_defect=0.0)
     return rho.validate()
 
-
-def position_expectation(psi):
-    """<q> by trapezoid quadrature."""
-    return float(np.sum(psi.grid.points * np.abs(psi.values) ** 2 * psi.grid.trapezoid_weights))
-
-
-def momentum_expectation(psi):
-    """<p> via the spectral derivative -i d/dq."""
-    n_q = psi.grid.n_q
-    k = 2.0 * np.pi * np.fft.fftfreq(n_q, d=psi.grid.spacing)
-    dpsi = np.fft.ifft(1j * k * np.fft.fft(psi.values))
-    integrand = np.conj(psi.values) * (-1j) * dpsi
-    return float(np.real(np.sum(integrand * psi.grid.trapezoid_weights)))

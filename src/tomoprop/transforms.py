@@ -10,14 +10,14 @@ phase space, tomogram rows normalized to 1 in X.
 """
 
 import numpy as np
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from scipy.fft import next_fast_len
 from scipy.ndimage import map_coordinates, spline_filter
 from scipy.signal import czt
 
-from .errors import DegenerateError, GridError, SingularityError, SupportError
+from .errors import GridError, SingularityError, SupportError
 from .grids import CoordinateGrid, TomogramGrid
-from .states import GAUSSIAN_MARGIN, DensityMatrix, _require_finite
+from .states import GAUSSIAN_MARGIN, DensityMatrix, WaveFunction, _require_finite
 
 # Interpolation step (in either phase-space direction) that keeps cubic-spline
 # sampling errors comfortably below the 1e-5 transform accuracy target.
@@ -45,6 +45,11 @@ EDGE_MASS_TOL = 1e-8
 # tomogram errors ~40x the fraction, so 1e-9 keeps them at the route's own
 # ~2e-8; states well inside the band sit at the 1e-17 round-off floor.
 ALIAS_MASS_TOL = 1e-9
+
+# Relative eigenvalue magnitude below which tomogram_from_density drops an
+# eigenpair of rho dq; the weight dropped is then at most n_q times this
+# (times the largest eigenvalue), far below every transform tolerance.
+EIG_REL_TOL = 1e-12
 
 
 @dataclass
@@ -295,120 +300,6 @@ class _SampledWigner:
         return self.at(qs, ps) @ self._yw / (2.0 * np.pi)
 
 
-class _SpectralWigner:
-    """Rotated-line integrals of a gridded Wigner function, done spectrally.
-
-    The line integral (1/2pi) int W dy along q cos(t) + p sin(t) = X is
-    re-parameterized along whichever coordinate axis is better conditioned
-    (q when |sin| >= |cos|, p otherwise).  The quadrature along that axis is a
-    plain Riemann sum over the rows that carry mass, while the evaluation of W
-    at the off-grid conjugate coordinate uses the trigonometric interpolant of
-    the sampled data, i.e. the transform between rho's off-diagonal argument
-    and momentum is carried out by FFT and read off at exactly the needed
-    frequencies.  Axes are zero-padded first so the periodic interpolant is
-    never consulted where wrap-around could reach live samples.
-    """
-
-    def __init__(self, W):
-        vals = np.ascontiguousarray(W.values, dtype=float)
-        dq, dp = W.q_spacing, W.p_spacing
-        vmax = np.abs(vals).max()
-        if vmax == 0.0:
-            vmax = 1.0
-
-        rows_live = np.nonzero(np.abs(vals).max(axis=1) > LIVE_REL_TOL * vmax)[0]
-        cols_live = np.nonzero(np.abs(vals).max(axis=0) > LIVE_REL_TOL * vmax)[0]
-        if rows_live.size == 0 or cols_live.size == 0:
-            rows_live = np.arange(vals.shape[0])
-            cols_live = np.arange(vals.shape[1])
-        rq = slice(int(rows_live[0]), int(rows_live[-1]) + 1)
-        rp = slice(int(cols_live[0]), int(cols_live[-1]) + 1)
-        q_live = W.q_axis[rq]
-        p_live = W.p_axis[rp]
-        lq = float(np.abs(q_live).max())
-        lp = float(np.abs(p_live).max())
-
-        # Beyond this |X| the line misses the live support box entirely, so the
-        # row is identically zero and the spectral sum need not be trusted.
-        self.x_cut = float(np.hypot(lq, lp))
-        sqrt2 = np.sqrt(2.0)
-        p_target = sqrt2 * (self.x_cut + lq) + 2.0
-        q_target = sqrt2 * (self.x_cut + lp) + 2.0
-
-        # Integrate over q, interpolate in p: live q-rows, padded p-axis.
-        a = vals[rq, :]
-        n_lo = max(0, int(np.ceil((W.p_axis[0] + p_target) / dp)))
-        n_hi = max(0, int(np.ceil((p_target - W.p_axis[-1]) / dp)))
-        n_p = next_fast_len(a.shape[1] + n_lo + n_hi)
-        padded = np.zeros((a.shape[0], n_p))
-        padded[:, n_lo:n_lo + a.shape[1]] = a
-        self._spec_p = np.fft.fft(padded, axis=1)
-        self._kp = 2.0 * np.pi * np.fft.fftfreq(n_p, d=dp)
-        self._p_origin = float(W.p_axis[0]) - n_lo * dp
-        self._q_live = q_live
-        self._dq = dq
-
-        # Integrate over p, interpolate in q: live p-columns, padded q-axis.
-        b = vals[:, rp]
-        n_lo = max(0, int(np.ceil((W.q_axis[0] + q_target) / dq)))
-        n_hi = max(0, int(np.ceil((q_target - W.q_axis[-1]) / dq)))
-        n_q = next_fast_len(b.shape[0] + n_lo + n_hi)
-        padded = np.zeros((n_q, b.shape[1]))
-        padded[n_lo:n_lo + b.shape[0], :] = b
-        self._spec_q = np.fft.fft(padded, axis=0)
-        self._kq = 2.0 * np.pi * np.fft.fftfreq(n_q, d=dq)
-        self._q_origin = float(W.q_axis[0]) - n_lo * dq
-        self._p_live = p_live
-        self._dp = dp
-
-    def _slice_spectrum(self, theta):
-        """Spectrum S(k) and scaling such that a row is
-        scale * Re sum_k S(k) exp(i k X / div)."""
-        s, c = np.sin(theta), np.cos(theta)
-        if abs(s) >= abs(c):
-            shifts = self._q_live * (c / s)
-            phases = np.exp(-1j * np.outer(shifts, self._kp))
-            spec = np.einsum("lk,lk->k", self._spec_p, phases) * self._dq
-            spec *= np.exp(-1j * self._kp * self._p_origin)
-            scale = 1.0 / (2.0 * np.pi * abs(s) * self._kp.size)
-            if s < 0.0:
-                spec = np.conj(spec)
-            return spec, self._kp, scale, abs(s)
-        shifts = self._p_live * (s / c)
-        phases = np.exp(-1j * np.outer(self._kq, shifts))
-        spec = np.einsum("km,km->k", self._spec_q, phases) * self._dp
-        spec *= np.exp(-1j * self._kq * self._q_origin)
-        scale = 1.0 / (2.0 * np.pi * abs(c) * self._kq.size)
-        if c < 0.0:
-            spec = np.conj(spec)
-        return spec, self._kq, scale, abs(c)
-
-    def row_at(self, theta, xs):
-        """Row values at arbitrary X positions for one angle."""
-        xs = np.asarray(xs, dtype=float)
-        spec, ks, scale, div = self._slice_spectrum(theta)
-        inside = np.abs(xs) <= self.x_cut
-        out = np.zeros(xs.shape)
-        if np.any(inside):
-            u = xs[inside] / div
-            out[inside] = np.real(np.exp(1j * np.outer(u, ks)) @ spec) * scale
-        return out
-
-    def row_uniform(self, theta, x0, dx, n):
-        """Row values on the uniform grid x0 + j*dx, j = 0..n-1 (chirp-z)."""
-        spec, ks, scale, div = self._slice_spectrum(theta)
-        shifted = np.fft.fftshift(spec)
-        k_sorted = np.fft.fftshift(ks)
-        k_lo = k_sorted[0]
-        dk = k_sorted[1] - k_sorted[0]
-        u0, du = x0 / div, dx / div
-        vals = czt(shifted, n, w=np.exp(1j * dk * du), a=np.exp(-1j * dk * u0))
-        xs = x0 + dx * np.arange(n)
-        row = np.real(np.exp(1j * k_lo * (xs / div)) * vals) * scale
-        row[np.abs(xs) > self.x_cut] = 0.0
-        return row
-
-
 def wigner_from_density(rho):
     """W(q, p) as the Fourier transform of rho(q + u/2, q - u/2) over u.
 
@@ -643,30 +534,30 @@ def inverse_radon(w, q_axis=None, p_axis=None, window=None):
     return WignerFunction(q_axis, p_axis, out)
 
 
-def tomogram_from_density(rho, tgrid=None, route="via_wigner"):
-    """Tomogram of a density matrix.
+def tomogram_from_density(rho, tgrid=None):
+    """Tomogram of a density matrix as the weighted sum of its eigenstates'
+    tomograms.
 
-    route="via_wigner" (default) composes wigner_from_density with radon.
-    route="direct" runs the one-step double integral: the u-transform of the
-    anti-diagonals (an FFT, shared with the Wigner construction) read off at
-    exactly the frequencies the line dictates, then a quadrature along
-    whichever phase-space axis crosses the line least steeply.  Both
-    discretize the same analytic object and agree to ~1e-4.
+    The tomogram is linear in rho, so with the Hermitian part
+    (rho + rho^H) / 2 = sum_k lam_k |psi_k><psi_k| it is
+    sum_k lam_k tomogram_from_wavefunction(psi_k).  Eigenpairs with
+    |lam_k| <= EIG_REL_TOL * max |lam| are dropped; negative weights are
+    summed like the others.  The cost is one chirp-z tomogram per kept
+    eigenpair: a pure state keeps one, while a density reconstructed by
+    filtered back-projection keeps hundreds (299 for a coherent state on
+    the default grids, each as costly as a pure state's tomogram).
     """
     if tgrid is None:
         tgrid = TomogramGrid()
-    if route == "via_wigner":
-        return radon(wigner_from_density(rho), tgrid)
-    if route != "direct":
-        raise ValueError(f"unknown route {route!r}")
-
-    W = wigner_from_density(rho)
-    _check_wigner_boundary(W)
-    engine = _SpectralWigner(W)
-    x0 = float(tgrid.xs[0])
-    rows = np.empty((tgrid.n_theta, tgrid.n_x))
-    for j, theta in enumerate(tgrid.thetas):
-        rows[j] = engine.row_uniform(theta, x0, tgrid.x_spacing, tgrid.n_x)
+    _require_finite(rho.values, "density matrix")
+    grid = rho.grid
+    dq = grid.spacing
+    lam, vecs = np.linalg.eigh(0.5 * (rho.values + rho.values.conj().T) * dq)
+    keep = np.abs(lam) > EIG_REL_TOL * np.abs(lam).max()
+    rows = np.zeros((tgrid.n_theta, tgrid.n_x))
+    for weight, v in zip(lam[keep], vecs[:, keep].T):
+        psi = WaveFunction(grid, v / np.sqrt(dq))
+        rows += weight * tomogram_from_wavefunction(psi, tgrid).values
     return Tomogram(tgrid, rows)
 
 
@@ -682,31 +573,6 @@ def density_from_tomogram(w, grid=None, window=None):
         grid = CoordinateGrid(q_max=w.grid.x_max, n_q=512)
     W = inverse_radon(w, q_axis=grid.points, p_axis=grid.points, window=window)
     return density_from_wigner(W, grid)
-
-
-def density_point_from_tomogram(w, q, qp):
-    """Single off-diagonal rho(q, q') directly from the tomogram.
-
-    Collapses the frequency integral of the inversion formula at
-    eta = (q - q') / sin(theta) and sums over theta rows.  Only meaningful
-    away from the diagonal: within 3 X-spacings of it the collapsed frequency
-    leaves the resolved band at every angle and the quadrature is singular.
-    """
-    d = float(q) - float(qp)
-    mid = 0.5 * (float(q) + float(qp))
-    tg = w.grid
-    if abs(d) <= 3.0 * tg.x_spacing:
-        raise SingularityError(
-            f"|q - q'| = {abs(d):.4f} within 3 grid spacings of the diagonal; "
-            "use the via-Wigner reconstruction there"
-        )
-    s = np.sin(tg.thetas)
-    c = np.cos(tg.thetas)
-    eta = d / s
-    phases = np.exp(1j * np.outer(eta, tg.xs))
-    what = np.einsum("ji,i,ji->j", w.values, tg.x_trapezoid_weights, phases)
-    integrand = (np.abs(d) / s**2) * what * np.exp(-1j * eta * c * mid)
-    return complex(np.sum(integrand) * tg.theta_spacing / (2.0 * np.pi))
 
 
 def tomogram_from_wavefunction(psi, tgrid=None):
@@ -785,50 +651,3 @@ def moments(w, n):
     if n < 0:
         raise ValueError("moment order must be nonnegative")
     return (w.values * w.grid.xs**n) @ w.grid.x_trapezoid_weights
-
-
-@dataclass
-class SymplecticTomogram:
-    """Homogeneous symplectic tomogram M(X, mu, nu) backed by a Wigner function.
-
-    Evaluation reduces by homogeneity to an optical row at the polar angle of
-    (mu, nu), computed on demand as a single line integral.
-    """
-
-    wigner: WignerFunction
-    _engine: _SpectralWigner = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self._engine = _SpectralWigner(self.wigner)
-
-    def __call__(self, X, mu, nu):
-        X = np.asarray(X, dtype=float)
-        mu = np.asarray(mu, dtype=float)
-        nu = np.asarray(nu, dtype=float)
-        X, mu, nu = np.broadcast_arrays(X, mu, nu)
-        r = np.hypot(mu, nu)
-        if np.any(r < 1e-12):
-            raise DegenerateError("symplectic tomogram undefined at mu = nu = 0")
-        phi = np.arctan2(nu, mu)
-        flip = phi < 0.0
-        phi = np.where(flip, phi + np.pi, phi)
-        wrap = phi >= np.pi
-        phi = np.where(wrap, phi - np.pi, phi)
-        flip = flip ^ wrap
-        xi = np.where(flip, -X, X) / r
-
-        flat_phi = np.atleast_1d(phi).ravel()
-        flat_xi = np.atleast_1d(xi).ravel()
-        flat = np.empty(flat_xi.shape)
-        for angle in np.unique(flat_phi):
-            sel = flat_phi == angle
-            flat[sel] = self._engine.row_at(float(angle), flat_xi[sel])
-        out = flat.reshape(xi.shape) / r
-        if out.shape == ():
-            return float(out)
-        return out
-
-
-def symplectic_tomogram(W):
-    """Wrap a Wigner function as an on-demand symplectic tomogram evaluator."""
-    return SymplecticTomogram(W)

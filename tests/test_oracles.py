@@ -14,6 +14,16 @@ from tomoprop import quad_dynamics as qd
 from tomoprop import transforms as tr
 
 
+def kernel_norm_defect(kernel, psi):
+    """Norm change of psi under G dq, the usable discretized-unitarity measure.
+
+    The full matrix (G dq) can never be unitary on a finite non-periodic
+    grid (it is a band-limited projector off the resolved subspace), so
+    unitarity is checked where it matters: on states the grid resolves.
+    """
+    return abs(oracles.evolve_wavefunction(psi, kernel).norm() - psi.norm())
+
+
 # -------------------------------------------------------------- kernel form
 
 def test_free_kernel_closed_form(grid, vacuum_psi):
@@ -82,9 +92,9 @@ def test_norm_preserved_on_reference_states(grid, vacuum_psi):
     for kind in ("free", "oscillator"):
         for t in (0.3, 0.5, 1.0, np.pi / 3):
             k = oracles.green_kernel(kind, t)
-            assert oracles.kernel_norm_defect(k, vacuum_psi) < 1e-3
-            assert oracles.kernel_norm_defect(k, vacuum_psi) < 1e-10
-            assert oracles.kernel_norm_defect(k, psi_c) < 1e-10
+            assert kernel_norm_defect(k, vacuum_psi) < 1e-3
+            assert kernel_norm_defect(k, vacuum_psi) < 1e-10
+            assert kernel_norm_defect(k, psi_c) < 1e-10
 
 
 # -------------------------------------------------------- density evolution

@@ -9,9 +9,21 @@ from tomoprop.states import (
     make_cat,
     make_coherent,
     make_vacuum,
-    momentum_expectation,
-    position_expectation,
 )
+
+
+def position_expectation(psi):
+    """<q> by trapezoid quadrature."""
+    return float(np.sum(psi.grid.points * np.abs(psi.values) ** 2 * psi.grid.trapezoid_weights))
+
+
+def momentum_expectation(psi):
+    """<p> via the spectral derivative -i d/dq."""
+    n_q = psi.grid.n_q
+    k = 2.0 * np.pi * np.fft.fftfreq(n_q, d=psi.grid.spacing)
+    dpsi = np.fft.ifft(1j * k * np.fft.fft(psi.values))
+    integrand = np.conj(psi.values) * (-1j) * dpsi
+    return float(np.real(np.sum(integrand * psi.grid.trapezoid_weights)))
 
 
 def test_vacuum_matches_gaussian(grid, vacuum_psi):
