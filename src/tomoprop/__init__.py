@@ -5,7 +5,8 @@ The package provides reference state constructors, the transform web
 between density matrices, Wigner functions and optical tomograms, two
 independent tomogram evolution backends (affine propagator maps built from
 integrals of motion, and semi-Lagrangian integration of the evolution
-PDE), and analytic Green-function oracles to referee both.
+PDE), and the Schroedinger Green function of the same affine map to
+referee both.
 
 Attributes re-export lazily from the submodules: the command-line entry
 point must export thread caps to the environment before numpy first

@@ -89,7 +89,23 @@ def run_job(cfg):
             with contextlib.suppress(FileNotFoundError):
                 os.unlink(tmp)
     io.write_report(os.path.join(outdir, "report.json"), report)
+    _remove_stale(outdir, "error.json")
     return report, [name for _, name in staged] + ["report.json"]
+
+
+def _remove_stale(outdir, name):
+    """Drop the other outcome record a previous run left in outdir."""
+    with contextlib.suppress(FileNotFoundError):
+        os.unlink(os.path.join(outdir, name))
+
+
+def _maps(H, times, dt):
+    """The affine map to each time, read off one eps(t) solve with a node
+    at every time."""
+    from . import quad_dynamics as qd
+
+    traj = qd.solve_epsilon(H, max(times), dt, stops=times)
+    return [qd.optical_map(qd.motion_integrals(traj, t)) for t in times]
 
 
 def _run_task(cfg, emit):
@@ -119,14 +135,12 @@ def _run_task(cfg, emit):
         report["dt"] = dt
         report["times"] = list(cfg.times)
         if cfg.backend in ("map", "both"):
-            # One eps(t) solve, with a node at every requested time.
-            traj = qd.solve_epsilon(H, max(cfg.times), dt, stops=cfg.times)
+            maps = _maps(H, cfg.times, dt)
         gaps = []
         for i, t in enumerate(cfg.times):
             per_backend = {}
             if cfg.backend in ("map", "both"):
-                m = qd.optical_map(qd.motion_integrals(traj, t))
-                per_backend["map"] = qd.evolve_tomogram(w0, m)
+                per_backend["map"] = qd.evolve_tomogram(w0, maps[i])
                 emit("tomogram_map_%03d.csv" % i, io.write_tomogram, per_backend["map"])
             if cfg.backend in ("pde", "both"):
                 per_backend["pde"] = pde.evolve_semilagrangian(w0, H, t, dt)
@@ -170,20 +184,15 @@ def _run_task(cfg, emit):
 
     elif cfg.task == "pipeline-check":
         from . import oracles
-        from . import quad_dynamics as qd
         from .states import density_from_wavefunction
 
-        kind = "free" if cfg.hamiltonian["omega_sq"]["value"] == 0 else "oscillator"
+        H = cfgmod.build_hamiltonian(cfg)
         psi, w0 = _state_tomogram(cfg)
         rho0 = density_from_wavefunction(psi)
-        H = oracles.kernel_hamiltonian(kind)
-        # One eps(t) solve, with a node at every requested time.
-        traj = qd.solve_epsilon(H, max(cfg.times), _auto_dt(H), stops=cfg.times)
         records = []
-        for t in cfg.times:
-            rec = oracles.pipeline_discrepancy(rho0, w0, kind, t, traj=traj)
+        for t, m in zip(cfg.times, _maps(H, cfg.times, _auto_dt(H))):
+            rec = oracles.pipeline_discrepancy(rho0, w0, m)
             records.append({"t": t, **{k: float(v) for k, v in rec.items()}})
-        report["kind"] = kind
         report["records"] = records
 
     else:
@@ -256,6 +265,7 @@ def _emit_error(record, outdir):
             from . import output as io
 
             io.write_report(os.path.join(outdir, "error.json"), record)
+            _remove_stale(outdir, "report.json")
         except OSError:
             pass
 

@@ -1,12 +1,14 @@
-"""Analytic propagator kernels and classical trajectories as ground truth.
+"""The Schroedinger propagator of a quadratic flow, and classical
+trajectories, as ground truth.
 
-The free-particle and unit-oscillator Schroedinger Green functions have
-closed forms, and the density-matrix propagator factorizes through them as
+green_kernel builds the Green function of every quadratic Hamiltonian from
+the same Malkin-Man'ko-Trifonov integrals of motion (Lambda, Delta) as the
+optical map.  The density-matrix propagator factorizes through it as
 K(q, q'; qt, qt') = G(q, qt) G*(q', qt'), so it is never materialized as a
-rank-4 array.  Together with an independently integrated classical
-trajectory these pin down the evolution backends from outside the package's
-own numerics: the same physics is computed once through densities and once
-through tomograms, and the final states are compared.
+rank-4 array.  The same map is applied once to amplitudes (the quantum
+propagator) and once to tomograms (the optical propagator), and the final
+states are compared; classical_trajectory integrates the motion without
+eps(t), so it referees the map itself.
 """
 
 import numpy as np
@@ -26,49 +28,55 @@ EDGE_DENSITY_TOL = 1e-8
 
 @dataclass(frozen=True)
 class GreenKernel:
-    """Schroedinger Green function G(q, q_tilde) over elapsed time t.
+    """Schroedinger Green function G(x, y) of the flow
+    q_t = a q + b p + c, p_t = d q + e p + g:
 
-    kind is "free" or "oscillator".  Build through green_kernel, which
-    refuses caustic times where the prefactor diverges.
+        G(x, y) = (2 pi i b)^(-1/2) exp(i [(e x^2 - 2 x y + a y^2) / (2 b)
+                                          + (g - e c / b) x + (c / b) y]),
+
+    up to a global phase (d is fixed by a e - b d = 1).  The principal
+    branch of the root gives the prefactor its t -> 0+ delta limit.  Build
+    through green_kernel, which refuses focal maps (|b| <= 1e-6).
     """
 
-    kind: str
-    t: float
+    a: float
+    b: float
+    c: float
+    e: float
+    g: float
 
-    def __call__(self, q, q_tilde):
-        q = np.asarray(q, dtype=float)
-        q_tilde = np.asarray(q_tilde, dtype=float)
-        if self.kind == "free":
-            # Principal branch of the square root gives the amplitude with
-            # positive real part, fixed by the t -> 0+ delta limit.
-            pref = 1.0 / np.sqrt(2j * np.pi * self.t)
-            return pref * np.exp(0.5j * (q - q_tilde) ** 2 / self.t)
-        s = np.sin(self.t)
-        c = np.cos(self.t)
-        pref = 1.0 / np.sqrt(2j * np.pi * s)
-        return pref * np.exp(
-            0.5j * ((q * q + q_tilde * q_tilde) * c - 2.0 * q * q_tilde) / s
-        )
+    def __call__(self, x, y):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        a, b, c, e, g = self.a, self.b, self.c, self.e, self.g
+        pref = 1.0 / np.sqrt(2j * np.pi * b)
+        return pref * np.exp(1j * (
+            (e * x * x - 2.0 * x * y + a * y * y) / (2.0 * b)
+            + (g - e * c / b) * x + (c / b) * y
+        ))
 
     def matrix(self, grid):
         """G(q_i, q_tilde_j); G times the grid spacing is the evolution matrix."""
         return self(grid.points[:, None], grid.points[None, :])
 
 
-def green_kernel(kind, t):
-    """Closed-form Green function for the free particle or unit oscillator."""
-    t = float(t)
-    if kind == "free":
-        if abs(t) <= 1e-9:
-            raise CausticError(f"free kernel degenerates to a delta at t = {t:g}")
-    elif kind == "oscillator":
-        if abs(np.sin(t)) <= 1e-6:
-            raise CausticError(
-                f"oscillator kernel is focal at t = {t:g} (sin t = {np.sin(t):.2e})"
-            )
-    else:
-        raise ValueError(f"unknown kernel kind {kind!r}")
-    return GreenKernel(kind, t)
+def green_kernel(m):
+    """Green function of the flow whose optical map is m.
+
+    Lambda (p, q)_t + Delta = (p, q)_0 inverts to q_t = a q + b p + c,
+    p_t = d q + e p + g with a = Lambda_00, b = -Lambda_10, d = -Lambda_01,
+    e = Lambda_11, c = -(b Delta_0 + a Delta_1), g = -(e Delta_0 + d Delta_1).
+    """
+    lam, delta = m.lambda_mat, m.delta
+    a, b, d, e = lam[0, 0], -lam[1, 0], -lam[0, 1], lam[1, 1]
+    if abs(b) <= 1e-6:
+        raise CausticError(
+            f"kernel is focal over [{m.t_from:g}, {m.t_to:g}] "
+            f"(q-p entry of the flow {b:.2e})"
+        )
+    c = -(b * delta[0] + a * delta[1])
+    g = -(e * delta[0] + d * delta[1])
+    return GreenKernel(float(a), float(b), float(c), float(e), float(g))
 
 
 def _check_edge_density(density, spacing, what):
@@ -146,45 +154,19 @@ def trace_distance(rho_a, rho_b):
     return 0.5 * float(np.abs(np.linalg.eigvalsh(diff)).sum())
 
 
-def kernel_hamiltonian(kind):
-    """The quadratic Hamiltonian whose Green function green_kernel(kind, t) is."""
-    if kind == "free":
-        return quad_dynamics.QuadraticHamiltonian.free()
-    if kind == "oscillator":
-        return quad_dynamics.QuadraticHamiltonian.harmonic()
-    raise ValueError(f"unknown Hamiltonian kind {kind!r}")
+def pipeline_discrepancy(rho0, w0, m):
+    """Gap between the quantum and the optical propagator of one map.
 
-
-def pipeline_discrepancy(rho0, w0, kind, t, traj=None):
-    """Gap between kernel evolution and the tomogram-route evolution.
-
-    Route A evolves rho0 with the analytic Green kernel.  Route B evolves
-    w0, the caller's optical tomogram of rho0 (its grid sets the tomogram
-    grid), with the affine map built from the classical epsilon trajectory,
-    and reconstructs the density matrix by filtered back-projection.
-    Returns {"trace_distance", "l_inf"} between the two final densities.
-    At t = 0 route A is the identity and route B a round trip through the
-    caller's transform and the back-projection, so the record isolates the
-    transform error.
-
-    traj is an eps(t) trajectory of kernel_hamiltonian(kind) that reaches t,
-    so that one solve_epsilon(..., stops=times) serves every time; by
-    default one is solved to t with dt = 1e-3.
+    Route A evolves rho0 with green_kernel(m).  Route B evolves w0, the
+    caller's optical tomogram of rho0 (its grid sets the tomogram grid),
+    with evolve_tomogram(w0, m) and reconstructs the density matrix by
+    filtered back-projection.  Returns {"trace_distance", "l_inf"} between
+    the two final densities.  For the identity map route A is rho0 itself
+    and route B a round trip through the caller's transform and the
+    back-projection, so the record isolates the transform error.
     """
-    t = float(t)
-    H = kernel_hamiltonian(kind)
-    if traj is not None and traj.hamiltonian != H:
-        raise ValueError(f"trajectory was not solved for the {kind} Hamiltonian")
-
-    rho_a = rho0 if t == 0.0 else evolve_density(rho0, green_kernel(kind, t))
-
-    if t == 0.0:
-        w_t = w0
-    else:
-        if traj is None:
-            traj = quad_dynamics.solve_epsilon(H, t, 1e-3)
-        m = quad_dynamics.optical_map(quad_dynamics.motion_integrals(traj, t))
-        w_t = quad_dynamics.evolve_tomogram(w0, m)
+    rho_a = rho0 if m.is_identity else evolve_density(rho0, green_kernel(m))
+    w_t = quad_dynamics.evolve_tomogram(w0, m)
     rho_b = transforms.density_from_tomogram(w_t, rho0.grid)
 
     return {

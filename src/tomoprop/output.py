@@ -105,17 +105,23 @@ def _read_headers(path):
 
 
 def read_tomogram(path):
-    """Parse a tomogram data file back into a validated Tomogram."""
-    meta = _read_headers(path)
+    """Parse a tomogram data file back into a validated Tomogram.
+
+    A file that is not UTF-8, or holds a header or cell that does not
+    parse as a number, raises ParseError naming the file.
+    """
     try:
+        meta = _read_headers(path)
         tg = TomogramGrid(
             x_max=float(meta["x_max"]),
             n_x=int(meta["n_x"]),
             n_theta=int(meta["n_theta"]),
         )
+        data = np.loadtxt(path, comments="#", delimiter=",", ndmin=2)
     except KeyError as e:
         raise ParseError(f"{path}: missing tomogram header {e.args[0]!r}")
-    data = np.loadtxt(path, comments="#", delimiter=",", ndmin=2)
+    except ValueError as e:  # UnicodeDecodeError is a ValueError too
+        raise ParseError(f"{path}: {e}")
     if data.shape != (tg.n_theta * tg.n_x, 4):
         raise ParseError(
             f"{path}: expected {tg.n_theta * tg.n_x} rows of 4 columns, "

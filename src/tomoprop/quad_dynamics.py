@@ -16,7 +16,7 @@ evolved tomograms); see the repository README for the derivation sketch.
 """
 
 import numpy as np
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import RangeError, StepError, TimeError
 from .transforms import Tomogram
@@ -147,7 +147,6 @@ class EpsilonTrajectory:
     eps: np.ndarray
     eps_dot: np.ndarray
     beta: np.ndarray
-    hamiltonian: QuadraticHamiltonian = field(repr=False, compare=False, default=None)
 
     @property
     def final_time(self):
@@ -187,7 +186,7 @@ def solve_epsilon(H, T, dt=1e-3, stops=()):
     if T == 0.0:
         return EpsilonTrajectory(
             np.array([0.0]), np.array([1.0 + 0.0j]), np.array([0.0 + 1.0j]),
-            np.array([0.0 + 0.0j]), H,
+            np.array([0.0 + 0.0j]),
         )
 
     ends = sorted({float(s) for s in stops if 0.0 < s < T} | {T})
@@ -220,7 +219,7 @@ def solve_epsilon(H, T, dt=1e-3, stops=()):
         raise StepError(
             f"Wronskian drift {drift:.3e} exceeds {WRONSKIAN_TOL:g}; reduce dt"
         )
-    return EpsilonTrajectory(times, eps, eps_dot, beta, H)
+    return EpsilonTrajectory(times, eps, eps_dot, beta)
 
 
 @dataclass(frozen=True)
@@ -297,6 +296,11 @@ class OpticalAffineMap:
                 f"map runs backward: t_to = {self.t_to:g} < t_from = {self.t_from:g}"
             )
 
+    @property
+    def is_identity(self):
+        """Exactly the identity: no rotation, squeeze or drift."""
+        return bool(np.array_equal(self.lambda_mat, np.eye(2)) and not np.any(self.delta))
+
     def frames(self, theta):
         """Per-angle frames (theta0, a, b, weight) with X0 = a X + b.
 
@@ -362,7 +366,7 @@ def evolve_tomogram(w0, m, interp="linear"):
     nonnegativity and per-row normalization within grid tolerances, cubic
     sampling is sharper but can undershoot.
     """
-    if np.array_equal(m.lambda_mat, np.eye(2)) and not np.any(m.delta):
+    if m.is_identity:
         return Tomogram(w0.grid, w0.values.copy())
     theta0, a, b, weight = m.frames(w0.grid.thetas)
     return w0.pull_back(theta0, a, b, weight, interp=interp, norm_tol=1e-3)

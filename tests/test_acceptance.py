@@ -159,10 +159,13 @@ def test_acceptance_07_backend_agreement(capsys, coherent_rho, tgrid):
 
 def test_acceptance_08_kernel_correspondence(capsys, vacuum_rho, coherent_rho,
                                              vacuum_tomogram, coherent_tomogram):
+    maps = [qd.optical_map(qd.motion_integrals(qd.solve_epsilon(H, t), t))
+            for H, t in ((qd.QuadraticHamiltonian.free(), 0.5),
+                         (qd.QuadraticHamiltonian.harmonic(), 1.0))]
     pairs = []
     for rho, w0 in ((vacuum_rho, vacuum_tomogram), (coherent_rho, coherent_tomogram)):
-        for kind, t in (("free", 0.5), ("oscillator", 1.0)):
-            rec = oracles.pipeline_discrepancy(rho, w0, kind, t)
+        for m in maps:
+            rec = oracles.pipeline_discrepancy(rho, w0, m)
             pairs.append((rec["trace_distance"], 1e-2))
     emit(capsys, 8, "kernel_correspondence", pairs)
 

@@ -168,10 +168,37 @@ def test_pipeline_check_task(tmp_path):
     }
     assert run(tmp_path, "pipeline-check", doc) == 0
     report = read_json(tmp_path, "report.json")
-    assert report["kind"] == "oscillator"
     rec = report["records"][0]
     assert rec["t"] == 1.0
     assert rec["trace_distance"] < 5e-3
+
+
+def test_pipeline_check_on_a_driven_hamiltonian(tmp_path, capsys):
+    # The Green function comes from the same map as the tomogram, so any
+    # quadratic Hamiltonian can be checked; a table must cover max(times).
+    doc = {
+        "times": [0.5, 1.0, 2.0],
+        "grid": {"x_max": 8.0, "n_x": 1024, "n_theta": 180, "q_max": 8.0, "n_q": 512},
+        "state": {"kind": "coherent", "alpha_re": 1.0},
+        "hamiltonian": {
+            "omega_sq": {"kind": "cosine", "a": 1.0, "b": 0.2, "freq": 2.0},
+            "force": {"kind": "constant", "value": 0.3},
+        },
+    }
+    assert run(tmp_path, "pipeline-check", doc) == 0
+    records = read_json(tmp_path, "report.json")["records"]
+    assert [r["t"] for r in records] == doc["times"]
+    assert all(r["trace_distance"] < 1e-3 for r in records)
+
+    table = {"kind": "table", "times": [0.0, 1.0], "values": [1.0, 1.1]}
+    short = {**doc, "hamiltonian": {"omega_sq": table}}
+    (tmp_path / "short").mkdir()
+    assert run(tmp_path / "short", "pipeline-check", short) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["violations"] == [
+        "hamiltonian.omega_sq.times cover [0, 1], not the job's [0, 2]",
+    ]
+    assert not (tmp_path / "short" / "out").exists()
 
 
 def test_pipeline_check_builds_the_initial_tomogram_once(tmp_path, monkeypatch):
@@ -376,6 +403,45 @@ def test_numeric_failure_exits_3_with_error_file(tmp_path, capsys):
     assert record["error"] == "SupportError"
     err = read_json(tmp_path, "error.json")
     assert err == record
+
+
+def test_invert_refuses_malformed_tomogram_files(tmp_path, capsys):
+    # A cell or header that is not a number, or bytes that are not UTF-8,
+    # are parse errors (exit 2) naming the file, not a traceback.
+    assert run(tmp_path, "tomogram", {}) == 0
+    text = (tmp_path / "out" / "tomogram.csv").read_text()
+    lines = text.splitlines()
+    lines[100] = lines[100].rsplit(",", 1)[0] + ",abc"
+    cases = {
+        "cell": ("\n".join(lines) + "\n").encode(),
+        "header": text.replace("# n_x=512", "# n_x=sixty").encode(),
+        "bytes": text.encode()[:-40] + b"\xff\xfe\n",
+    }
+    for name, data in cases.items():
+        path = tmp_path / (name + ".csv")
+        path.write_bytes(data)
+        out = tmp_path / ("out_" + name)
+        rc = main(["invert", "--config", write_config(tmp_path, {"input_path": str(path)}),
+                   "--output-dir", str(out)])
+        assert rc == 2, name
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ParseError", name
+        assert str(path) in record["message"], name
+        assert sorted(os.listdir(out)) == ["error.json"], name
+
+
+def test_each_outcome_record_removes_the_other(tmp_path, capsys):
+    # error.json and report.json never sit side by side; data files from
+    # an earlier run are left as they are.
+    refused = {"state": {"kind": "coherent", "alpha_re": 3.0}}
+    accepted = {"state": {"kind": "coherent", "alpha_re": 0.5}}
+    out = tmp_path / "out"
+    assert run(tmp_path, "tomogram", refused) == 3
+    assert run(tmp_path, "tomogram", accepted) == 0
+    assert sorted(os.listdir(out)) == ["report.json", "run_meta.json", "tomogram.csv"]
+    assert run(tmp_path, "tomogram", refused) == 3
+    assert sorted(os.listdir(out)) == ["error.json", "run_meta.json", "tomogram.csv"]
+    capsys.readouterr()
 
 
 def test_invert_refuses_non_finite_tomogram(tmp_path, capsys):

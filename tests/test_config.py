@@ -133,6 +133,13 @@ def test_bad_state_sign():
     assert any("state.sign must be 1 or -1" in b for b in bad)
 
 
+def test_boolean_state_sign_is_refused():
+    # JSON true equals 1 in Python, so it has to be refused as a non-integer.
+    for sign in (True, False, 1.0):
+        bad = violations_of({"task": "tomogram", "state": {"kind": "cat", "sign": sign}})
+        assert bad == [f"state.sign must be 1 or -1, got {sign!r}"]
+
+
 def test_nonpositive_grid_extent():
     bad = violations_of({"task": "tomogram", "grid": {"q_max": -8.0}})
     assert any("grid.q_max must be a positive" in b for b in bad)
@@ -227,17 +234,6 @@ def test_invert_requires_input_path():
     assert any("requires input_path" in b for b in bad)
 
 
-def test_pipeline_check_requires_analytic_hamiltonian():
-    bad = violations_of({
-        "task": "pipeline-check",
-        "times": [1.0],
-        "hamiltonian": {
-            "omega_sq": {"kind": "cosine", "a": 1.0, "b": 0.2, "freq": 2.0},
-        },
-    })
-    assert any("analytic kernel" in b for b in bad)
-
-
 def test_pipeline_check_accepts_free_and_oscillator():
     for value in (0.0, 1.0):
         cfg = parse({
@@ -246,6 +242,18 @@ def test_pipeline_check_accepts_free_and_oscillator():
             "hamiltonian": {"omega_sq": {"kind": "constant", "value": value}},
         })
         assert cfg.hamiltonian["omega_sq"]["value"] == value
+
+
+def test_pipeline_check_follows_the_rules_of_evolve():
+    # Any sampler is accepted, and a table must cover [0, max(times)].
+    driven = {"omega_sq": {"kind": "cosine", "a": 1.0, "b": 0.2, "freq": 2.0},
+              "force": {"kind": "constant", "value": 0.3}}
+    cfg = parse({"task": "pipeline-check", "times": [1.0], "hamiltonian": driven})
+    assert cfg.hamiltonian == driven
+    table = {"kind": "table", "times": [0.0, 1.0], "values": [1.0, 1.1]}
+    bad = violations_of({"task": "pipeline-check", "times": [0.5, 2.0],
+                         "hamiltonian": {"omega_sq": table}})
+    assert bad == ["hamiltonian.omega_sq.times cover [0, 1], not the job's [0, 2]"]
 
 
 # ---------------------------------------------------------------------------

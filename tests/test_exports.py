@@ -1,6 +1,8 @@
-"""The package's lazy export table."""
+"""The package's lazy export table, and the README's use of it."""
 
 import importlib
+import os
+import re
 
 import pytest
 
@@ -20,3 +22,11 @@ def test_every_export_resolves():
 def test_removed_names_are_gone(name):
     with pytest.raises(AttributeError):
         getattr(tomoprop, name)
+
+
+def test_readme_quick_start_runs():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        blocks = re.findall(r"```python\n(.*?)```", fh.read(), flags=re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
