@@ -53,8 +53,6 @@ _EXPORTS = {
     "QuadraticHamiltonian": "quad_dynamics",
     "EpsilonTrajectory": "quad_dynamics",
     "solve_epsilon": "quad_dynamics",
-    "MotionIntegrals": "quad_dynamics",
-    "motion_integrals": "quad_dynamics",
     "OpticalAffineMap": "quad_dynamics",
     "optical_map": "quad_dynamics",
     "compose": "quad_dynamics",

@@ -93,10 +93,12 @@ def run_job(cfg):
     return report, [name for _, name in staged] + ["report.json"]
 
 
-def _remove_stale(outdir, name):
-    """Drop the other outcome record a previous run left in outdir."""
-    with contextlib.suppress(FileNotFoundError):
-        os.unlink(os.path.join(outdir, name))
+def _remove_stale(outdir, *names):
+    """Drop the outcome records of a previous run that this run's outcome
+    contradicts."""
+    for name in names:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(os.path.join(outdir, name))
 
 
 def _maps(H, times, dt):
@@ -105,7 +107,7 @@ def _maps(H, times, dt):
     from . import quad_dynamics as qd
 
     traj = qd.solve_epsilon(H, max(times), dt, stops=times)
-    return [qd.optical_map(qd.motion_integrals(traj, t)) for t in times]
+    return [qd.optical_map(traj, t) for t in times]
 
 
 def _run_task(cfg, emit):
@@ -242,9 +244,11 @@ def _invariant_suite(cfg):
     traj = qd.solve_epsilon(H, 10.0, 1e-3)
     wr = 2.0 * np.imag(traj.eps_dot * np.conj(traj.eps))
     add("wronskian_drift", np.abs(wr - 2.0).max(), 1e-8)
-    det_defect = max(
-        qd.motion_integrals(traj, t).det_defect for t in np.linspace(0.0, 10.0, 21)
-    )
+    det_defect = 0.0
+    for t in np.linspace(0.0, 10.0, 21):
+        lam = qd.optical_map(traj, t).lambda_mat
+        det = lam[0, 0] * lam[1, 1] - lam[0, 1] * lam[1, 0]
+        det_defect = max(det_defect, abs(det - 1.0))
     add("det_lambda_defect", det_defect, 1e-8)
 
     return checks
@@ -265,7 +269,7 @@ def _emit_error(record, outdir):
             from . import output as io
 
             io.write_report(os.path.join(outdir, "error.json"), record)
-            _remove_stale(outdir, "report.json")
+            _remove_stale(outdir, "report.json", "run_meta.json")
         except OSError:
             pass
 

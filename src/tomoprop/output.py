@@ -107,8 +107,9 @@ def _read_headers(path):
 def read_tomogram(path):
     """Parse a tomogram data file back into a validated Tomogram.
 
-    A file that is not UTF-8, or holds a header or cell that does not
-    parse as a number, raises ParseError naming the file.
+    A file that is not UTF-8, holds a header or cell that does not parse
+    as a number, or whose header grid TomogramGrid refuses, raises
+    ParseError naming the file.
     """
     try:
         meta = _read_headers(path)
@@ -120,7 +121,7 @@ def read_tomogram(path):
         data = np.loadtxt(path, comments="#", delimiter=",", ndmin=2)
     except KeyError as e:
         raise ParseError(f"{path}: missing tomogram header {e.args[0]!r}")
-    except ValueError as e:  # UnicodeDecodeError is a ValueError too
+    except (ValueError, GridError) as e:  # UnicodeDecodeError is a ValueError too
         raise ParseError(f"{path}: {e}")
     if data.shape != (tg.n_theta * tg.n_x, 4):
         raise ParseError(

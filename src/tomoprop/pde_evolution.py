@@ -34,11 +34,11 @@ from .transforms import Tomogram
 STEP_LIMIT = 5e-3
 
 
-def evolve_semilagrangian(w0, hamiltonian, T, dt=1e-3, interp="linear"):
+def evolve_semilagrangian(w0, hamiltonian, T, dt=1e-3):
     """Evolve a tomogram to time T by backward characteristics.
 
     Each final grid node is traced back to t = 0 with RK4; w0 is sampled at
-    the feet (bilinear by default, positivity preserving) and scaled by the
+    the feet (bilinearly, which preserves positivity) and scaled by the
     accumulated amplitude.  dX/dt is affine in X at fixed theta, so one
     fundamental pair (mu, nu) per theta row carries all of its X nodes,
     X(0) = mu X + nu; the RK4 stages are themselves affine in the state,
@@ -101,4 +101,4 @@ def evolve_semilagrangian(w0, hamiltonian, T, dt=1e-3, interp="linear"):
         t_now -= h
 
     # Backward accumulation flips the sign of the ln-amp integral.
-    return w0.pull_back(theta, mu, nu, np.exp(-log_amp), interp=interp, norm_tol=2e-3)
+    return w0.pull_back(theta, mu, nu, np.exp(-log_amp), norm_tol=2e-3)

@@ -7,6 +7,9 @@ integrals of motion: a symplectic matrix Lambda(t) and a drift vector
 Delta(t) satisfying Lambda(t) (p, q)(t) + Delta(t) = (p, q)(0) along every
 classical trajectory.  The tomogram then evolves by a deterministic affine
 reference-frame map with weight 1/r, the delta form of the propagator.
+optical_map reads Lambda and Delta straight off a node of the RK4 solve
+of eps(t); solve_epsilon(..., stops=times) puts a node at every time
+wanted.
 
 Sign convention: Delta = (sqrt(2) Im beta, sqrt(2) Re beta).  The sign of
 the first component is pinned by requiring the integrals of motion to
@@ -21,9 +24,7 @@ from dataclasses import dataclass
 from .errors import RangeError, StepError, TimeError
 from .transforms import Tomogram
 
-# Interpolating the trajectory between RK4 nodes breaks det Lambda = 1 at
-# O(dt^2); the matrix is projected back onto the symplectic constraint and
-# the raw defect recorded.  Node values themselves hold det to ~1e-12.
+# RK4 nodes hold det Lambda = 1 to ~1e-12; a trajectory built by hand may not.
 DET_TOL = 1e-8
 WRONSKIAN_TOL = 1e-8
 
@@ -166,7 +167,7 @@ def solve_epsilon(H, T, dt=1e-3, stops=()):
     Every time in stops that lies in (0, T) is made a node: each segment
     between consecutive stops is split into equal steps no longer than dt,
     so the first segment is the trajectory solve_epsilon(H, stop) gives and
-    motion_integrals reads every stop without interpolating.
+    optical_map can read the map to every stop.
 
     The Wronskian 2 Im(eps' eps*) = 2 is checked at every node; drift beyond
     1e-8 (or an oversized step) raises StepError.
@@ -223,57 +224,6 @@ def solve_epsilon(H, T, dt=1e-3, stops=()):
 
 
 @dataclass(frozen=True)
-class MotionIntegrals:
-    """Lambda(t), Delta(t) with Lambda (p,q)(t) + Delta = (p,q)(0)."""
-
-    time: float
-    lambda_mat: np.ndarray
-    delta: np.ndarray
-    det_defect: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "lambda_mat", np.asarray(self.lambda_mat, dtype=float))
-        object.__setattr__(self, "delta", np.asarray(self.delta, dtype=float))
-
-
-def motion_integrals(traj, t):
-    """Integrals of motion at time t, linearly interpolated between nodes.
-
-    Lambda = [[Re eps, -Re eps'], [-Im eps, Im eps']] acting on (p, q);
-    Delta = (sqrt(2) Im beta, sqrt(2) Re beta).  Interpolation breaks
-    det Lambda = 1 at O(dt^2), so the matrix is rescaled by 1/sqrt(det)
-    and the raw defect recorded.
-    """
-    t = float(t)
-    times = traj.times
-    if t < times[0] - 1e-9 or t > times[-1] + 1e-9:
-        raise RangeError(
-            f"t = {t:g} outside the solved trajectory [{times[0]:g}, {times[-1]:g}]"
-        )
-    t = min(max(t, float(times[0])), float(times[-1]))
-    i = int(np.searchsorted(times, t, side="right")) - 1
-    i = min(max(i, 0), times.size - 2) if times.size > 1 else 0
-    if times.size == 1 or abs(t - times[i]) < 1e-12:
-        e, ed, b = traj.eps[i], traj.eps_dot[i], traj.beta[i]
-    elif abs(t - times[i + 1]) < 1e-12:
-        e, ed, b = traj.eps[i + 1], traj.eps_dot[i + 1], traj.beta[i + 1]
-    else:
-        a = (t - times[i]) / (times[i + 1] - times[i])
-        e = (1.0 - a) * traj.eps[i] + a * traj.eps[i + 1]
-        ed = (1.0 - a) * traj.eps_dot[i] + a * traj.eps_dot[i + 1]
-        b = (1.0 - a) * traj.beta[i] + a * traj.beta[i + 1]
-
-    lam = np.array([[np.real(e), -np.real(ed)], [-np.imag(e), np.imag(ed)]])
-    det = lam[0, 0] * lam[1, 1] - lam[0, 1] * lam[1, 0]
-    if det <= 0.0:
-        raise StepError(f"interpolated Lambda degenerate (det = {det:g}); reduce dt")
-    defect = abs(det - 1.0)
-    lam = lam / np.sqrt(det)
-    delta = np.array([np.sqrt(2.0) * np.imag(b), np.sqrt(2.0) * np.real(b)])
-    return MotionIntegrals(time=t, lambda_mat=lam, delta=delta, det_defect=defect)
-
-
-@dataclass(frozen=True)
 class OpticalAffineMap:
     """Reference-frame map (X, theta) -> (X0, theta0, weight) over [t_from, t_to].
 
@@ -324,17 +274,33 @@ class OpticalAffineMap:
         return theta0, a, a * (n1 * self.delta[0] + n2 * self.delta[1]), 1.0 / r
 
 
-def optical_map(mi, t_from=0.0):
-    """Affine tomogram map over [t_from, t_from + mi.time]."""
-    lam = mi.lambda_mat
+def optical_map(traj, t, t_from=0.0):
+    """Affine tomogram map over [t_from, t_from + t], read off the node of
+    traj at t.
+
+    Lambda = [[Re eps, -Re eps'], [-Im eps, Im eps']] acting on (p, q);
+    Delta = (sqrt(2) Im beta, sqrt(2) Re beta).  Only a node (|t - node| <
+    1e-12) is read: any other t raises RangeError, and
+    solve_epsilon(..., stops=[t]) makes t a node.
+    """
+    t = float(t)
+    times = traj.times
+    i = int(np.abs(times - t).argmin())
+    if abs(t - times[i]) >= 1e-12:
+        raise RangeError(
+            f"t = {t:g} is not a node of the trajectory on [{times[0]:g}, {times[-1]:g}]; "
+            "solve it with solve_epsilon(..., stops=[t])"
+        )
+    e, ed, b = traj.eps[i], traj.eps_dot[i], traj.beta[i]
+    lam = np.array([[np.real(e), -np.real(ed)], [-np.imag(e), np.imag(ed)]])
     det = lam[0, 0] * lam[1, 1] - lam[0, 1] * lam[1, 0]
     if abs(det - 1.0) > DET_TOL:
         raise StepError(f"det Lambda = {det:.10f} is not symplectic within {DET_TOL:g}")
     return OpticalAffineMap(
-        lambda_mat=mi.lambda_mat,
-        delta=mi.delta,
+        lambda_mat=lam,
+        delta=np.array([np.sqrt(2.0) * np.imag(b), np.sqrt(2.0) * np.real(b)]),
         t_from=float(t_from),
-        t_to=float(t_from) + float(mi.time),
+        t_to=float(t_from) + t,
     )
 
 

@@ -49,7 +49,7 @@ def mathieu(force=0.0):
 
 def map_evolved(w0, H, t, dt=1e-3, interp="linear"):
     traj = qd.solve_epsilon(H, t, dt)
-    m = qd.optical_map(qd.motion_integrals(traj, t))
+    m = qd.optical_map(traj, t)
     return qd.evolve_tomogram(w0, m, interp=interp)
 
 
@@ -113,12 +113,13 @@ def test_acceptance_04_free_spreading(capsys, vacuum_rho):
 
 
 def test_acceptance_05_wronskian_and_symplectic(capsys):
-    traj = qd.solve_epsilon(mathieu(), 10.0, 1e-3)
+    times = np.linspace(0.0, 10.0, 37)
+    traj = qd.solve_epsilon(mathieu(), 10.0, 1e-3, stops=times)
     wr = 2.0 * np.imag(traj.eps_dot * np.conj(traj.eps))
     drift = float(np.abs(wr - 2.0).max())
     det_dev = 0.0
-    for t in np.linspace(0.0, 10.0, 37):
-        lam = qd.motion_integrals(traj, float(t)).lambda_mat
+    for t in times:
+        lam = qd.optical_map(traj, float(t)).lambda_mat
         det = lam[0, 0] * lam[1, 1] - lam[0, 1] * lam[1, 0]
         det_dev = max(det_dev, abs(det - 1.0))
     emit(capsys, 5, "wronskian_and_symplectic",
@@ -128,10 +129,10 @@ def test_acceptance_05_wronskian_and_symplectic(capsys):
 def test_acceptance_06_two_step_composition(capsys, coherent_tomogram):
     H = mathieu(force=0.3)
     split, T = 1.0, 2.0
-    m20 = qd.optical_map(qd.motion_integrals(qd.solve_epsilon(H, T), T))
-    m10 = qd.optical_map(qd.motion_integrals(qd.solve_epsilon(H, split), split))
+    m20 = qd.optical_map(qd.solve_epsilon(H, T), T)
+    m10 = qd.optical_map(qd.solve_epsilon(H, split), split)
     tail = qd.solve_epsilon(H.shifted(split), T - split)
-    m21 = qd.optical_map(qd.motion_integrals(tail, T - split), t_from=split)
+    m21 = qd.optical_map(tail, T - split, t_from=split)
 
     comp = qd.compose(m21, m10)
     lam_dev = float(np.abs(comp.lambda_mat - m20.lambda_mat).max())
@@ -159,7 +160,7 @@ def test_acceptance_07_backend_agreement(capsys, coherent_rho, tgrid):
 
 def test_acceptance_08_kernel_correspondence(capsys, vacuum_rho, coherent_rho,
                                              vacuum_tomogram, coherent_tomogram):
-    maps = [qd.optical_map(qd.motion_integrals(qd.solve_epsilon(H, t), t))
+    maps = [qd.optical_map(qd.solve_epsilon(H, t), t)
             for H, t in ((qd.QuadraticHamiltonian.free(), 0.5),
                          (qd.QuadraticHamiltonian.harmonic(), 1.0))]
     pairs = []
@@ -179,7 +180,7 @@ def test_acceptance_09_ehrenfest_first_moment(capsys, coherent_tomogram, tgrid):
     s, c = np.sin(tgrid.thetas), np.cos(tgrid.thetas)
     dev = 0.0
     for i, t in enumerate(times):
-        m = qd.optical_map(qd.motion_integrals(traj, float(t)))
+        m = qd.optical_map(traj, float(t))
         wt = qd.evolve_tomogram(coherent_tomogram, m)
         ref = cl.q_cl[i] * c + cl.p_cl[i] * s
         dev = max(dev, float(np.abs(tr.moments(wt, 1) - ref).max()))

@@ -284,7 +284,7 @@ def test_evolve_reads_every_time_at_a_node(tmp_path, monkeypatch):
     assert run(tmp_path, "evolve", doc) == 0
     (H, dt), = solves
     for t, m in zip(doc["times"], maps):
-        ref = qd.optical_map(qd.motion_integrals(solve(H, t, dt), t))
+        ref = qd.optical_map(solve(H, t, dt), t)
         np.testing.assert_allclose(m.lambda_mat, ref.lambda_mat, rtol=0.0, atol=1e-14)
         np.testing.assert_allclose(m.delta, ref.delta, rtol=0.0, atol=1e-14)
     assert max(read_json(tmp_path, "report.json")["l1_backend_gap"]) < 1e-10
@@ -406,8 +406,9 @@ def test_numeric_failure_exits_3_with_error_file(tmp_path, capsys):
 
 
 def test_invert_refuses_malformed_tomogram_files(tmp_path, capsys):
-    # A cell or header that is not a number, or bytes that are not UTF-8,
-    # are parse errors (exit 2) naming the file, not a traceback.
+    # A cell or header that is not a number, a header grid the grid class
+    # refuses, or bytes that are not UTF-8 are parse errors (exit 2) naming
+    # the file, not a traceback.
     assert run(tmp_path, "tomogram", {}) == 0
     text = (tmp_path / "out" / "tomogram.csv").read_text()
     lines = text.splitlines()
@@ -415,6 +416,7 @@ def test_invert_refuses_malformed_tomogram_files(tmp_path, capsys):
     cases = {
         "cell": ("\n".join(lines) + "\n").encode(),
         "header": text.replace("# n_x=512", "# n_x=sixty").encode(),
+        "grid": text.replace("# n_x=512", "# n_x=8").encode(),
         "bytes": text.encode()[:-40] + b"\xff\xfe\n",
     }
     for name, data in cases.items():
@@ -431,8 +433,8 @@ def test_invert_refuses_malformed_tomogram_files(tmp_path, capsys):
 
 
 def test_each_outcome_record_removes_the_other(tmp_path, capsys):
-    # error.json and report.json never sit side by side; data files from
-    # an earlier run are left as they are.
+    # error.json never sits beside report.json or run_meta.json; data files
+    # from an earlier run are left as they are.
     refused = {"state": {"kind": "coherent", "alpha_re": 3.0}}
     accepted = {"state": {"kind": "coherent", "alpha_re": 0.5}}
     out = tmp_path / "out"
@@ -440,7 +442,7 @@ def test_each_outcome_record_removes_the_other(tmp_path, capsys):
     assert run(tmp_path, "tomogram", accepted) == 0
     assert sorted(os.listdir(out)) == ["report.json", "run_meta.json", "tomogram.csv"]
     assert run(tmp_path, "tomogram", refused) == 3
-    assert sorted(os.listdir(out)) == ["error.json", "run_meta.json", "tomogram.csv"]
+    assert sorted(os.listdir(out)) == ["error.json", "tomogram.csv"]
     capsys.readouterr()
 
 

@@ -22,7 +22,7 @@ FORCED_MATHIEU = qd.QuadraticHamiltonian(qd.CosineSampler(1.0, 0.2, 2.0),
 
 def map_of(H, t, dt=1e-3):
     """The optical map of H over [0, t]."""
-    return qd.optical_map(qd.motion_integrals(qd.solve_epsilon(H, t, dt), t))
+    return qd.optical_map(qd.solve_epsilon(H, t, dt), t)
 
 
 def kernel_of(H, t):

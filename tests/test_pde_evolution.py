@@ -142,7 +142,7 @@ def test_backends_agree_on_forced_mathieu(coherent_tomogram):
     w_pde = pde.evolve_semilagrangian(coherent_tomogram, H, T, dt=1e-3)
     traj = qd.solve_epsilon(H, T, 1e-3)
     w_map = qd.evolve_tomogram(
-        coherent_tomogram, qd.optical_map(qd.motion_integrals(traj, T))
+        coherent_tomogram, qd.optical_map(traj, T)
     )
     wx = coherent_tomogram.grid.x_trapezoid_weights
     l1 = float(np.mean(np.abs(w_pde.values - w_map.values) @ wx))

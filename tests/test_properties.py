@@ -48,7 +48,7 @@ alphas = st.builds(complex, st.floats(-0.5, 0.5), st.floats(-0.5, 0.5))
 def test_backends_conserve_rows_and_agree(H, T, alpha):
     w0 = tr.tomogram_from_wavefunction(make_coherent(alpha, GRID), TGRID)
     dt = _auto_dt(H)
-    m = qd.optical_map(qd.motion_integrals(qd.solve_epsilon(H, T, dt), T))
+    m = qd.optical_map(qd.solve_epsilon(H, T, dt), T)
     w_map = qd.evolve_tomogram(w0, m)
     w_pde = pde.evolve_semilagrangian(w0, H, T, dt)
     for w, norm_tol in ((w_map, 1e-3), (w_pde, 2e-3)):
@@ -61,7 +61,7 @@ def test_backends_conserve_rows_and_agree(H, T, alpha):
 def _segment(H, t_from, t_to):
     span = t_to - t_from
     traj = qd.solve_epsilon(H.shifted(t_from), span)
-    return qd.optical_map(qd.motion_integrals(traj, span), t_from=t_from)
+    return qd.optical_map(traj, span, t_from=t_from)
 
 
 @PROPERTY_SETTINGS

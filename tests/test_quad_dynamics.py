@@ -14,6 +14,10 @@ def mathieu(force=0.0):
     )
 
 
+def det(lam):
+    return lam[0, 0] * lam[1, 1] - lam[0, 1] * lam[1, 0]
+
+
 # ----------------------------------------------------------------- samplers
 
 def test_constant_sampler():
@@ -120,29 +124,29 @@ def test_stops_become_nodes():
         np.testing.assert_array_equal(getattr(traj, name)[:k], getattr(alone, name))
     assert 0.7071 in traj.times and traj.final_time == 1.0
     assert 0.0 < np.diff(traj.times).min() and np.diff(traj.times).max() <= 1e-3
-    mi = qd.motion_integrals(traj, 0.7071)
-    ref = qd.motion_integrals(qd.solve_epsilon(H, 0.7071), 0.7071)
-    assert mi.det_defect < 1e-13
-    np.testing.assert_allclose(mi.lambda_mat, ref.lambda_mat, rtol=0.0, atol=1e-13)
-    np.testing.assert_allclose(mi.delta, ref.delta, rtol=0.0, atol=1e-13)
+    m = qd.optical_map(traj, 0.7071)
+    ref = qd.optical_map(qd.solve_epsilon(H, 0.7071), 0.7071)
+    assert abs(det(m.lambda_mat) - 1.0) < 1e-13
+    np.testing.assert_allclose(m.lambda_mat, ref.lambda_mat, rtol=0.0, atol=1e-13)
+    np.testing.assert_allclose(m.delta, ref.delta, rtol=0.0, atol=1e-13)
 
 
 # --------------------------------------------------------- motion integrals
 
 def test_motion_integrals_free():
     traj = qd.solve_epsilon(qd.QuadraticHamiltonian.free(), 1.0)
-    mi = qd.motion_integrals(traj, 1.0)
+    m = qd.optical_map(traj, 1.0)
     # eps = 1 + it: the map subtracts p t from q and leaves p alone.
-    np.testing.assert_allclose(mi.lambda_mat, [[1.0, 0.0], [-1.0, 1.0]], atol=1e-12)
-    np.testing.assert_allclose(mi.delta, 0.0, atol=1e-14)
+    np.testing.assert_allclose(m.lambda_mat, [[1.0, 0.0], [-1.0, 1.0]], atol=1e-12)
+    np.testing.assert_allclose(m.delta, 0.0, atol=1e-14)
 
 
 def test_motion_integrals_harmonic_rotation():
     traj = qd.solve_epsilon(qd.QuadraticHamiltonian.harmonic(), 2.0)
     t = 0.773
-    mi = qd.motion_integrals(traj, t)
+    m = qd.optical_map(traj, t)
     c, s = np.cos(t), np.sin(t)
-    np.testing.assert_allclose(mi.lambda_mat, [[c, s], [-s, c]], atol=1e-6)
+    np.testing.assert_allclose(m.lambda_mat, [[c, s], [-s, c]], atol=1e-6)
 
 
 def test_motion_integrals_annihilate_classical_trajectory():
@@ -154,39 +158,40 @@ def test_motion_integrals_annihilate_classical_trajectory():
     traj = qd.solve_epsilon(H, 2.0)
     cl = classical_trajectory(H, 0.0, 0.0, np.array([0.5, 1.0, 2.0]))
     for i, t in enumerate(cl.times):
-        mi = qd.motion_integrals(traj, float(t))
-        back = mi.lambda_mat @ np.array([cl.p_cl[i], cl.q_cl[i]]) + mi.delta
+        m = qd.optical_map(traj, float(t))
+        back = m.lambda_mat @ np.array([cl.p_cl[i], cl.q_cl[i]]) + m.delta
         np.testing.assert_allclose(back, 0.0, atol=1e-9)
 
 
-def test_motion_integrals_interpolation_and_projection():
-    traj = qd.solve_epsilon(mathieu(), 1.0)
-    # Off-node times: linear interpolation leaves an O(dt^2) raw determinant
-    # defect which the projection removes from the returned matrix.
-    mi = qd.motion_integrals(traj, 0.5 + 3.3e-4)
-    lam = mi.lambda_mat
-    det = lam[0, 0] * lam[1, 1] - lam[0, 1] * lam[1, 0]
-    assert abs(det - 1.0) < 1e-12
-    assert 0.0 < mi.det_defect < 1e-6
-    # On-node times need no interpolation at all.
-    mi_node = qd.motion_integrals(traj, 0.5)
-    assert mi_node.det_defect < 1e-12
+def test_optical_map_reads_only_nodes():
+    # A time between nodes is refused, not interpolated; a stop there makes
+    # it a node whose raw det Lambda holds 1 to round-off.
+    t = 0.5 + 3.3e-4
+    with pytest.raises(RangeError, match="stops"):
+        qd.optical_map(qd.solve_epsilon(mathieu(), 1.0), t)
+    m = qd.optical_map(qd.solve_epsilon(mathieu(), 1.0, stops=[t]), t)
+    assert abs(det(m.lambda_mat) - 1.0) < 1e-13
+    assert m.t_to == t
 
 
 def test_motion_integrals_range_guard():
     traj = qd.solve_epsilon(mathieu(), 1.0)
     with pytest.raises(RangeError):
-        qd.motion_integrals(traj, 1.5)
+        qd.optical_map(traj, 1.5)
     with pytest.raises(RangeError):
-        qd.motion_integrals(traj, -0.5)
+        qd.optical_map(traj, -0.5)
 
 
 # ------------------------------------------------------------- optical maps
 
 def test_optical_map_rejects_nonsymplectic():
-    mi = qd.MotionIntegrals(time=1.0, lambda_mat=np.diag([1.1, 1.0]), delta=np.zeros(2))
+    # A hand-built trajectory whose second node has det Lambda = 1.1.
+    traj = qd.EpsilonTrajectory(
+        np.array([0.0, 1.0]), np.array([1.0, 1.1]), np.array([1.0j, 1.0j]), np.zeros(2)
+    )
+    qd.optical_map(traj, 0.0)
     with pytest.raises(StepError):
-        qd.optical_map(mi)
+        qd.optical_map(traj, 1.0)
 
 
 def test_map_backward_interval_rejected():
@@ -197,7 +202,7 @@ def test_map_backward_interval_rejected():
 def test_harmonic_map_is_pure_rotation(tgrid):
     t = np.pi / 5
     traj = qd.solve_epsilon(qd.QuadraticHamiltonian.harmonic(), t)
-    m = qd.optical_map(qd.motion_integrals(traj, t))
+    m = qd.optical_map(traj, t)
     theta0, a, b, weight = m.frames(tgrid.thetas[:, None])
     X0 = a * tgrid.xs + b
     np.testing.assert_allclose(weight, 1.0, atol=1e-10)
@@ -212,7 +217,7 @@ def test_harmonic_map_is_pure_rotation(tgrid):
 
 def test_free_map_scales_rows(tgrid):
     traj = qd.solve_epsilon(qd.QuadraticHamiltonian.free(), 1.0)
-    m = qd.optical_map(qd.motion_integrals(traj, 1.0))
+    m = qd.optical_map(traj, 1.0)
     theta = tgrid.thetas
     _, a, b, weight = m.frames(theta)
     X0 = a * 1.0 + b
@@ -225,11 +230,11 @@ def test_free_map_scales_rows(tgrid):
 def test_compose_matches_one_step():
     H = mathieu(force=0.3)
     traj02 = qd.solve_epsilon(H, 2.0)
-    m20 = qd.optical_map(qd.motion_integrals(traj02, 2.0))
+    m20 = qd.optical_map(traj02, 2.0)
     split = 0.75
-    m10 = qd.optical_map(qd.motion_integrals(qd.solve_epsilon(H, split), split))
+    m10 = qd.optical_map(qd.solve_epsilon(H, split), split)
     tail = qd.solve_epsilon(H.shifted(split), 2.0 - split)
-    m21 = qd.optical_map(qd.motion_integrals(tail, 2.0 - split), t_from=split)
+    m21 = qd.optical_map(tail, 2.0 - split, t_from=split)
     comp = qd.compose(m21, m10)
     assert comp.t_from == 0.0
     assert comp.t_to == pytest.approx(2.0)
@@ -239,8 +244,8 @@ def test_compose_matches_one_step():
 
 def test_compose_rejects_gap():
     Ha = qd.QuadraticHamiltonian.harmonic()
-    m1 = qd.optical_map(qd.motion_integrals(qd.solve_epsilon(Ha, 1.0), 1.0))
-    m2 = qd.optical_map(qd.motion_integrals(qd.solve_epsilon(Ha, 1.0), 1.0), t_from=1.5)
+    m1 = qd.optical_map(qd.solve_epsilon(Ha, 1.0), 1.0)
+    m2 = qd.optical_map(qd.solve_epsilon(Ha, 1.0), 1.0, t_from=1.5)
     with pytest.raises(TimeError):
         qd.compose(m2, m1)
 
@@ -252,7 +257,7 @@ def test_harmonic_evolution_is_twisted_shift(coherent_tomogram, tgrid):
     # tomogram is a pure row shift through the twisted extension.
     t = np.pi / 3
     traj = qd.solve_epsilon(qd.QuadraticHamiltonian.harmonic(), t)
-    m = qd.optical_map(qd.motion_integrals(traj, t))
+    m = qd.optical_map(traj, t)
     wt = qd.evolve_tomogram(coherent_tomogram, m)
     v = coherent_tomogram.values
     ref = np.vstack([v[60:], v[:60, ::-1]])
@@ -261,7 +266,7 @@ def test_harmonic_evolution_is_twisted_shift(coherent_tomogram, tgrid):
 
 def test_evolution_conserves_row_norms(coherent_pure_tomogram):
     traj = qd.solve_epsilon(mathieu(), 1.0)
-    m = qd.optical_map(qd.motion_integrals(traj, 1.0))
+    m = qd.optical_map(traj, 1.0)
     wt = qd.evolve_tomogram(coherent_pure_tomogram, m)
     assert np.abs(wt.row_norms() - 1.0).max() < 1e-4
     assert wt.values.min() >= 0.0
@@ -271,20 +276,20 @@ def test_evolution_support_guard():
     tg = TomogramGrid(x_max=4.0, n_x=128, n_theta=45)
     w0 = tr.tomogram_from_wavefunction(make_vacuum(), tg)
     traj = qd.solve_epsilon(qd.QuadraticHamiltonian.free(), 3.0)
-    m = qd.optical_map(qd.motion_integrals(traj, 3.0))
+    m = qd.optical_map(traj, 3.0)
     with pytest.raises(SupportError):
         qd.evolve_tomogram(w0, m)
 
 
 def test_evolve_cubic_allows_small_undershoot(coherent_tomogram):
     traj = qd.solve_epsilon(qd.QuadraticHamiltonian.free(), 0.5)
-    m = qd.optical_map(qd.motion_integrals(traj, 0.5))
+    m = qd.optical_map(traj, 0.5)
     wt = qd.evolve_tomogram(coherent_tomogram, m, interp="cubic")
     assert wt.values.min() > -1e-6
 
 
 def test_evolve_identity_map_is_copy(coherent_tomogram):
-    m = qd.optical_map(qd.motion_integrals(qd.solve_epsilon(mathieu(), 0.0), 0.0))
+    m = qd.optical_map(qd.solve_epsilon(mathieu(), 0.0), 0.0)
     wt = qd.evolve_tomogram(coherent_tomogram, m)
     np.testing.assert_array_equal(wt.values, coherent_tomogram.values)
     assert wt.values is not coherent_tomogram.values
@@ -301,7 +306,7 @@ def test_evolve_samples_all_rows_in_one_call(coherent_tomogram, monkeypatch):
         return sample(self, *args, **kwargs)
 
     monkeypatch.setattr(tr.Tomogram, "sample_twisted", counted)
-    m = qd.optical_map(qd.motion_integrals(qd.solve_epsilon(mathieu(0.3), 1.0), 1.0))
+    m = qd.optical_map(qd.solve_epsilon(mathieu(0.3), 1.0), 1.0)
     qd.evolve_tomogram(coherent_tomogram, m, interp="cubic")
     assert len(calls) == 1
 
@@ -327,7 +332,7 @@ def _per_row_reference(w0, m, interp):
 
 @pytest.mark.parametrize("interp", ["linear", "cubic"])
 def test_evolve_matches_per_row_reference(coherent_tomogram, interp):
-    m = qd.optical_map(qd.motion_integrals(qd.solve_epsilon(mathieu(0.3), 1.3), 1.3))
+    m = qd.optical_map(qd.solve_epsilon(mathieu(0.3), 1.3), 1.3)
     wt = qd.evolve_tomogram(coherent_tomogram, m, interp=interp)
     ref = _per_row_reference(coherent_tomogram, m, interp)
     assert np.abs(wt.values - ref).max() < 1e-14
