@@ -56,7 +56,7 @@ def _state_tomogram(cfg):
     from . import transforms as tr
 
     psi = cfgmod.build_state(cfg)
-    w = tr.tomogram_from_wavefunction(psi, cfgmod.tomogram_grid(cfg))
+    w = tr.tomogram_from_wavefunction(psi, cfg.tomogram_grid)
     return psi, w.validate()
 
 
@@ -115,7 +115,6 @@ def _run_task(cfg, emit):
     emit(name, writer, *args)."""
     import numpy as np
 
-    from . import config as cfgmod
     from . import output as io
     from . import transforms as tr
 
@@ -131,7 +130,7 @@ def _run_task(cfg, emit):
         from . import pde_evolution as pde
         from . import quad_dynamics as qd
 
-        H = cfgmod.build_hamiltonian(cfg)
+        H = cfg.hamiltonian
         dt = _auto_dt(H)
         _, w0 = _state_tomogram(cfg)
         report["dt"] = dt
@@ -162,7 +161,7 @@ def _run_task(cfg, emit):
             raise _IOFailure(f"cannot read input tomogram: {e}")
         w.validate()
         # One FBP onto the coordinate grid serves both files.
-        g = cfgmod.coordinate_grid(cfg)
+        g = cfg.coordinate_grid
         W = tr.inverse_radon(w, q_axis=g.points, p_axis=g.points)
         emit("wigner.csv", io.write_wigner, W)
         rho = tr.density_from_wigner(W, g)
@@ -188,7 +187,7 @@ def _run_task(cfg, emit):
         from . import oracles
         from .states import density_from_wavefunction
 
-        H = cfgmod.build_hamiltonian(cfg)
+        H = cfg.hamiltonian
         psi, w0 = _state_tomogram(cfg)
         rho0 = density_from_wavefunction(psi)
         records = []
@@ -223,8 +222,7 @@ def _invariant_suite(cfg):
             "pass": bool(measured <= threshold),
         })
 
-    tg = cfgmod.tomogram_grid(cfg)
-    g = cfgmod.coordinate_grid(cfg)
+    tg, g = cfg.tomogram_grid, cfg.coordinate_grid
 
     w_vac = tr.tomogram_from_density(density_from_wavefunction(make_vacuum(g)), tg)
     ref = np.exp(-tg.xs ** 2) / np.sqrt(np.pi)
@@ -317,13 +315,14 @@ def main(argv=None):
             raise ParseError(
                 f"config is not valid JSON: line {e.lineno}, column {e.colno}: {e.msg}"
             )
-        if not isinstance(doc, dict):
-            raise ParseError(f"config {args.config!r} is not a JSON object document")
-        doc["task"] = args.task
-        if args.output_dir is not None:
-            doc["output_dir"] = args.output_dir
-        cfgmod.apply_overrides(doc, args.override)
-        cfg = cfgmod.parse_config(json.dumps(doc))
+        # parse_config refuses a document that is not an object; the
+        # positional task wins over any override of it.
+        if isinstance(doc, dict):
+            if args.output_dir is not None:
+                doc["output_dir"] = args.output_dir
+            cfgmod.apply_overrides(doc, args.override)
+            doc["task"] = args.task
+        cfg = cfgmod.parse_config(doc)
         outdir = cfg.output_dir
 
         report, files = run_job(cfg)

@@ -1,20 +1,22 @@
-"""Job configuration: parsing, validation, and object construction.
+"""Job configuration: validation of the decoded JSON job document.
 
-A job is one JSON document.  Everything except the task has a default, and
-validation collects every violated invariant before raising, so a broken
-config reports all of its problems in one pass instead of one per rerun.
+A job is one JSON document; the CLI decodes it and parse_config checks it.
+Everything except the task has a default, and validation collects every
+violated invariant before raising, so a broken config reports all of its
+problems in one pass instead of one per rerun.  The JobConfig it returns
+carries the grids and the Hamiltonian it checked; the state stays a dict
+for build_state, whose guards are run-time (exit 3) failures.
 
 Sampler specs describe the time-dependent Hamiltonian coefficients:
 {"kind": "constant", "value": v}, {"kind": "cosine", "a": a, "b": b,
 "freq": f, "phase": 0} meaning a + b cos(f t + phase), or {"kind":
-"table", "times": [...], "values": [...]}.
+"table", "times": [...], "values": [...]}.  The fields are those of the
+sampler class SAMPLERS names; a field without a default is required.
 """
 
 import json
 import math
-from dataclasses import dataclass
-
-import numpy as np
+from dataclasses import MISSING, dataclass, fields
 
 from .errors import ParseError, ValidationError
 from .grids import CoordinateGrid, TomogramGrid
@@ -29,7 +31,7 @@ from .states import make_cat, make_coherent, make_vacuum
 TASKS = ("tomogram", "evolve", "invert", "moments", "validate", "pipeline-check")
 STATE_KINDS = ("vacuum", "coherent", "cat")
 BACKENDS = ("map", "pde", "both")
-SAMPLER_KINDS = ("constant", "cosine", "table")
+SAMPLERS = {"constant": ConstantSampler, "cosine": CosineSampler, "table": TableSampler}
 
 _DEFAULT_STATE = {"kind": "vacuum", "alpha_re": 0.0, "alpha_im": 0.0, "sign": 1}
 _DEFAULT_GRID = {"x_max": 8.0, "n_x": 1024, "n_theta": 180, "q_max": 8.0, "n_q": 512}
@@ -45,8 +47,9 @@ class JobConfig:
 
     task: str
     state: dict
-    grid: dict
-    hamiltonian: dict
+    coordinate_grid: CoordinateGrid
+    tomogram_grid: TomogramGrid
+    hamiltonian: QuadraticHamiltonian
     backend: str
     times: tuple
     output_dir: str
@@ -89,45 +92,42 @@ def _is_int(x):
 
 
 def _check_sampler(name, spec, bad, t_end=None):
+    """The sampler a spec describes, or None after listing its violations."""
     if not isinstance(spec, dict):
         bad.append(f"{name} must be a sampler object, got {type(spec).__name__}")
-        return
+        return None
     kind = spec.get("kind")
-    if kind not in SAMPLER_KINDS:
-        bad.append(f"{name}.kind must be one of {SAMPLER_KINDS}, got {kind!r}")
-        return
-    if kind == "constant":
-        fields, extra = ("value",), ()
-    elif kind == "cosine":
-        fields, extra = ("a", "b", "freq"), ("phase",)
-    else:
-        fields, extra = (), ()
-    for f in fields:
-        if not _is_number(spec.get(f)):
-            bad.append(f"{name}.{f} must be a finite number")
-    for f in extra:
-        if f in spec and not _is_number(spec[f]):
-            bad.append(f"{name}.{f} must be a finite number")
-    known = {"kind", *fields, *extra}
-    if kind == "table":
-        known |= {"times", "values"}
-        ts, vs = spec.get("times"), spec.get("values")
-        for label, arr in (("times", ts), ("values", vs)):
-            if not isinstance(arr, list) or not all(_is_number(x) for x in arr):
-                bad.append(f"{name}.{label} must be a list of finite numbers")
-                return
-        bad.extend(f"{name}." + v for v in TableSampler.violations(ts, vs, t_end))
+    cls = SAMPLERS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        bad.append(f"{name}.kind must be one of {tuple(SAMPLERS)}, got {kind!r}")
+        return None
+    n_bad, args = len(bad), {}
+    for f in fields(cls):
+        if f.name not in spec and f.default is not MISSING:
+            continue
+        value = spec.get(f.name)
+        if f.type is float:
+            if _is_number(value):
+                args[f.name] = float(value)
+            else:
+                bad.append(f"{name}.{f.name} must be a finite number")
+        elif isinstance(value, list) and all(_is_number(x) for x in value):
+            args[f.name] = value
+        else:
+            bad.append(f"{name}.{f.name} must be a list of finite numbers")
+    if cls is TableSampler:
+        if len(bad) > n_bad:
+            return None
+        bad.extend(f"{name}." + v for v in TableSampler.violations(t_end=t_end, **args))
+    known = {"kind", *(f.name for f in fields(cls))}
     for k in spec:
         if k not in known:
             bad.append(f"{name} has unknown field {k!r}")
+    return cls(**args) if len(bad) == n_bad else None
 
 
-def parse_config(text):
-    """Parse and validate a JSON job document into a JobConfig."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"config is not valid JSON: line {e.lineno}, column {e.colno}: {e.msg}")
+def parse_config(doc):
+    """Validate a decoded JSON job document into a JobConfig."""
     if not isinstance(doc, dict):
         raise ParseError(f"config must be a JSON object, got {type(doc).__name__}")
 
@@ -190,18 +190,16 @@ def parse_config(text):
     if not isinstance(ham_doc, dict):
         bad.append("hamiltonian must be an object")
         ham_doc = {}
-    ham = {
-        "omega_sq": ham_doc.get("omega_sq", _DEFAULT_HAMILTONIAN["omega_sq"]),
-        "force": ham_doc.get("force", _DEFAULT_HAMILTONIAN["force"]),
-    }
     for k in ham_doc:
-        if k not in ham:
+        if k not in _DEFAULT_HAMILTONIAN:
             bad.append(f"hamiltonian has unknown field {k!r}")
     # The tasks that evolve read the Hamiltonian over [0, max(times)], so a
     # table sampler has to cover that span.
     t_end = max(times) if task in ("evolve", "pipeline-check") and times else None
-    _check_sampler("hamiltonian.omega_sq", ham["omega_sq"], bad, t_end)
-    _check_sampler("hamiltonian.force", ham["force"], bad, t_end)
+    omega_sq, force = (
+        _check_sampler(f"hamiltonian.{f}", ham_doc.get(f, default), bad, t_end)
+        for f, default in _DEFAULT_HAMILTONIAN.items()
+    )
 
     backend = doc.get("backend", "map")
     if backend not in BACKENDS:
@@ -226,8 +224,10 @@ def parse_config(text):
     return JobConfig(
         task=task,
         state=state,
-        grid=grid,
-        hamiltonian=ham,
+        coordinate_grid=CoordinateGrid(q_max=float(grid["q_max"]), n_q=int(grid["n_q"])),
+        tomogram_grid=TomogramGrid(x_max=float(grid["x_max"]), n_x=int(grid["n_x"]),
+                                   n_theta=int(grid["n_theta"])),
+        hamiltonian=QuadraticHamiltonian(omega_sq=omega_sq, force=force),
         backend=backend,
         times=tuple(float(t) for t in times),
         output_dir=output_dir,
@@ -235,44 +235,9 @@ def parse_config(text):
     )
 
 
-def build_sampler(spec):
-    """Sampler object from a validated sampler spec."""
-    kind = spec["kind"]
-    if kind == "constant":
-        return ConstantSampler(float(spec["value"]))
-    if kind == "cosine":
-        return CosineSampler(
-            float(spec["a"]), float(spec["b"]), float(spec["freq"]),
-            float(spec.get("phase", 0.0)),
-        )
-    return TableSampler(
-        np.asarray(spec["times"], dtype=float),
-        np.asarray(spec["values"], dtype=float),
-    )
-
-
-def build_hamiltonian(cfg):
-    return QuadraticHamiltonian(
-        omega_sq=build_sampler(cfg.hamiltonian["omega_sq"]),
-        force=build_sampler(cfg.hamiltonian["force"]),
-    )
-
-
-def coordinate_grid(cfg):
-    return CoordinateGrid(q_max=float(cfg.grid["q_max"]), n_q=int(cfg.grid["n_q"]))
-
-
-def tomogram_grid(cfg):
-    return TomogramGrid(
-        x_max=float(cfg.grid["x_max"]),
-        n_x=int(cfg.grid["n_x"]),
-        n_theta=int(cfg.grid["n_theta"]),
-    )
-
-
 def build_state(cfg):
     """Reference wavefunction described by the config's state block."""
-    g = coordinate_grid(cfg)
+    g = cfg.coordinate_grid
     s = cfg.state
     if s["kind"] == "vacuum":
         return make_vacuum(g)

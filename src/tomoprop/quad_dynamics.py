@@ -228,9 +228,10 @@ class OpticalAffineMap:
     """Reference-frame map (X, theta) -> (X0, theta0, weight) over [t_from, t_to].
 
     With the row vector N = (sin theta, cos theta) and N' = N Lambda^-1:
-    r = |N'|, theta0 = atan2(N'_1, N'_2) folded into [0, pi) with the X-parity
-    flip of the twisted extension, X0 = (X + N' . Delta)/r, weight = 1/r.
-    X0 is affine in X at fixed theta; frames() gives its coefficients.
+    r = |N'|, theta0 = atan2(N'_1, N'_2) in (-pi, pi], X0 = (X + N' . Delta)/r,
+    weight = 1/r.  theta0 is left unfolded; Tomogram.sample_twisted reads it
+    through the twisted extension.  X0 is affine in X at fixed theta;
+    frames() gives its coefficients.
     """
 
     lambda_mat: np.ndarray
@@ -252,11 +253,8 @@ class OpticalAffineMap:
         return bool(np.array_equal(self.lambda_mat, np.eye(2)) and not np.any(self.delta))
 
     def frames(self, theta):
-        """Per-angle frames (theta0, a, b, weight) with X0 = a X + b.
-
-        The parity flip that comes with folding theta0 into [0, pi) is
-        carried by the sign of a and b.
-        """
+        """Per-angle frames (theta0, a, b, weight) with X0 = a X + b:
+        theta0 = atan2(N'_1, N'_2), a = weight = 1/r, b = a (N' . Delta)."""
         theta = np.asarray(theta, dtype=float)
         lam = self.lambda_mat
         # det Lambda = 1, so the inverse is the adjugate.
@@ -264,14 +262,8 @@ class OpticalAffineMap:
         s, c = np.sin(theta), np.cos(theta)
         n1 = s * inv[0, 0] + c * inv[1, 0]
         n2 = s * inv[0, 1] + c * inv[1, 1]
-        r = np.hypot(n1, n2)
-        theta0 = np.arctan2(n1, n2)
-        neg = theta0 < 0.0
-        theta0 = np.where(neg, theta0 + np.pi, theta0)
-        wrap = theta0 >= np.pi
-        theta0 = np.where(wrap, theta0 - np.pi, theta0)
-        a = np.where(neg ^ wrap, -1.0, 1.0) / r
-        return theta0, a, a * (n1 * self.delta[0] + n2 * self.delta[1]), 1.0 / r
+        a = 1.0 / np.hypot(n1, n2)
+        return np.arctan2(n1, n2), a, a * (n1 * self.delta[0] + n2 * self.delta[1]), a
 
 
 def optical_map(traj, t, t_from=0.0):

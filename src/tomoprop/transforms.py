@@ -472,19 +472,19 @@ def _back_project(xs, rows, thetas, q, p):
     return acc
 
 
-def inverse_radon(w, q_axis=None, p_axis=None, window=None):
+def inverse_radon(w, q_axis=None, p_axis=None):
     """Filtered back-projection of a tomogram onto a phase-space grid.
 
     Per theta row: FFT in X, multiply by the |eta| ramp (band-limited at the
-    X Nyquist frequency, optionally a Hann window), inverse FFT, then
-    back-project with linear interpolation at s = q cos(theta) + p sin(theta)
-    and midpoint-rule theta sum.  The row FFT is zero-padded so the ramp acts
-    as a linear (not circular) convolution; the filtered projections decay
-    only like 1/X^2 and would otherwise wrap their tails back into the
-    window.  The result is confined to the reconstruction disc r < x_max:
-    outside it the projections carry no information and the truncated tails
-    leave percent-level junk, so only points strictly inside are
-    back-projected and every other point is exactly 0.  The back-projection
+    X Nyquist frequency), inverse FFT, then back-project with linear
+    interpolation at s = q cos(theta) + p sin(theta) and midpoint-rule theta
+    sum.  The row FFT is zero-padded so the ramp acts as a linear (not
+    circular) convolution; the filtered projections decay only like 1/X^2
+    and would otherwise wrap their tails back into the window.  The result
+    is confined to the reconstruction disc r < x_max: outside it the
+    projections carry no information and the truncated tails leave
+    percent-level junk, so only points strictly inside are back-projected
+    and every other point is exactly 0.  The back-projection
     is bit-identical to one np.interp(s, X, row, left=0, right=0) per theta
     summed in theta order over the whole grid and masked afterwards.
     A tomogram holding NaN or Inf is refused (SupportError).
@@ -513,11 +513,6 @@ def inverse_radon(w, q_axis=None, p_axis=None, window=None):
     odd = (n % 2) != 0
     kern[odd] = -2.0 / (np.pi * (n[odd] * dx) ** 2)
     ramp = np.real(np.fft.fft(kern)) * dx
-    if window == "hann":
-        eta = 2.0 * np.pi * np.fft.fftfreq(n_fft, d=dx)
-        ramp = ramp * 0.5 * (1.0 + np.cos(eta * dx))
-    elif window is not None:
-        raise ValueError(f"unknown window {window!r}")
 
     filtered = np.fft.ifft(np.fft.fft(w.values, n=n_fft, axis=1) * ramp, axis=1)
     # Keep only the window's real part: the padded complex rows (24 MB on
@@ -561,7 +556,7 @@ def tomogram_from_density(rho, tgrid=None):
     return Tomogram(tgrid, rows)
 
 
-def density_from_tomogram(w, grid=None, window=None):
+def density_from_tomogram(w, grid=None):
     """Density matrix from a tomogram via filtered back-projection.
 
     The reconstruction runs through inverse_radon on the coordinate grid
@@ -571,7 +566,7 @@ def density_from_tomogram(w, grid=None, window=None):
     """
     if grid is None:
         grid = CoordinateGrid(q_max=w.grid.x_max, n_q=512)
-    W = inverse_radon(w, q_axis=grid.points, p_axis=grid.points, window=window)
+    W = inverse_radon(w, q_axis=grid.points, p_axis=grid.points)
     return density_from_wigner(W, grid)
 
 

@@ -112,7 +112,7 @@ def coherent_tomogram_reference(tg, alpha):
     return np.exp(-((tg.xs[None, :] - xbar[:, None]) ** 2)) / np.sqrt(np.pi)
 
 
-def reference_inverse_radon(w, q_axis=None, p_axis=None, window=None):
+def reference_inverse_radon(w, q_axis=None, p_axis=None):
     """Filtered back-projection as one np.interp per theta over the whole
     (q, p) square, masked to the reconstruction disc afterwards: the loop
     transforms.inverse_radon must reproduce bit for bit."""
@@ -129,9 +129,6 @@ def reference_inverse_radon(w, q_axis=None, p_axis=None, window=None):
     odd = (n % 2) != 0
     kern[odd] = -2.0 / (np.pi * (n[odd] * dx) ** 2)
     ramp = np.real(np.fft.fft(kern)) * dx
-    if window == "hann":
-        eta = 2.0 * np.pi * np.fft.fftfreq(n_fft, d=dx)
-        ramp = ramp * 0.5 * (1.0 + np.cos(eta * dx))
     spec = np.fft.fft(w.values, n=n_fft, axis=1) * ramp
     filtered = np.real(np.fft.ifft(spec, axis=1))[:, : tg.n_x]
 

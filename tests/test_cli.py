@@ -308,16 +308,16 @@ def test_state_tomogram_keeps_every_needed_refusal():
         for q_c in (0.0, 2.0):
             for p_c in np.arange(0.0, 13.0, 0.5):
                 alpha = complex(q_c, p_c) / np.sqrt(2.0)
-                cfg = cfgmod.parse_config(json.dumps({
+                cfg = cfgmod.parse_config({
                     "task": "tomogram", "grid": grid,
                     "state": {"kind": "coherent", "alpha_re": alpha.real,
                               "alpha_im": alpha.imag},
-                }))
+                })
                 try:
                     psi = cfgmod.build_state(cfg)
                 except TomopropError:
                     continue
-                tg = cfgmod.tomogram_grid(cfg)
+                tg = cfg.tomogram_grid
                 w_psi = tr.tomogram_from_wavefunction(psi, tg)
                 w_rho = tr.tomogram_from_density(density_from_wavefunction(psi), tg)
                 assert np.abs(w_rho.values - w_psi.values).max() < 1e-12, (n, q_c, p_c)
@@ -352,6 +352,27 @@ def test_run_meta_sidecar(tmp_path):
     assert "started_utc" not in report
 
 
+def test_positional_task_wins_over_an_override(tmp_path):
+    assert run(tmp_path, "tomogram", {}, extra=["--override", "task=moments"]) == 0
+    assert read_json(tmp_path, "report.json")["task"] == "tomogram"
+    assert sorted(os.listdir(tmp_path / "out")) == [
+        "report.json", "run_meta.json", "tomogram.csv",
+    ]
+
+
+def test_config_is_decoded_once(tmp_path, monkeypatch):
+    calls = []
+    loads = json.loads
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return loads(*args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", counted)
+    assert run(tmp_path, "tomogram", {}) == 0
+    assert len(calls) == 1
+
+
 def test_override_flag_reaches_job(tmp_path):
     rc = run(tmp_path, "moments", {},
              extra=["--override", "state.kind=coherent",
@@ -376,6 +397,15 @@ def test_bad_json_exits_2(tmp_path, capsys):
     assert record["error"] == "ParseError"
     assert record["exit_code"] == 2
     assert "line 1" in record["message"]
+
+
+def test_non_object_config_exits_2(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    assert main(["tomogram", "--config", str(path)]) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "ParseError"
+    assert "must be a JSON object" in record["message"]
 
 
 def test_missing_config_exits_2(tmp_path, capsys):

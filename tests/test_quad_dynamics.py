@@ -206,13 +206,12 @@ def test_harmonic_map_is_pure_rotation(tgrid):
     theta0, a, b, weight = m.frames(tgrid.thetas[:, None])
     X0 = a * tgrid.xs + b
     np.testing.assert_allclose(weight, 1.0, atol=1e-10)
-    # Rotation shifts theta by t (mod pi with the twisted X flip).
+    # Rotation shifts theta by t, wrapped into (-pi, pi] and left unfolded,
+    # so X is untouched.
     shifted = tgrid.thetas[:, None] + t
-    fold = shifted >= np.pi
-    expect_theta = np.where(fold, shifted - np.pi, shifted)
-    expect_X = np.where(fold, -tgrid.xs[None, :], tgrid.xs[None, :])
+    expect_theta = np.where(shifted > np.pi, shifted - 2.0 * np.pi, shifted)
     np.testing.assert_allclose(theta0, np.broadcast_to(expect_theta, theta0.shape), atol=1e-9)
-    np.testing.assert_allclose(X0, np.broadcast_to(expect_X, X0.shape), atol=1e-9)
+    np.testing.assert_allclose(X0, np.broadcast_to(tgrid.xs, X0.shape), atol=1e-9)
 
 
 def test_free_map_scales_rows(tgrid):
