@@ -310,25 +310,58 @@ def test_override_through_scalar_field():
 # built objects
 
 
-def test_parse_config_returns_the_built_objects():
+def test_build_sampler_kinds():
     cfg = parse({
         "task": "evolve",
         "times": [1.0],
-        "grid": {"q_max": 9.0, "n_q": 256, "x_max": 9.0, "n_x": 512, "n_theta": 90},
         "hamiltonian": {
             "omega_sq": {"kind": "cosine", "a": 1.0, "b": 0.2, "freq": 2.0},
-            "force": {"kind": "table", "times": [0.0, 1.0], "values": [2.0, 3.0]},
+            "force": {"kind": "constant", "value": 0.3},
         },
     })
-    assert cfg.coordinate_grid == CoordinateGrid(q_max=9.0, n_q=256)
-    assert cfg.tomogram_grid == TomogramGrid(x_max=9.0, n_x=512, n_theta=90)
     assert cfg.hamiltonian.omega_sq == CosineSampler(a=1.0, b=0.2, freq=2.0)
-    assert cfg.hamiltonian.omega_sq(0.0) == 1.2
-    force = cfg.hamiltonian.force
-    assert isinstance(force, TableSampler)
-    assert np.array_equal(force.times, [0.0, 1.0])
-    assert np.array_equal(force.values, [2.0, 3.0])
-    assert force(0.5) == pytest.approx(2.5, abs=1e-15)
+    assert cfg.hamiltonian.omega_sq(0.0) == pytest.approx(1.2, abs=1e-15)
+    assert cfg.hamiltonian.force == ConstantSampler(value=0.3)
+    assert cfg.hamiltonian.force(7.7) == 0.3
+
+    tab = parse({
+        "task": "evolve",
+        "times": [1.0],
+        "hamiltonian": {
+            "force": {"kind": "table", "times": [0.0, 1.0], "values": [2.0, 3.0]},
+        },
+    }).hamiltonian.force
+    assert isinstance(tab, TableSampler)
+    assert np.array_equal(tab.times, [0.0, 1.0])
+    assert np.array_equal(tab.values, [2.0, 3.0])
+    assert tab(0.5) == pytest.approx(2.5, abs=1e-15)
+
+
+def test_build_hamiltonian_from_config():
+    cfg = parse({
+        "task": "evolve",
+        "times": [1.0],
+        "hamiltonian": {
+            "omega_sq": {"kind": "cosine", "a": 1.0, "b": 0.2, "freq": 2.0},
+            "force": {"kind": "constant", "value": 0.3},
+        },
+    })
+    ham = cfg.hamiltonian
+    assert isinstance(ham, QuadraticHamiltonian)
+    assert ham.omega_sq(0.0) == pytest.approx(1.2, abs=1e-15)
+    assert ham.force(5.0) == 0.3
+
+
+def test_grid_builders():
+    cfg = parse({"task": "tomogram", "grid": {"q_max": 9.0, "n_q": 256,
+                                              "x_max": 9.0, "n_x": 512,
+                                              "n_theta": 90}})
+    g = cfg.coordinate_grid
+    assert g == CoordinateGrid(q_max=9.0, n_q=256)
+    assert g.q_max == 9.0 and g.n_q == 256
+    tg = cfg.tomogram_grid
+    assert tg == TomogramGrid(x_max=9.0, n_x=512, n_theta=90)
+    assert tg.x_max == 9.0 and tg.n_x == 512 and tg.n_theta == 90
 
 
 def test_build_state_kinds():
