@@ -39,7 +39,6 @@ _EXPORTS = {
     "density_from_wavefunction": "states",
     "Tomogram": "transforms",
     "WignerFunction": "transforms",
-    "wigner_from_density": "transforms",
     "density_from_wigner": "transforms",
     "radon": "transforms",
     "inverse_radon": "transforms",

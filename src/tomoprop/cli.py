@@ -41,8 +41,7 @@ from .errors import ParseError, TomopropError, ValidationError  # noqa: E402
 
 def _auto_dt(hamiltonian):
     """Step satisfying both backends' preconditions with a factor-2 margin."""
-    sup = max(1.0, float(hamiltonian.omega_sq.upper_bound()))
-    return min(1e-3, 2.5e-3 / sup)
+    return min(1e-3, 2.5e-3 / hamiltonian.step_scale)
 
 
 def _state_tomogram(cfg):

@@ -18,6 +18,14 @@ def _raise_violations(bad):
         raise GridError("; ".join(bad))
 
 
+def trapezoid_weights(n, h):
+    """Trapezoid-rule weights of n uniform samples with spacing h."""
+    w = np.full(n, h)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    return w
+
+
 @dataclass(frozen=True)
 class CoordinateGrid:
     """Uniform symmetric position grid on [-q_max, q_max]."""
@@ -52,10 +60,7 @@ class CoordinateGrid:
 
     @cached_property
     def trapezoid_weights(self):
-        w = np.full(self.n_q, self.spacing)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return w
+        return trapezoid_weights(self.n_q, self.spacing)
 
     @property
     def nyquist_momentum(self):
@@ -109,7 +114,4 @@ class TomogramGrid:
 
     @cached_property
     def x_trapezoid_weights(self):
-        w = np.full(self.n_x, self.x_spacing)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return w
+        return trapezoid_weights(self.n_x, self.x_spacing)

@@ -53,7 +53,7 @@ def evolve_semilagrangian(w0, hamiltonian, T, dt=1e-3):
     dt = float(dt)
     if T < 0.0:
         raise TimeError(f"evolution time must be nonnegative, got {T:g}")
-    sup = max(1.0, float(hamiltonian.omega_sq.upper_bound()))
+    sup = hamiltonian.step_scale
     limit = STEP_LIMIT / sup
     if dt <= 0.0 or dt > limit * (1.0 + 1e-12):
         raise StepError(

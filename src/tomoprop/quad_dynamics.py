@@ -139,6 +139,12 @@ class QuadraticHamiltonian:
         """Same physics with the time origin moved to dt."""
         return QuadraticHamiltonian(self.omega_sq.shifted(dt), self.force.shifted(dt))
 
+    @property
+    def step_scale(self):
+        """max(1, sup omega_sq): each integrator's step limit is its own
+        constant divided by this."""
+        return max(1.0, float(self.omega_sq.upper_bound()))
+
 
 @dataclass(frozen=True)
 class EpsilonTrajectory:
@@ -178,7 +184,7 @@ def solve_epsilon(H, T, dt=1e-3, stops=()):
     dt = float(dt)
     if dt <= 0.0:
         raise StepError("dt must be positive")
-    sup = max(1.0, H.omega_sq.upper_bound())
+    sup = H.step_scale
     if dt > 1e-2 / sup * (1.0 + 1e-12):
         raise StepError(
             f"dt = {dt:g} exceeds 1e-2/max(1, sup omega_sq) = {1e-2 / sup:g}"

@@ -16,7 +16,7 @@ from scipy.ndimage import map_coordinates, spline_filter
 from scipy.signal import czt
 
 from .errors import GridError, SingularityError, SupportError
-from .grids import CoordinateGrid, TomogramGrid
+from .grids import CoordinateGrid, TomogramGrid, trapezoid_weights
 from .states import GAUSSIAN_MARGIN, DensityMatrix, WaveFunction, _require_finite
 
 # Interpolation step (in either phase-space direction) that keeps cubic-spline
@@ -26,25 +26,12 @@ SAMPLING_STEP = 0.04
 # Step of the auxiliary quadrature along rotated lines.
 LINE_STEP = 0.15
 
-# Relative magnitude below which a row/column of W counts as empty.  The
-# u-transform leaks a slowly decaying ~1e-11 tail into far momentum columns
-# wherever anti-diagonals hit the data-window corners; the threshold sits
-# above that floor so noise never counts as support, yet the mass it can
-# drop (< 1e-9 of any integral) stays far below every transform tolerance.
-LIVE_REL_TOL = 1e-10
-
 # Relative magnitude of W at the grid boundary above which a line-integral
 # transform refuses to run (mass would be truncated).
 BOUNDARY_REL_TOL = 1e-4
 
 # Absolute tomogram magnitude at the X edge above which inversion refuses.
 EDGE_MASS_TOL = 1e-8
-
-# Fraction of momentum mass allowed beyond the conjugate Wigner axis, where it
-# aliases: coherent states swept across that edge (q_max 8, n_q 256) gave
-# tomogram errors ~40x the fraction, so 1e-9 keeps them at the route's own
-# ~2e-8; states well inside the band sit at the 1e-17 round-off floor.
-ALIAS_MASS_TOL = 1e-9
 
 # Relative eigenvalue magnitude below which tomogram_from_density drops an
 # eigenpair of rho dq; the weight dropped is then at most n_q times this
@@ -61,6 +48,10 @@ class Tomogram:
 
     def row_norms(self):
         return self.values @ self.grid.x_trapezoid_weights
+
+    def edge_mass(self):
+        """Largest |w| on the two X-window edges, over all rows."""
+        return max(np.abs(self.values[:, 0]).max(), np.abs(self.values[:, -1]).max())
 
     def validate(self, neg_tol=1e-6, norm_tol=1e-3):
         if self.values.shape != (self.grid.n_theta, self.grid.n_x):
@@ -136,7 +127,7 @@ class Tomogram:
         X0 = a[:, None] * tg.xs + b[:, None]
         # X0 is affine in X on each row, so its extremes sit at the row ends.
         if np.any(np.abs(X0[:, [0, -1]]) > tg.x_max):
-            edge = max(np.abs(self.values[:, 0]).max(), np.abs(self.values[:, -1]).max())
+            edge = self.edge_mass()
             if edge > EDGE_MASS_TOL:
                 raise SupportError(
                     "mapped source points leave the X window while the tomogram "
@@ -156,8 +147,7 @@ class Tomogram:
 class WignerFunction:
     """Wigner function on a uniform (q, p) product grid.
 
-    The axes need not be conjugate; inverse_radon produces caller-chosen axes
-    while wigner_from_density produces the FFT-conjugate momentum axis.
+    The axes need not be conjugate: inverse_radon fills caller-chosen axes.
     """
 
     q_axis: np.ndarray
@@ -188,12 +178,8 @@ class WignerFunction:
 
     def mass(self):
         """Phase-space integral divided by 2*pi (should be 1)."""
-        wq = np.full(self.q_axis.size, self.q_spacing)
-        wq[0] *= 0.5
-        wq[-1] *= 0.5
-        wp = np.full(self.p_axis.size, self.p_spacing)
-        wp[0] *= 0.5
-        wp[-1] *= 0.5
+        wq = trapezoid_weights(self.q_axis.size, self.q_spacing)
+        wp = trapezoid_weights(self.p_axis.size, self.p_spacing)
         return float(wq @ self.values @ wp) / (2.0 * np.pi)
 
     def validate(self, mass_tol=1e-3):
@@ -237,47 +223,27 @@ class _SampledWigner:
     """Cubic-spline sampler over a (possibly refined) Wigner array.
 
     Coarse axes are first refined by exact trigonometric interpolation so the
-    spline step stays below SAMPLING_STEP; momentum columns that carry no mass
-    (the far tail of an FFT-conjugate axis) are cropped to keep the auxiliary
-    line quadrature short.
+    spline step stays below SAMPLING_STEP; the line quadrature spans the
+    whole array.
     """
 
     def __init__(self, W):
+        q0, p0 = float(W.q_axis[0]), float(W.p_axis[0])
+        kq = max(1, int(np.ceil(W.q_spacing / SAMPLING_STEP)))
+        kp = max(1, int(np.ceil(W.p_spacing / SAMPLING_STEP)))
         vals = np.ascontiguousarray(W.values, dtype=float)
-        q0, dq = float(W.q_axis[0]), W.q_spacing
-        p0, dp = float(W.p_axis[0]), W.p_spacing
+        vals = _fourier_refine(_fourier_refine(vals, 0, kq), 1, kp)
 
-        kq = max(1, int(np.ceil(dq / SAMPLING_STEP)))
-        kp = max(1, int(np.ceil(dp / SAMPLING_STEP)))
-        vals = _fourier_refine(vals, 0, kq)
-        vals = _fourier_refine(vals, 1, kp)
-        dq /= kq
-        dp /= kp
-
-        vmax = np.abs(vals).max()
-        live = np.nonzero(np.abs(vals).max(axis=0) > LIVE_REL_TOL * vmax)[0]
-        lo = max(0, int(live[0]) - 8)
-        hi = min(vals.shape[1], int(live[-1]) + 9)
-        vals = vals[:, lo:hi]
-        p0 = p0 + lo * dp
-        live = np.nonzero(np.abs(vals).max(axis=1) > LIVE_REL_TOL * vmax)[0]
-        lo = max(0, int(live[0]) - 8)
-        hi = min(vals.shape[0], int(live[-1]) + 9)
-        vals = vals[lo:hi, :]
-        q0 = q0 + lo * dq
-
-        self.q0, self.dq = q0, dq
-        self.p0, self.dp = p0, dp
-        self.q_extent = q0 + (vals.shape[0] - 1) * dq
-        self.p_extent = p0 + (vals.shape[1] - 1) * dp
+        self.q0, self.dq = q0, W.q_spacing / kq
+        self.p0, self.dp = p0, W.p_spacing / kp
+        q1 = q0 + (vals.shape[0] - 1) * self.dq
+        p1 = p0 + (vals.shape[1] - 1) * self.dp
         self._filt = spline_filter(vals, order=3)
 
-        half = np.hypot(max(abs(q0), abs(self.q_extent)), max(abs(p0), abs(self.p_extent)))
+        half = np.hypot(max(abs(q0), abs(q1)), max(abs(p0), abs(p1)))
         n_half = int(np.ceil(half / LINE_STEP))
         self._ys = np.arange(-n_half, n_half + 1) * LINE_STEP
-        self._yw = np.full(self._ys.size, LINE_STEP)
-        self._yw[0] *= 0.5
-        self._yw[-1] *= 0.5
+        self._yw = trapezoid_weights(self._ys.size, LINE_STEP)
 
     def at(self, qs, ps):
         iq = (np.asarray(qs) - self.q0) / self.dq
@@ -300,48 +266,14 @@ class _SampledWigner:
         return self.at(qs, ps) @ self._yw / (2.0 * np.pi)
 
 
-def wigner_from_density(rho):
-    """W(q, p) as the Fourier transform of rho(q + u/2, q - u/2) over u.
-
-    The momentum axis is FFT-conjugate to the coordinate grid (spacing
-    pi / (n_q dq)); requires an even grid size.  That axis ends at
-    pi / (2 dq), so more momentum mass beyond it than ALIAS_MASS_TOL raises
-    SupportError instead of aliasing.
-    """
-    grid = rho.grid
-    n = grid.n_q
-    if n % 2 != 0:
-        raise GridError("wigner_from_density needs an even n_q for the conjugate p-axis")
-    dq = grid.spacing
-    # Diagonal of rho in the momentum basis: the momentum distribution.
-    p_mass = np.real(np.diag(np.fft.ifft(np.fft.fft(rho.values, axis=0), axis=1)))
-    beyond = float(p_mass[np.abs(np.fft.fftfreq(n)) > 0.25].sum() / p_mass.sum())
-    if beyond > ALIAS_MASS_TOL:
-        raise SupportError(
-            f"momentum mass fraction {beyond:.3e} beyond |p| = {np.pi / (2.0 * dq):.4g} "
-            f"exceeds {ALIAS_MASS_TOL:.0e}; the Wigner grid would alias it, refine n_q"
-        )
-    du = 2.0 * dq
-
-    m = np.arange(n) - n // 2
-    idx = np.arange(n)[:, None]
-    a = idx + m[None, :]
-    b = idx - m[None, :]
-    valid = (a >= 0) & (a < n) & (b >= 0) & (b < n)
-    slices = np.where(valid, rho.values[a.clip(0, n - 1), b.clip(0, n - 1)], 0.0)
-
-    spec = np.fft.fftshift(np.fft.fft(np.fft.ifftshift(slices, axes=1), axis=1), axes=1) * du
-    p_axis = np.fft.fftshift(2.0 * np.pi * np.fft.fftfreq(n, d=du))
-    W = WignerFunction(grid.points.copy(), p_axis, np.real(spec))
-    return W.validate()
-
-
 def density_from_wigner(W, grid=None):
     """Invert the Wigner transform: rho(q, q') from W((q + q')/2, p).
 
     Midpoints between coordinate grid points are reached by spectral
-    half-step shifting of W in q, and the p-integral uses uniform weights so
-    that on FFT-conjugate axes the inversion is exact to rounding.
+    half-step shifting of W in q, and the p-integral uses uniform weights.
+    On a momentum axis FFT-conjugate to q (spacing pi / (n dq)) the
+    inversion is exact to rounding; density_from_tomogram passes the
+    coordinate axis as both q and p.
     """
     q_axis = W.q_axis
     n = q_axis.size
@@ -495,7 +427,7 @@ def inverse_radon(w, q_axis=None, p_axis=None):
     if p_axis is None:
         p_axis = np.linspace(-tg.x_max, tg.x_max, min(tg.n_x, 512))
     _require_finite(w.values, "tomogram")
-    edge = max(np.abs(w.values[:, 0]).max(), np.abs(w.values[:, -1]).max())
+    edge = w.edge_mass()
     if edge > EDGE_MASS_TOL:
         raise SupportError(
             f"tomogram carries {edge:.3e} at |X| = x_max; support is truncated"

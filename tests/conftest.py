@@ -112,6 +112,14 @@ def coherent_tomogram_reference(tg, alpha):
     return np.exp(-((tg.xs[None, :] - xbar[:, None]) ** 2)) / np.sqrt(np.pi)
 
 
+def vacuum_wigner_reference(grid):
+    """Closed-form vacuum Wigner function 2 exp(-q^2 - p^2) on the q grid
+    and the momentum axis FFT-conjugate to it (spacing pi / (n_q dq))."""
+    q = grid.points.copy()
+    p = np.fft.fftshift(2.0 * np.pi * np.fft.fftfreq(grid.n_q, d=2.0 * grid.spacing))
+    return tr.WignerFunction(q, p, 2.0 * np.exp(-q[:, None] ** 2 - p[None, :] ** 2))
+
+
 def reference_inverse_radon(w, q_axis=None, p_axis=None):
     """Filtered back-projection as one np.interp per theta over the whole
     (q, p) square, masked to the reconstruction disc afterwards: the loop

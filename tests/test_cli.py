@@ -533,8 +533,8 @@ def test_failed_evolve_leaves_no_data_file(tmp_path, capsys):
 
 
 def test_validate_runs_on_odd_n_q(tmp_path):
-    # validate never builds the conjugate Wigner grid, so an odd n_q is fine
-    # and reruns stay byte identical.
+    # No task needs an even n_q: validate's radon reads the Wigner function
+    # that filtered back-projection returns, and reruns stay byte identical.
     cfg = write_config(tmp_path, {"grid": {**SMALL_GRID, "n_q": 511}})
     reports = []
     for d in ("a", "b"):

@@ -18,7 +18,7 @@ def test_every_export_resolves():
 @pytest.mark.parametrize("name", [
     "SymplecticTomogram", "symplectic_tomogram", "density_point_from_tomogram",
     "kernel_norm_defect", "position_expectation", "momentum_expectation",
-    "MotionIntegrals", "motion_integrals",
+    "MotionIntegrals", "motion_integrals", "wigner_from_density",
 ])
 def test_removed_names_are_gone(name):
     with pytest.raises(AttributeError):

@@ -9,6 +9,8 @@ from tomoprop import output, states, transforms
 from tomoprop.errors import GridError, ParseError
 from tomoprop.grids import CoordinateGrid, TomogramGrid
 
+from conftest import vacuum_wigner_reference
+
 
 @pytest.fixture(scope="module")
 def small_tomogram():
@@ -109,10 +111,7 @@ def test_write_density_layout(tmp_path):
 
 
 def test_write_wigner_layout(tmp_path):
-    from tomoprop.grids import CoordinateGrid
-    g = CoordinateGrid(q_max=8.0, n_q=48)
-    W = transforms.wigner_from_density(
-        states.density_from_wavefunction(states.make_vacuum(g)))
+    W = vacuum_wigner_reference(CoordinateGrid(q_max=8.0, n_q=48))
     path = tmp_path / "wig.csv"
     output.write_wigner(path, W)
     lines = path.read_text().splitlines()

@@ -11,6 +11,7 @@ from conftest import (
     reference_density_from_wigner,
     reference_inverse_radon,
     vacuum_tomogram_reference,
+    vacuum_wigner_reference,
 )
 
 
@@ -168,55 +169,29 @@ def test_sample_twisted_unknown_interp(coherent_tomogram):
 
 # ------------------------------------------------------------------- Wigner
 
-def test_vacuum_wigner_is_gaussian(vacuum_rho):
-    W = tr.wigner_from_density(vacuum_rho)
-    qq, pp = np.meshgrid(W.q_axis, W.p_axis, indexing="ij")
-    ref = 2.0 * np.exp(-(qq**2) - pp**2)
-    assert np.abs(W.values - ref).max() < 1e-12
-    assert W.mass() == pytest.approx(1.0, abs=1e-9)
-
-
-def test_coherent_wigner_is_displaced_gaussian(coherent_complex_rho):
-    W = tr.wigner_from_density(coherent_complex_rho)
-    qq, pp = np.meshgrid(W.q_axis, W.p_axis, indexing="ij")
-    qc, pc = np.sqrt(2.0), np.sqrt(2.0) * 0.5
-    ref = 2.0 * np.exp(-((qq - qc) ** 2) - (pp - pc) ** 2)
-    assert np.abs(W.values - ref).max() < 1e-9
-
-
-def test_wigner_needs_even_grid():
-    g = CoordinateGrid(q_max=8.0, n_q=511)
-    rho = density_from_wavefunction(make_coherent(0.0, g))
-    with pytest.raises(GridError):
-        tr.wigner_from_density(rho)
-
-
 @pytest.mark.parametrize("p", [20.0, 29.0, 30.0, 31.0])
-def test_wigner_refuses_momentum_beyond_its_axis(p):
-    # The conjugate p-axis ends at pi / (2 dq) = 25.0 on this grid, half the
-    # wavefunction's band: p = 29-31 pass the state guards but would alias
-    # into rows 0.56 off the exact tomogram; p = 20 is well inside.  The
-    # density's tomogram never builds that axis, so it is exact at every p.
+def test_density_tomogram_is_exact_beyond_half_the_momentum_band(p):
+    # Half the wavefunction's band is pi / (2 dq) = 25.0 on this grid;
+    # p = 29-31 lie beyond it but pass the state guards, and p = 20 is well
+    # inside.  The density's tomogram reads only the eigenstates' own
+    # spectra, so it is exact at every p.
     g = CoordinateGrid(q_max=8.0, n_q=256)
     tg = TomogramGrid(x_max=8.0, n_x=256, n_theta=32)
     alpha = 1j * p / np.sqrt(2.0)
     rho = density_from_wavefunction(make_coherent(alpha, g))
     w = tr.tomogram_from_density(rho, tg)
     assert np.abs(w.values - coherent_tomogram_reference(tg, alpha)).max() < 1e-10
-    if p > 25.0:
-        with pytest.raises(SupportError, match="momentum mass fraction"):
-            tr.wigner_from_density(rho)
 
 
 def test_density_wigner_round_trip_is_exact(vacuum_rho, grid):
-    W = tr.wigner_from_density(vacuum_rho)
+    W = vacuum_wigner_reference(grid)
     back = tr.density_from_wigner(W, grid)
     assert np.abs(back.values - vacuum_rho.values).max() < 1e-12
     assert back.hermiticity_defect < 1e-12
 
 
-def test_density_from_wigner_grid_mismatch(vacuum_rho):
-    W = tr.wigner_from_density(vacuum_rho)
+def test_density_from_wigner_grid_mismatch(grid):
+    W = vacuum_wigner_reference(grid)
     with pytest.raises(GridError):
         tr.density_from_wigner(W, CoordinateGrid(q_max=8.0, n_q=256))
 
@@ -339,8 +314,8 @@ def test_density_from_wigner_matches_full_offset_table(coherent_tomogram, n):
         assert got.hermiticity_defect == ref.hermiticity_defect
 
 
-def test_density_from_wigner_matches_full_offset_table_on_conjugate_axes(vacuum_rho, grid):
-    W = tr.wigner_from_density(vacuum_rho)
+def test_density_from_wigner_matches_full_offset_table_on_conjugate_axes(grid):
+    W = vacuum_wigner_reference(grid)
     got = tr.density_from_wigner(W, grid)
     ref = reference_density_from_wigner(W, grid)
     assert got.values.tobytes() == ref.values.tobytes()
