@@ -132,6 +132,7 @@ def _run_task(cfg, emit):
         H = cfg.hamiltonian
         dt = _auto_dt(H)
         _, w0 = _state_tomogram(cfg)
+        report["backend"] = cfg.backend
         report["dt"] = dt
         report["times"] = list(cfg.times)
         if cfg.backend in ("map", "both"):
@@ -160,10 +161,9 @@ def _run_task(cfg, emit):
             raise _IOFailure(f"cannot read input tomogram: {e}")
         w.validate()
         # One FBP onto the coordinate grid serves both files.
-        g = cfg.coordinate_grid
-        W = tr.inverse_radon(w, q_axis=g.points, p_axis=g.points)
+        W = tr.inverse_radon(w, cfg.coordinate_grid)
         emit("wigner.csv", io.write_wigner, W)
-        rho = tr.density_from_wigner(W, g)
+        rho = tr.density_from_wigner(W)
         emit("density.csv", io.write_density, rho)
         report["wigner_mass"] = float(W.mass())
         report["trace"] = float(rho.trace())

@@ -158,21 +158,19 @@ def write_density(path, rho):
 
 
 def write_wigner(path, W):
+    """The p headers and rows repeat the q grid: W has one axis for both."""
+    g = W.grid
+    lo, hi = FLOAT_FMT % g.q_min, FLOAT_FMT % g.q_max
     headers = [
-        "# q_min=" + (FLOAT_FMT % W.q_axis[0]),
-        "# q_max=" + (FLOAT_FMT % W.q_axis[-1]),
-        "# n_q=%d" % W.q_axis.size,
-        "# p_min=" + (FLOAT_FMT % W.p_axis[0]),
-        "# p_max=" + (FLOAT_FMT % W.p_axis[-1]),
-        "# n_p=%d" % W.p_axis.size,
+        "# q_min=" + lo, "# q_max=" + hi, "# n_q=%d" % g.n_q,
+        "# p_min=" + lo, "# p_max=" + hi, "# n_p=%d" % g.n_q,
         "# columns=q,p,w",
     ]
     rows = _rows(
-        [(FLOAT_FMT % q) + "," for q in W.q_axis],
-        [(FLOAT_FMT % p) + "," + FLOAT_FMT for p in W.p_axis],
+        [(FLOAT_FMT % q) + "," for q in g.points],
+        [(FLOAT_FMT % p) + "," + FLOAT_FMT for p in g.points],
     )
-    shape = (W.q_axis.size, W.p_axis.size)
-    _write_table(path, headers, _fill(rows, {"Wigner array": W.values}, shape))
+    _write_table(path, headers, _fill(rows, {"Wigner array": W.values}, (g.n_q, g.n_q)))
 
 
 def write_moments(path, tg, m1, m2):

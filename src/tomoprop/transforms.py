@@ -145,42 +145,29 @@ class Tomogram:
 
 @dataclass
 class WignerFunction:
-    """Wigner function on a uniform (q, p) product grid.
+    """Wigner function on the square (q, p) grid whose q and p axes are both
+    the points of one CoordinateGrid."""
 
-    The axes need not be conjugate: inverse_radon fills caller-chosen axes.
-    """
-
-    q_axis: np.ndarray
-    p_axis: np.ndarray
+    grid: CoordinateGrid
     values: np.ndarray
 
     def __post_init__(self):
-        for name, ax in (("q_axis", self.q_axis), ("p_axis", self.p_axis)):
-            ax = np.asarray(ax, dtype=float)
-            if ax.ndim != 1 or ax.size < 8:
-                raise GridError(f"{name} must be a 1-d axis with at least 8 points")
-            d = np.diff(ax)
-            if not np.allclose(d, d[0], rtol=1e-9, atol=0.0):
-                raise GridError(f"{name} must be uniform")
-        if self.values.shape != (self.q_axis.size, self.p_axis.size):
+        n = self.grid.n_q
+        if self.values.shape != (n, n):
             raise GridError(
-                f"Wigner array shape {self.values.shape} does not match axes "
-                f"({self.q_axis.size}, {self.p_axis.size})"
+                f"Wigner array shape {self.values.shape} does not match grid ({n}, {n})"
             )
 
     @property
-    def q_spacing(self):
-        return float(self.q_axis[1] - self.q_axis[0])
-
-    @property
-    def p_spacing(self):
-        return float(self.p_axis[1] - self.p_axis[0])
+    def spacing(self):
+        # The step between the first two points, which can differ from
+        # grid.spacing in the last bit; every Wigner quadrature uses it.
+        return float(self.grid.points[1] - self.grid.points[0])
 
     def mass(self):
         """Phase-space integral divided by 2*pi (should be 1)."""
-        wq = trapezoid_weights(self.q_axis.size, self.q_spacing)
-        wp = trapezoid_weights(self.p_axis.size, self.p_spacing)
-        return float(wq @ self.values @ wp) / (2.0 * np.pi)
+        w = trapezoid_weights(self.grid.n_q, self.spacing)
+        return float(w @ self.values @ w) / (2.0 * np.pi)
 
     def validate(self, mass_tol=1e-3):
         _require_finite(self.values, "Wigner function")
@@ -222,32 +209,28 @@ def _fourier_refine(values, axis, factor):
 class _SampledWigner:
     """Cubic-spline sampler over a (possibly refined) Wigner array.
 
-    Coarse axes are first refined by exact trigonometric interpolation so the
-    spline step stays below SAMPLING_STEP; the line quadrature spans the
-    whole array.
+    A coarse grid is first refined along both axes by exact trigonometric
+    interpolation so the spline step stays below SAMPLING_STEP; the line
+    quadrature spans the whole array.
     """
 
     def __init__(self, W):
-        q0, p0 = float(W.q_axis[0]), float(W.p_axis[0])
-        kq = max(1, int(np.ceil(W.q_spacing / SAMPLING_STEP)))
-        kp = max(1, int(np.ceil(W.p_spacing / SAMPLING_STEP)))
+        q0 = float(W.grid.points[0])
+        k = max(1, int(np.ceil(W.spacing / SAMPLING_STEP)))
         vals = np.ascontiguousarray(W.values, dtype=float)
-        vals = _fourier_refine(_fourier_refine(vals, 0, kq), 1, kp)
+        vals = _fourier_refine(_fourier_refine(vals, 0, k), 1, k)
 
-        self.q0, self.dq = q0, W.q_spacing / kq
-        self.p0, self.dp = p0, W.p_spacing / kp
-        q1 = q0 + (vals.shape[0] - 1) * self.dq
-        p1 = p0 + (vals.shape[1] - 1) * self.dp
+        self.q0, self.dq = q0, W.spacing / k
+        reach = max(abs(q0), abs(q0 + (vals.shape[0] - 1) * self.dq))
         self._filt = spline_filter(vals, order=3)
 
-        half = np.hypot(max(abs(q0), abs(q1)), max(abs(p0), abs(p1)))
-        n_half = int(np.ceil(half / LINE_STEP))
+        n_half = int(np.ceil(np.hypot(reach, reach) / LINE_STEP))
         self._ys = np.arange(-n_half, n_half + 1) * LINE_STEP
         self._yw = trapezoid_weights(self._ys.size, LINE_STEP)
 
     def at(self, qs, ps):
         iq = (np.asarray(qs) - self.q0) / self.dq
-        ip = (np.asarray(ps) - self.p0) / self.dp
+        ip = (np.asarray(ps) - self.q0) / self.dq
         out = map_coordinates(
             self._filt,
             np.array([iq.ravel(), ip.ravel()]),
@@ -266,24 +249,16 @@ class _SampledWigner:
         return self.at(qs, ps) @ self._yw / (2.0 * np.pi)
 
 
-def density_from_wigner(W, grid=None):
-    """Invert the Wigner transform: rho(q, q') from W((q + q')/2, p).
+def density_from_wigner(W):
+    """Invert the Wigner transform: rho(q, q') from W((q + q')/2, p), on the
+    Wigner function's own grid.
 
     Midpoints between coordinate grid points are reached by spectral
     half-step shifting of W in q, and the p-integral uses uniform weights.
-    On a momentum axis FFT-conjugate to q (spacing pi / (n dq)) the
-    inversion is exact to rounding; density_from_tomogram passes the
-    coordinate axis as both q and p.
     """
-    q_axis = W.q_axis
-    n = q_axis.size
-    dq = W.q_spacing
-    if abs(q_axis[0] + q_axis[-1]) > 1e-9 * abs(q_axis[-1]):
-        raise GridError("density_from_wigner expects a symmetric q-axis")
-    if grid is None:
-        grid = CoordinateGrid(q_max=float(q_axis[-1]), n_q=n)
-    if grid.n_q != n or not np.allclose(grid.points, q_axis, rtol=0.0, atol=1e-9):
-        raise GridError("target grid must coincide with the Wigner q-axis")
+    grid = W.grid
+    n = grid.n_q
+    dq = W.spacing
 
     k = 2.0 * np.pi * np.fft.fftfreq(n, d=dq)
     shifted = np.real(
@@ -298,7 +273,7 @@ def density_from_wigner(W, grid=None):
     C = np.empty((2 * n - 1, n), dtype=complex)
     for parity, rows in ((0, W.values), (1, shifted[: n - 1])):
         d = 2 * c - (n - 1) + (n - 1 + parity) % 2
-        phase = np.exp(1j * np.outer(W.p_axis, d * dq)) * (W.p_spacing / (2.0 * np.pi))
+        phase = np.exp(1j * np.outer(grid.points, d * dq)) * (dq / (2.0 * np.pi))
         C[parity::2] = rows.astype(complex) @ phase
 
     ii = np.arange(n)
@@ -404,8 +379,9 @@ def _back_project(xs, rows, thetas, q, p):
     return acc
 
 
-def inverse_radon(w, q_axis=None, p_axis=None):
-    """Filtered back-projection of a tomogram onto a phase-space grid.
+def inverse_radon(w, grid=None):
+    """Filtered back-projection of a tomogram onto the square (q, p) grid
+    of a CoordinateGrid, by default CoordinateGrid(x_max, min(n_x, 512)).
 
     Per theta row: FFT in X, multiply by the |eta| ramp (band-limited at the
     X Nyquist frequency), inverse FFT, then back-project with linear
@@ -422,10 +398,8 @@ def inverse_radon(w, q_axis=None, p_axis=None):
     A tomogram holding NaN or Inf is refused (SupportError).
     """
     tg = w.grid
-    if q_axis is None:
-        q_axis = np.linspace(-tg.x_max, tg.x_max, min(tg.n_x, 512))
-    if p_axis is None:
-        p_axis = np.linspace(-tg.x_max, tg.x_max, min(tg.n_x, 512))
+    if grid is None:
+        grid = CoordinateGrid(q_max=tg.x_max, n_q=min(tg.n_x, 512))
     _require_finite(w.values, "tomogram")
     edge = w.edge_mass()
     if edge > EDGE_MASS_TOL:
@@ -451,14 +425,12 @@ def inverse_radon(w, q_axis=None, p_axis=None):
     # the default grids) are freed before the back-projection starts.
     filtered = filtered[:, : tg.n_x].real.copy()
 
-    q_axis = np.asarray(q_axis, dtype=float)
-    p_axis = np.asarray(p_axis, dtype=float)
-    qq, pp = np.broadcast_arrays(q_axis[:, None], p_axis[None, :])
+    qq, pp = np.broadcast_arrays(grid.points[:, None], grid.points[None, :])
     inside = np.hypot(qq, pp) < tg.x_max
     out = np.zeros(inside.shape)
     acc = _back_project(tg.xs, filtered, tg.thetas, qq[inside], pp[inside])
     out[inside] = acc * tg.theta_spacing
-    return WignerFunction(q_axis, p_axis, out)
+    return WignerFunction(grid, out)
 
 
 def tomogram_from_density(rho, tgrid=None):
@@ -491,15 +463,12 @@ def tomogram_from_density(rho, tgrid=None):
 def density_from_tomogram(w, grid=None):
     """Density matrix from a tomogram via filtered back-projection.
 
-    The reconstruction runs through inverse_radon on the coordinate grid
-    points (momentum axis equal to the coordinate axis) and the exact Wigner
-    inversion.  Hermiticity is enforced by symmetrization; the pre-projection
-    defect is recorded on the result.
+    The reconstruction runs through inverse_radon onto grid (its default
+    when None) and the Wigner inversion on that grid.  Hermiticity is
+    enforced by symmetrization; the pre-projection defect is recorded on the
+    result.
     """
-    if grid is None:
-        grid = CoordinateGrid(q_max=w.grid.x_max, n_q=512)
-    W = inverse_radon(w, q_axis=grid.points, p_axis=grid.points)
-    return density_from_wigner(W, grid)
+    return density_from_wigner(inverse_radon(w, grid))
 
 
 def tomogram_from_wavefunction(psi, tgrid=None):

@@ -113,22 +113,19 @@ def coherent_tomogram_reference(tg, alpha):
 
 
 def vacuum_wigner_reference(grid):
-    """Closed-form vacuum Wigner function 2 exp(-q^2 - p^2) on the q grid
-    and the momentum axis FFT-conjugate to it (spacing pi / (n_q dq))."""
-    q = grid.points.copy()
-    p = np.fft.fftshift(2.0 * np.pi * np.fft.fftfreq(grid.n_q, d=2.0 * grid.spacing))
-    return tr.WignerFunction(q, p, 2.0 * np.exp(-q[:, None] ** 2 - p[None, :] ** 2))
+    """Closed-form vacuum Wigner function 2 exp(-q^2 - p^2) on the square
+    grid of grid.points."""
+    q = grid.points
+    return tr.WignerFunction(grid, 2.0 * np.exp(-q[:, None] ** 2 - q[None, :] ** 2))
 
 
-def reference_inverse_radon(w, q_axis=None, p_axis=None):
+def reference_inverse_radon(w, grid=None):
     """Filtered back-projection as one np.interp per theta over the whole
     (q, p) square, masked to the reconstruction disc afterwards: the loop
     transforms.inverse_radon must reproduce bit for bit."""
     tg = w.grid
-    if q_axis is None:
-        q_axis = np.linspace(-tg.x_max, tg.x_max, min(tg.n_x, 512))
-    if p_axis is None:
-        p_axis = np.linspace(-tg.x_max, tg.x_max, min(tg.n_x, 512))
+    if grid is None:
+        grid = CoordinateGrid(q_max=tg.x_max, n_q=min(tg.n_x, 512))
     n_fft = tr.next_fast_len(8 * tg.n_x)
     dx = tg.x_spacing
     n = np.fft.fftfreq(n_fft, d=1.0 / n_fft).astype(int)
@@ -140,31 +137,32 @@ def reference_inverse_radon(w, q_axis=None, p_axis=None):
     spec = np.fft.fft(w.values, n=n_fft, axis=1) * ramp
     filtered = np.real(np.fft.ifft(spec, axis=1))[:, : tg.n_x]
 
-    out = np.zeros((q_axis.size, p_axis.size))
-    qq = np.asarray(q_axis)[:, None]
-    pp = np.asarray(p_axis)[None, :]
+    out = np.zeros((grid.n_q, grid.n_q))
+    qq = grid.points[:, None]
+    pp = grid.points[None, :]
     for j, theta in enumerate(tg.thetas):
         s = qq * np.cos(theta) + pp * np.sin(theta)
         out += np.interp(s.ravel(), tg.xs, filtered[j], left=0.0, right=0.0).reshape(out.shape)
     out *= tg.theta_spacing
     out[np.hypot(qq, pp) >= tg.x_max] = 0.0
-    return tr.WignerFunction(np.asarray(q_axis, dtype=float), np.asarray(p_axis, dtype=float), out)
+    return tr.WignerFunction(grid, out)
 
 
-def reference_density_from_wigner(W, grid):
+def reference_density_from_wigner(W):
     """Wigner inversion through the full (2n - 1) x (2n - 1) offset table P,
     of which transforms.density_from_wigner computes only the entries read."""
-    n = W.q_axis.size
-    dq = W.q_spacing
+    grid = W.grid
+    n = grid.n_q
+    dq = W.spacing
     k = 2.0 * np.pi * np.fft.fftfreq(n, d=dq)
     shifted = np.real(
         np.fft.ifft(np.fft.fft(W.values, axis=0) * np.exp(1j * k * dq / 2.0)[:, None], axis=0)
     )
-    rows_half = np.empty((2 * n - 1, W.p_axis.size))
+    rows_half = np.empty((2 * n - 1, n))
     rows_half[0::2] = W.values
     rows_half[1::2] = shifted[: n - 1]
     d = np.arange(-(n - 1), n)
-    phase = np.exp(1j * np.outer(W.p_axis, d * dq)) * (W.p_spacing / (2.0 * np.pi))
+    phase = np.exp(1j * np.outer(grid.points, d * dq)) * (dq / (2.0 * np.pi))
     P = rows_half.astype(complex) @ phase
     ii = np.arange(n)
     vals = P[ii[:, None] + ii[None, :], ii[:, None] - ii[None, :] + (n - 1)]

@@ -69,6 +69,19 @@ def test_evolve_task_map_only(tmp_path):
     assert not (tmp_path / "out" / "tomogram_pde_000.csv").exists()
 
 
+def test_evolve_report_names_its_backend(tmp_path):
+    reports = {}
+    for backend in ("map", "pde"):
+        doc = {"times": [0.5], "backend": backend}
+        cfg = write_config(tmp_path, doc, name=backend + ".json")
+        assert main(["evolve", "--config", cfg, "--output-dir", str(tmp_path / backend)]) == 0
+        with open(tmp_path / backend / "report.json", encoding="utf-8") as fh:
+            reports[backend] = json.load(fh)
+    assert reports["map"].pop("backend") == "map"
+    assert reports["pde"].pop("backend") == "pde"
+    assert reports["map"] == reports["pde"]
+
+
 def test_invert_task(tmp_path):
     run(tmp_path, "tomogram", {})
     doc = {"input_path": str(tmp_path / "out" / "tomogram.csv")}

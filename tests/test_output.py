@@ -117,7 +117,7 @@ def test_write_wigner_layout(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0].startswith("# q_min=")
     assert lines[6] == "# columns=q,p,w"
-    assert len(lines) == 7 + W.q_axis.size * W.p_axis.size
+    assert len(lines) == 7 + W.grid.n_q ** 2
     data = np.loadtxt(path, comments="#", delimiter=",")
     assert np.array_equal(data[:, 2].reshape(W.values.shape), W.values)
 
@@ -188,17 +188,18 @@ def reference_density(rho):
 
 
 def reference_wigner(W):
+    axis = W.grid.points
     lines = [
-        "# q_min=" + (F % W.q_axis[0]),
-        "# q_max=" + (F % W.q_axis[-1]),
-        "# n_q=%d" % W.q_axis.size,
-        "# p_min=" + (F % W.p_axis[0]),
-        "# p_max=" + (F % W.p_axis[-1]),
-        "# n_p=%d" % W.p_axis.size,
+        "# q_min=" + (F % axis[0]),
+        "# q_max=" + (F % axis[-1]),
+        "# n_q=%d" % axis.size,
+        "# p_min=" + (F % axis[0]),
+        "# p_max=" + (F % axis[-1]),
+        "# n_p=%d" % axis.size,
         "# columns=q,p,w",
     ]
-    ps = [F % p for p in W.p_axis]
-    for i, q in enumerate(W.q_axis):
+    ps = [F % p for p in axis]
+    for i, q in enumerate(axis):
         qs = F % q
         row = W.values[i]
         lines.extend(qs + "," + ps[j] + "," + (F % row[j]) for j in range(len(ps)))
@@ -254,9 +255,10 @@ def test_write_density_bytes_match_reference(tmp_path):
 
 
 def test_write_wigner_bytes_match_reference(tmp_path):
-    # Non-square axes, so a transposed layout cannot pass.
-    q, p = np.linspace(-1.3, 1.3, 9), np.linspace(-2.1, 2.1, 12)
-    W = transforms.WignerFunction(q, p, values_with_edges((9, 12), 4))
+    # Values that are not symmetric, so a transposed layout cannot pass.
+    g = CoordinateGrid(q_max=0.1 * 13, n_q=9)
+    W = transforms.WignerFunction(g, values_with_edges((9, 9), 4))
+    assert not np.array_equal(W.values, W.values.T, equal_nan=True)
     output.write_wigner(tmp_path / "wig.csv", W)
     assert_bytes(tmp_path / "wig.csv", reference_wigner(W))
 
@@ -272,7 +274,7 @@ def test_write_moments_bytes_match_reference(tmp_path):
 def test_writers_refuse_values_off_the_grid(tmp_path):
     tg = TomogramGrid(x_max=4.0, n_x=16, n_theta=8)
     g = CoordinateGrid(q_max=4.0, n_q=8)
-    W = transforms.WignerFunction(g.points, g.points, np.zeros((8, 8)))
+    W = transforms.WignerFunction(g, np.zeros((8, 8)))
     W.values = np.zeros((8, 9))
     cases = [
         (output.write_tomogram, (transforms.Tomogram(tg, np.zeros((8, 15))),)),

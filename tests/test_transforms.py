@@ -113,14 +113,19 @@ def test_tomogram_validate_rejects_non_finite(vacuum_tomogram):
 
 
 def test_wigner_validate_rejects_non_finite():
-    axis = np.linspace(-6.0, 6.0, 64)
-    vals = 2.0 * np.exp(-axis[:, None] ** 2 - axis[None, :] ** 2)
-    tr.WignerFunction(axis, axis, vals).validate()
+    g = CoordinateGrid(q_max=6.0, n_q=64)
+    vals = 2.0 * np.exp(-g.points[:, None] ** 2 - g.points[None, :] ** 2)
+    tr.WignerFunction(g, vals).validate()
     for bad in (np.nan, np.inf):
         broken = vals.copy()
         broken[10, 20] = bad
         with pytest.raises(SupportError, match="non-finite"):
-            tr.WignerFunction(axis, axis, broken).validate()
+            tr.WignerFunction(g, broken).validate()
+
+
+def test_wigner_rejects_values_off_its_grid():
+    with pytest.raises(GridError, match="does not match grid"):
+        tr.WignerFunction(CoordinateGrid(q_max=4.0, n_q=8), np.zeros((8, 9)))
 
 
 # ---------------------------------------------------------- twisted sampling
@@ -185,20 +190,13 @@ def test_density_tomogram_is_exact_beyond_half_the_momentum_band(p):
 
 def test_density_wigner_round_trip_is_exact(vacuum_rho, grid):
     W = vacuum_wigner_reference(grid)
-    back = tr.density_from_wigner(W, grid)
+    back = tr.density_from_wigner(W)
     assert np.abs(back.values - vacuum_rho.values).max() < 1e-12
     assert back.hermiticity_defect < 1e-12
 
 
-def test_density_from_wigner_grid_mismatch(grid):
-    W = vacuum_wigner_reference(grid)
-    with pytest.raises(GridError):
-        tr.density_from_wigner(W, CoordinateGrid(q_max=8.0, n_q=256))
-
-
 def test_radon_rejects_truncated_support():
-    ax = np.linspace(-4.0, 4.0, 64)
-    W = tr.WignerFunction(ax, ax, np.ones((64, 64)))
+    W = tr.WignerFunction(CoordinateGrid(q_max=4.0, n_q=64), np.ones((64, 64)))
     with pytest.raises(SupportError):
         tr.radon(W)
 
@@ -207,7 +205,9 @@ def test_radon_rejects_truncated_support():
 
 def test_inverse_radon_reconstructs_vacuum(vacuum_tomogram):
     W = tr.inverse_radon(vacuum_tomogram)
-    qq, pp = np.meshgrid(W.q_axis, W.p_axis, indexing="ij")
+    # The default grid: min(n_x, 512) points across the X window.
+    assert np.array_equal(W.grid.points, np.linspace(-8.0, 8.0, 512))
+    qq, pp = np.meshgrid(W.grid.points, W.grid.points, indexing="ij")
     ref = 2.0 * np.exp(-(qq**2) - pp**2)
     assert np.abs(W.values - ref).max() < 5e-4
     assert W.mass() == pytest.approx(1.0, abs=1e-4)
@@ -233,11 +233,10 @@ def test_inverse_radon_refuses_non_finite_tomogram(vacuum_tomogram):
         tr.inverse_radon(tr.Tomogram(vacuum_tomogram.grid, vals))
 
 
-def _assert_matches_reference_loop(w, q_axis=None, p_axis=None):
-    got = tr.inverse_radon(w, q_axis, p_axis)
-    ref = reference_inverse_radon(w, q_axis, p_axis)
-    assert np.array_equal(got.q_axis, ref.q_axis)
-    assert np.array_equal(got.p_axis, ref.p_axis)
+def _assert_matches_reference_loop(w, grid=None):
+    got = tr.inverse_radon(w, grid)
+    ref = reference_inverse_radon(w, grid)
+    assert got.grid == ref.grid
     assert np.array_equal(got.values, ref.values)
     # Also the sign of every zero, which the data files print.
     assert got.values.tobytes() == ref.values.tobytes()
@@ -246,32 +245,26 @@ def _assert_matches_reference_loop(w, q_axis=None, p_axis=None):
 
 def test_inverse_radon_matches_reference_loop_on_default_grids(coherent_tomogram, grid,
                                                                 cat_tomogram):
-    _assert_matches_reference_loop(coherent_tomogram, grid.points, grid.points)
+    _assert_matches_reference_loop(coherent_tomogram, grid)
     _assert_matches_reference_loop(cat_tomogram)
 
 
 def test_inverse_radon_matches_reference_loop_on_odd_grids(coherent_psi):
     tg = TomogramGrid(x_max=8.0, n_x=301, n_theta=45)
     w = tr.tomogram_from_wavefunction(coherent_psi, tg)
-    _assert_matches_reference_loop(w, np.linspace(-8.0, 8.0, 129), np.linspace(-8.0, 8.0, 129))
+    _assert_matches_reference_loop(w, CoordinateGrid(q_max=8.0, n_q=129))
 
 
 def test_inverse_radon_matches_reference_loop_beyond_the_disc(coherent_psi):
     tg = TomogramGrid(x_max=8.0, n_x=300, n_theta=37)
     w = tr.tomogram_from_wavefunction(coherent_psi, tg)
-    q, p = np.linspace(-10.0, 10.0, 101), np.linspace(-9.0, 9.0, 77)
-    W = _assert_matches_reference_loop(w, q, p)
-    outside = np.hypot(q[:, None], p[None, :]) >= tg.x_max
+    g = CoordinateGrid(q_max=10.0, n_q=101)
+    W = _assert_matches_reference_loop(w, g)
+    outside = np.hypot(g.points[:, None], g.points[None, :]) >= tg.x_max
     assert outside.any() and not outside.all()
     assert not np.any(W.values[outside])
-
-
-def test_inverse_radon_matches_reference_loop_on_asymmetric_axes(coherent_psi):
-    tg = TomogramGrid(x_max=8.0, n_x=300, n_theta=37)
-    w = tr.tomogram_from_wavefunction(coherent_psi, tg)
-    _assert_matches_reference_loop(w, np.linspace(-3.0, 10.0, 64), np.linspace(-10.0, 2.5, 51))
-    # No point inside the disc at all.
-    W = _assert_matches_reference_loop(w, np.linspace(9.0, 12.0, 16), np.linspace(-2.0, 2.0, 9))
+    # No point inside the disc at all: the nearest coordinate is 8.57.
+    W = _assert_matches_reference_loop(w, CoordinateGrid(q_max=60.0, n_q=8))
     assert not np.any(W.values)
 
 
@@ -306,18 +299,17 @@ def test_back_project_brackets_equal_np_interp(monkeypatch):
 @pytest.mark.parametrize("n", [64, 65, 256, 257])
 def test_density_from_wigner_matches_full_offset_table(coherent_tomogram, n):
     g = CoordinateGrid(q_max=8.0, n_q=n)
-    W = tr.inverse_radon(coherent_tomogram, g.points, g.points)
-    for W_ in (W, tr.WignerFunction(W.q_axis, W.p_axis[::3], W.values[:, ::3])):
-        got = tr.density_from_wigner(W_, g)
-        ref = reference_density_from_wigner(W_, g)
-        assert got.values.tobytes() == ref.values.tobytes()
-        assert got.hermiticity_defect == ref.hermiticity_defect
+    W = tr.inverse_radon(coherent_tomogram, g)
+    got = tr.density_from_wigner(W)
+    ref = reference_density_from_wigner(W)
+    assert got.values.tobytes() == ref.values.tobytes()
+    assert got.hermiticity_defect == ref.hermiticity_defect
 
 
-def test_density_from_wigner_matches_full_offset_table_on_conjugate_axes(grid):
+def test_density_from_wigner_matches_full_offset_table_on_the_vacuum(grid):
     W = vacuum_wigner_reference(grid)
-    got = tr.density_from_wigner(W, grid)
-    ref = reference_density_from_wigner(W, grid)
+    got = tr.density_from_wigner(W)
+    ref = reference_density_from_wigner(W)
     assert got.values.tobytes() == ref.values.tobytes()
     assert got.hermiticity_defect == ref.hermiticity_defect
 
@@ -338,6 +330,13 @@ def test_density_from_tomogram(vacuum_tomogram, vacuum_rho, grid):
     assert 0.999 < back.purity() < 1.0005
     assert trace_distance(back, vacuum_rho) < 3e-4
     assert back.hermiticity_defect < 1e-8
+
+
+def test_density_from_tomogram_defaults_to_the_fbp_grid(vacuum_rho):
+    # On a 256-point X window the default FBP grid has 256 points, and the
+    # density comes out on that same grid.
+    w = tr.tomogram_from_density(vacuum_rho, TomogramGrid(x_max=8.0, n_x=256, n_theta=32))
+    assert tr.density_from_tomogram(w).grid == tr.inverse_radon(w).grid
 
 
 # ------------------------------------------------------------------ moments
