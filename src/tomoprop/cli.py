@@ -137,14 +137,16 @@ def _run_task(cfg, emit):
         report["times"] = list(cfg.times)
         if cfg.backend in ("map", "both"):
             maps = _maps(H, cfg.times, dt)
+        if cfg.backend in ("pde", "both"):
+            pdes = pde.evolve_semilagrangian(w0, H, cfg.times[-1], dt, stops=cfg.times)
         gaps = []
-        for i, t in enumerate(cfg.times):
+        for i in range(len(cfg.times)):
             per_backend = {}
             if cfg.backend in ("map", "both"):
                 per_backend["map"] = qd.evolve_tomogram(w0, maps[i])
                 emit("tomogram_map_%03d.csv" % i, io.write_tomogram, per_backend["map"])
             if cfg.backend in ("pde", "both"):
-                per_backend["pde"] = pde.evolve_semilagrangian(w0, H, t, dt)
+                per_backend["pde"] = pdes[i]
                 emit("tomogram_pde_%03d.csv" % i, io.write_tomogram, per_backend["pde"])
             if cfg.backend == "both":
                 wx = w0.grid.x_trapezoid_weights

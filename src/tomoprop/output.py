@@ -11,16 +11,21 @@ Column layouts: tomograms are theta-major "theta_index,theta,X,w";
 density matrices "qi,qj,re,im" (grid in the header); Wigner functions
 "q,p,w".
 
-Each data file body is formatted in one `%` call: a row template holds
-every fixed column (indices and grid coordinates, already printed) and one
-FLOAT_FMT slot per value, and the values fill it in row-major order.  This
-prints every value with the same conversion as formatting it alone.
+Each data file body is formatted in row blocks, one `%` call per block of
+ROW_BLOCK rows of the grid's leading axis (theta for tomograms and moments,
+q for densities and Wigner functions).  A block template holds every fixed
+column (indices and grid coordinates, already printed) and one FLOAT_FMT
+slot per value, and the block's values fill it in row-major order.  This
+prints every value with the same conversion as formatting it alone, and the
+blocks stream to the file one at a time, so no writer holds a whole body's
+text at once.
 """
 
 import json
 import os
 import tempfile
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -30,8 +35,12 @@ from .transforms import Tomogram
 
 FLOAT_FMT = "%.17g"
 
+# Rows of the grid's leading axis formatted per `%` call.
+ROW_BLOCK = 16
 
-def _atomic_write(path, *chunks):
+
+def _atomic_write(path, chunks):
+    """Write the strings of the iterable chunks, consumed one at a time."""
     d = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tomoprop-", suffix=".tmp")
@@ -49,26 +58,35 @@ def _atomic_write(path, *chunks):
 
 def write_report(path, record):
     """Structured (JSON) report; key order fixed for determinism."""
-    _atomic_write(path, json.dumps(record, indent=2, sort_keys=True) + "\n")
+    _atomic_write(path, [json.dumps(record, indent=2, sort_keys=True) + "\n"])
 
 
 def _rows(prefixes, cells):
-    """Row template: each prefix followed by each cell, one row per line."""
-    return "\n".join(p + ("\n" + p).join(cells) for p in prefixes)
+    """Block templates: each prefix followed by each cell, one line per cell,
+    ROW_BLOCK prefixes per template."""
+    return tuple(
+        "".join(p + ("\n" + p).join(cells) + "\n" for p in prefixes[k:k + ROW_BLOCK])
+        for k in range(0, len(prefixes), ROW_BLOCK)
+    )
 
 
-def _fill(template, columns, shape):
-    """The template filled row by row from the value columns, each of the
-    grid's shape, after checking that shape."""
+def _fill(blocks, columns, shape):
+    """The block templates filled from the value columns, each of the grid's
+    shape, as a lazy sequence of chunks; the shapes are checked at once."""
     for name, values in columns.items():
         if np.shape(values) != shape:
             raise GridError(f"{name} shape {np.shape(values)} does not match grid {shape}")
-    values = np.stack(list(columns.values()), axis=-1)
-    return template % tuple(values.ravel().tolist())
+    columns = list(columns.values())
+    return (
+        template % tuple(np.stack(
+            [c[k * ROW_BLOCK:(k + 1) * ROW_BLOCK] for c in columns], axis=-1
+        ).ravel().tolist())
+        for k, template in enumerate(blocks)
+    )
 
 
 def _write_table(path, headers, body):
-    _atomic_write(path, "\n".join(headers) + "\n", body, "\n")
+    _atomic_write(path, chain(["\n".join(headers) + "\n"], body))
 
 
 # evolve writes every tomogram of a job on one grid.

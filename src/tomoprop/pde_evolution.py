@@ -9,16 +9,19 @@ characteristics satisfy
     d(ln amp)/dt = -(1 - omega^2(t)) sin(theta) cos(theta)
 
 and the solution is constant-times-amp along them.  The solver traces every
-final grid node backward to t = 0 with classic RK4 steps, samples the initial
-tomogram at the feet through the twisted extension, and multiplies by the
-accumulated amplitude.  For omega^2 = 1, f = 0 the field collapses to
-dtheta/dt = -1 and the evolution is a pure rotation of the theta axis.
+grid node of every requested time backward to t = 0 with classic RK4 steps,
+samples the initial tomogram at the feet through the twisted extension, and
+multiplies by the accumulated amplitude.  All requested times share one
+backward sweep from the last of them: each time is a node of the sweep, and
+its rows join the sweep when it reaches that node.  For omega^2 = 1, f = 0
+the field collapses to dtheta/dt = -1 and the evolution is a pure rotation
+of the theta axis.
 
 Theta characteristics run on the whole real line; folding into [0, pi)
 happens only inside the twisted sampler, so no step ever crosses the branch
 seam of the extension.
 
-The feet (theta, mu X + nu) and amplitudes are integrated here, independently
+The feet (theta, a X + nu) and amplitudes are integrated here, independently
 of the affine-map route in quad_dynamics; the two backends share only the
 final row-affine pull-back (Tomogram.pull_back: twisted sampling, X-window
 edge guard, validation), which is what makes their agreement a meaningful
@@ -34,25 +37,49 @@ from .transforms import Tomogram
 STEP_LIMIT = 5e-3
 
 
-def evolve_semilagrangian(w0, hamiltonian, T, dt=1e-3):
-    """Evolve a tomogram to time T by backward characteristics.
+def _field(y, w2, f):
+    """d(theta, nu, log_amp)/dt for the (3, rows) state at one time."""
+    s = np.sin(y[0])
+    c = np.cos(y[0])
+    b = (1.0 - w2) * s * c
+    k = np.empty_like(y)
+    k[0] = -(c * c + w2 * s * s)
+    k[1] = b * y[1] + f * s
+    np.negative(b, out=k[2])
+    return k
 
-    Each final grid node is traced back to t = 0 with RK4; w0 is sampled at
-    the feet (bilinearly, which preserves positivity) and scaled by the
-    accumulated amplitude.  dX/dt is affine in X at fixed theta, so one
-    fundamental pair (mu, nu) per theta row carries all of its X nodes,
-    X(0) = mu X + nu; the RK4 stages are themselves affine in the state,
-    which makes the factored integration agree with tracing every node
-    separately up to float rounding.
 
-    Raises StepError when dt exceeds the advection accuracy budget and
-    SupportError when a foot leaves the X window while w0 still carries
-    mass at its edge.
+def evolve_semilagrangian(w0, hamiltonian, T, dt=1e-3, stops=()):
+    """Evolve a tomogram by backward characteristics to every time of
+    sorted(set(stops) | {T}), returned in that order.
+
+    One backward sweep from T serves every time.  As in solve_epsilon, each
+    time is a node and each segment between consecutive nodes (and 0) is
+    split into equal RK4 steps no longer than dt; a time's rows join the
+    sweep at its node.  Each final grid node is traced back to t = 0, w0 is
+    sampled at the feet (bilinearly, which preserves positivity) and scaled
+    by the accumulated amplitude.
+
+    dX/dt is affine in X at fixed theta, so X(0) = a X + nu per theta row;
+    the RK4 stages are themselves affine in the state, which makes the
+    factored integration agree with tracing every node separately up to
+    float rounding.  The sweep carries (theta, nu, log_amp) per row: a
+    obeys da/dt = b a where d(log_amp)/dt = -b, so a = exp(-log_amp) is
+    also the weight, as a = weight = 1/r for the affine map.  A time of 0
+    gives a copy of w0.
+
+    Raises TimeError for T < 0 or a stop outside [0, T], StepError when dt
+    exceeds the advection accuracy budget and SupportError when a foot
+    leaves the X window while w0 still carries mass at its edge.
     """
     T = float(T)
     dt = float(dt)
     if T < 0.0:
         raise TimeError(f"evolution time must be nonnegative, got {T:g}")
+    times = sorted({float(s) for s in stops} | {T})
+    bad = [s for s in times if not 0.0 <= s <= T]
+    if bad:
+        raise TimeError(f"stop {bad[0]:g} outside [0, {T:g}]")
     sup = hamiltonian.step_scale
     limit = STEP_LIMIT / sup
     if dt <= 0.0 or dt > limit * (1.0 + 1e-12):
@@ -61,44 +88,34 @@ def evolve_semilagrangian(w0, hamiltonian, T, dt=1e-3):
             f"for sup omega^2 = {sup:g}"
         )
     tg = w0.grid
-    if T == 0.0:
-        return Tomogram(tg, w0.values.copy())
 
-    n = int(np.ceil(T / dt - 1e-9))
-    h = T / n
-
-    theta = tg.thetas.astype(float).copy()
-    mu = np.ones_like(theta)
-    nu = np.zeros_like(theta)
-    log_amp = np.zeros_like(theta)
-
-    def stages(th, m, v, t):
-        w2 = float(hamiltonian.omega_sq(t))
-        f = float(hamiltonian.force(t))
-        s = np.sin(th)
-        c = np.cos(th)
-        b = (1.0 - w2) * s * c
-        return -(c * c + w2 * s * s), b * m, b * v + f * s, -b
-
-    t_now = T
-    for _ in range(n):
-        k1t, k1m, k1v, k1a = stages(theta, mu, nu, t_now)
-        k2t, k2m, k2v, k2a = stages(
-            theta - 0.5 * h * k1t, mu - 0.5 * h * k1m, nu - 0.5 * h * k1v,
-            t_now - 0.5 * h,
-        )
-        k3t, k3m, k3v, k3a = stages(
-            theta - 0.5 * h * k2t, mu - 0.5 * h * k2m, nu - 0.5 * h * k2v,
-            t_now - 0.5 * h,
-        )
-        k4t, k4m, k4v, k4a = stages(
-            theta - h * k3t, mu - h * k3m, nu - h * k3v, t_now - h,
-        )
-        theta -= (h / 6.0) * (k1t + 2.0 * k2t + 2.0 * k3t + k4t)
-        mu -= (h / 6.0) * (k1m + 2.0 * k2m + 2.0 * k3m + k4m)
-        nu -= (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        log_amp -= (h / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
-        t_now -= h
+    # Nodes in sweep order, from T down to 0; block k of the state's rows
+    # belongs to nodes[k].
+    nodes = [t for t in reversed(times) if t > 0.0] + [0.0]
+    start = np.zeros((3, tg.n_theta))
+    start[0] = tg.thetas
+    y = np.empty((3, 0))
+    for t_hi, t_lo in zip(nodes, nodes[1:]):
+        y = np.concatenate((y, start), axis=1)
+        n = max(1, int(np.ceil((t_hi - t_lo) / dt - 1e-9)))
+        h = (t_hi - t_lo) / n
+        # The coefficients at every RK4 stage time of the segment.
+        ts = np.linspace(t_hi, t_lo, 2 * n + 1)
+        w2s = hamiltonian.omega_sq(ts).tolist()
+        fs = hamiltonian.force(ts).tolist()
+        for i in range(0, 2 * n, 2):
+            k1 = _field(y, w2s[i], fs[i])
+            k2 = _field(y - 0.5 * h * k1, w2s[i + 1], fs[i + 1])
+            k3 = _field(y - 0.5 * h * k2, w2s[i + 1], fs[i + 1])
+            k4 = _field(y - h * k3, w2s[i + 2], fs[i + 2])
+            y -= (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     # Backward accumulation flips the sign of the ln-amp integral.
-    return w0.pull_back(theta, mu, nu, np.exp(-log_amp), norm_tol=2e-3)
+    amp = np.exp(-y[2])
+    out = {}
+    for k, t in enumerate(nodes[:-1]):
+        rows = slice(k * tg.n_theta, (k + 1) * tg.n_theta)
+        out[t] = w0.pull_back(y[0, rows], amp[rows], y[1, rows], amp[rows], norm_tol=2e-3)
+    if times[0] == 0.0:
+        out[0.0] = Tomogram(tg, w0.values.copy())
+    return [out[t] for t in times]

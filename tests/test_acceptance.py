@@ -150,7 +150,7 @@ def test_acceptance_07_backend_agreement(capsys, coherent_rho, tgrid):
     for tg, dt in ((tgrid, 1e-3), (TomogramGrid(8.0, 512, 90), 2e-3)):
         w0 = tr.tomogram_from_density(coherent_rho, tg)
         w_map = map_evolved(w0, H, 1.0, dt)
-        w_pde = pde.evolve_semilagrangian(w0, H, 1.0, dt)
+        w_pde = pde.evolve_semilagrangian(w0, H, 1.0, dt)[-1]
         gaps.append(l1_gap(w_map, w_pde))
     fine, coarse = gaps
     order = float(np.log2(coarse / fine))

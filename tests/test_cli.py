@@ -249,6 +249,29 @@ def test_evolve_solves_epsilon_once(tmp_path, monkeypatch):
         assert (tmp_path / "out" / ("tomogram_map_%03d.csv" % i)).exists()
 
 
+def test_evolve_sweeps_characteristics_once(tmp_path, monkeypatch):
+    # One backward sweep from max(times) serves the PDE at every time.
+    import inspect
+
+    from tomoprop import pde_evolution
+
+    calls = []
+    sweep = pde_evolution.evolve_semilagrangian
+    sig = inspect.signature(sweep)
+
+    def counted(*args, **kwargs):
+        calls.append(sig.bind(*args, **kwargs).arguments["T"])
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(pde_evolution, "evolve_semilagrangian", counted)
+    doc = {"times": [0.5, 1.0, 1.5], "backend": "both"}
+    assert run(tmp_path, "evolve", doc) == 0
+    assert calls == [1.5]
+    for i in range(3):
+        assert (tmp_path / "out" / ("tomogram_pde_%03d.csv" % i)).exists()
+    assert len(read_json(tmp_path, "report.json")["l1_backend_gap"]) == 3
+
+
 def test_pipeline_check_solves_epsilon_once(tmp_path, monkeypatch):
     # One eps(t) trajectory to max(times), with a node at each time,
     # serves the map at every requested time.

@@ -302,3 +302,48 @@ def test_tomogram_template_cache_keeps_grids_apart(tmp_path):
         assert_bytes(path, reference_tomogram(w))
     info = output._tomogram_rows.cache_info()
     assert (info.hits, info.misses) == (1, 2)
+
+
+# ---------------------------------------------------------------------------
+# row blocks
+#
+# Each body is formatted one block of ROW_BLOCK leading-axis rows at a time.
+# These shapes end mid-block; the reference fills one template for the whole
+# body in a single `%` call, as the writers did before row blocks.
+
+
+def single_percent(headers, prefixes, cells, columns):
+    template = "\n".join(p + ("\n" + p).join(cells) for p in prefixes)
+    body = template % tuple(np.stack(columns, axis=-1).ravel().tolist())
+    return "\n".join(headers) + "\n" + body + "\n"
+
+
+def test_write_tomogram_row_blocks_match_single_percent(tmp_path):
+    tg = TomogramGrid(x_max=0.1 * 37, n_x=16, n_theta=45)
+    assert tg.n_theta % output.ROW_BLOCK != 0
+    w = transforms.Tomogram(tg, values_with_edges((45, 16), 20))
+    output.write_tomogram(tmp_path / "w.csv", w)
+    text = single_percent(
+        ["# x_max=" + (F % tg.x_max), "# n_x=16", "# n_theta=45",
+         "# columns=theta_index,theta,X,w"],
+        ["%d," % j + (F % theta) + "," for j, theta in enumerate(tg.thetas)],
+        [(F % x) + "," + F for x in tg.xs],
+        [w.values],
+    )
+    assert_bytes(tmp_path / "w.csv", text)
+
+
+def test_write_density_row_blocks_match_single_percent(tmp_path):
+    g = CoordinateGrid(q_max=0.1 * 29, n_q=37)
+    assert g.n_q % output.ROW_BLOCK != 0
+    vals = np.empty((37, 37), complex)
+    vals.real, vals.imag = values_with_edges((37, 37), 21), values_with_edges((37, 37), 22)
+    rho = states.DensityMatrix(g, vals)
+    output.write_density(tmp_path / "rho.csv", rho)
+    text = single_percent(
+        ["# q_max=" + (F % g.q_max), "# n_q=37", "# columns=qi,qj,re,im"],
+        ["%d," % i for i in range(37)],
+        ["%d," % j + F + "," + F for j in range(37)],
+        [vals.real, vals.imag],
+    )
+    assert_bytes(tmp_path / "rho.csv", text)

@@ -109,17 +109,43 @@ def test_guards():
     # The cap shrinks with sup omega^2.
     with pytest.raises(StepError):
         pde.evolve_semilagrangian(w, mathieu(), 1.0, dt=5e-3)
+    # Every stop must lie in [0, T].
+    with pytest.raises(TimeError):
+        pde.evolve_semilagrangian(w, H, 1.0, stops=[-0.1, 0.5])
+    with pytest.raises(TimeError):
+        pde.evolve_semilagrangian(w, H, 1.0, stops=[0.5, 1.2])
 
 
 def test_zero_time_is_copy(coherent_tomogram):
-    out = pde.evolve_semilagrangian(coherent_tomogram, mathieu(), 0.0)
+    out = pde.evolve_semilagrangian(coherent_tomogram, mathieu(), 0.0)[-1]
     np.testing.assert_array_equal(out.values, coherent_tomogram.values)
     assert out.values is not coherent_tomogram.values
 
 
+def table_mathieu(force=0.3):
+    ts = np.linspace(0.0, 2.0, 81)
+    return qd.QuadraticHamiltonian(
+        qd.TableSampler(ts, 1.0 + 0.2 * np.cos(2.0 * ts)),
+        qd.TableSampler(ts, force * np.cos(ts)),
+    )
+
+
+@pytest.mark.parametrize("H", [mathieu(force=0.3), table_mathieu()], ids=["cosine", "table"])
+def test_stops_share_one_sweep(coherent_tomogram, H):
+    # One backward sweep from T serves every stop; each time's tomogram
+    # matches a call for that time alone up to rounding.
+    out = pde.evolve_semilagrangian(coherent_tomogram, H, 1.7, stops=[0.0, 0.3, 1.7])
+    assert len(out) == 3
+    np.testing.assert_array_equal(out[0].values, coherent_tomogram.values)
+    assert out[0].values is not coherent_tomogram.values
+    for w, t in zip(out[1:], (0.3, 1.7)):
+        alone = pde.evolve_semilagrangian(coherent_tomogram, H, t)[-1]
+        assert np.abs(w.values - alone.values).max() < 1e-13
+
+
 def test_harmonic_evolution_is_twisted_shift(coherent_tomogram):
     t = np.pi / 3
-    out = pde.evolve_semilagrangian(coherent_tomogram, qd.QuadraticHamiltonian.harmonic(), t)
+    out = pde.evolve_semilagrangian(coherent_tomogram, qd.QuadraticHamiltonian.harmonic(), t)[-1]
     v = coherent_tomogram.values
     ref = np.vstack([v[60:], v[:60, ::-1]])
     assert np.abs(out.values - ref).max() < 1e-12
@@ -128,7 +154,7 @@ def test_harmonic_evolution_is_twisted_shift(coherent_tomogram):
 def test_free_spreading_matches_closed_form(vacuum_tomogram, tgrid):
     # Free motion rescales each row by r(theta, t); at t = 1 the vacuum
     # tomogram stays Gaussian with width r.
-    out = pde.evolve_semilagrangian(vacuum_tomogram, qd.QuadraticHamiltonian.free(), 1.0)
+    out = pde.evolve_semilagrangian(vacuum_tomogram, qd.QuadraticHamiltonian.free(), 1.0)[-1]
     th = tgrid.thetas[:, None]
     r = np.hypot(np.sin(th) + np.cos(th), np.cos(th))
     ref = np.exp(-((tgrid.xs[None, :] / r) ** 2)) / (r * np.sqrt(np.pi))
@@ -139,7 +165,7 @@ def test_free_spreading_matches_closed_form(vacuum_tomogram, tgrid):
 def test_backends_agree_on_forced_mathieu(coherent_tomogram):
     H = mathieu(force=0.3)
     T = 1.0
-    w_pde = pde.evolve_semilagrangian(coherent_tomogram, H, T, dt=1e-3)
+    w_pde = pde.evolve_semilagrangian(coherent_tomogram, H, T, dt=1e-3)[-1]
     traj = qd.solve_epsilon(H, T, 1e-3)
     w_map = qd.evolve_tomogram(
         coherent_tomogram, qd.optical_map(traj, T)
@@ -151,13 +177,13 @@ def test_backends_agree_on_forced_mathieu(coherent_tomogram):
 
 
 def test_factored_advection_matches_per_node_integration(coherent_tomogram, tgrid):
-    # The row-affine factorization X(0) = mu X + nu must agree with running
+    # The row-affine factorization X(0) = a X + nu must agree with running
     # an independent RK4 for individual nodes through characteristic_rhs.
     H = mathieu(force=0.3)
     T = 0.5
     n = 500
     h = T / n
-    out = pde.evolve_semilagrangian(coherent_tomogram, H, T, dt=1e-3)
+    out = pde.evolve_semilagrangian(coherent_tomogram, H, T, dt=1e-3)[-1]
 
     rng = np.random.default_rng(3)
     for j, i in zip(rng.integers(0, tgrid.n_theta, 6), rng.integers(0, tgrid.n_x, 6)):
@@ -185,7 +211,7 @@ def test_factored_advection_matches_per_node_integration(coherent_tomogram, tgri
 
 
 def test_row_norms_and_positivity(coherent_pure_tomogram):
-    out = pde.evolve_semilagrangian(coherent_pure_tomogram, mathieu(force=0.3), 1.0)
+    out = pde.evolve_semilagrangian(coherent_pure_tomogram, mathieu(force=0.3), 1.0)[-1]
     assert np.abs(out.row_norms() - 1.0).max() < 2e-3
     assert out.values.min() >= -1e-12
 
@@ -198,7 +224,7 @@ def test_support_guard():
 
 
 def _free_closed_form_error(w0, tg, dt):
-    out = pde.evolve_semilagrangian(w0, qd.QuadraticHamiltonian.free(), 1.0, dt=dt)
+    out = pde.evolve_semilagrangian(w0, qd.QuadraticHamiltonian.free(), 1.0, dt=dt)[-1]
     th = tg.thetas[:, None]
     r = np.hypot(np.sin(th) + np.cos(th), np.cos(th))
     ref = np.exp(-((tg.xs[None, :] / r) ** 2)) / (r * np.sqrt(np.pi))
