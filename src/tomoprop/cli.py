@@ -41,7 +41,10 @@ from .errors import ParseError, TomopropError, ValidationError  # noqa: E402
 
 def _auto_dt(hamiltonian):
     """Step satisfying both backends' preconditions with a factor-2 margin."""
-    return min(1e-3, 2.5e-3 / hamiltonian.step_scale)
+    from .pde_evolution import STEP_LIMIT
+    from .quad_dynamics import EPS_STEP_LIMIT
+
+    return min(1e-3, 0.5 * min(EPS_STEP_LIMIT, STEP_LIMIT) / hamiltonian.step_scale)
 
 
 def _state_tomogram(cfg):

@@ -79,7 +79,7 @@ def green_kernel(m):
     return GreenKernel(float(a), float(b), float(c), float(e), float(g))
 
 
-def _check_edge_density(density, spacing, what):
+def _check_edge_density(density, what):
     edge = max(float(density[0]), float(density[-1]))
     if edge > EDGE_DENSITY_TOL:
         raise SupportError(
@@ -90,20 +90,20 @@ def _check_edge_density(density, spacing, what):
 
 def evolve_wavefunction(psi, kernel):
     """psi_t = (G dq) psi with the plain-spacing quadrature of the kernel contract."""
-    _check_edge_density(np.abs(psi.values) ** 2, psi.grid.spacing, "input wavefunction")
+    _check_edge_density(np.abs(psi.values) ** 2, "input wavefunction")
     out = (kernel.matrix(psi.grid) * psi.grid.spacing) @ psi.values
-    _check_edge_density(np.abs(out) ** 2, psi.grid.spacing, "evolved wavefunction")
+    _check_edge_density(np.abs(out) ** 2, "evolved wavefunction")
     return WaveFunction(psi.grid, out)
 
 
 def evolve_density(rho0, kernel):
     """rho_t = (G dq) rho0 (G dq)^dagger, Hermitian by construction."""
     diag0 = np.real(np.diag(rho0.values))
-    _check_edge_density(diag0, rho0.grid.spacing, "input density")
+    _check_edge_density(diag0, "input density")
     U = kernel.matrix(rho0.grid) * rho0.grid.spacing
     vals = U @ rho0.values @ U.conj().T
     vals = 0.5 * (vals + vals.conj().T)
-    _check_edge_density(np.real(np.diag(vals)), rho0.grid.spacing, "evolved density")
+    _check_edge_density(np.real(np.diag(vals)), "evolved density")
     rho = DensityMatrix(rho0.grid, vals)
     return rho.validate(trace_tol=1e-3)
 

@@ -21,16 +21,20 @@ Theta characteristics run on the whole real line; folding into [0, pi)
 happens only inside the twisted sampler, so no step ever crosses the branch
 seam of the extension.
 
-The feet (theta, a X + nu) and amplitudes are integrated here, independently
-of the affine-map route in quad_dynamics; the two backends share only the
+The two backends share the time-stepping machinery of quad_dynamics (the
+node rule and step guards of _time_nodes, the RK4 stepper _rk4) and the
 final row-affine pull-back (Tomogram.pull_back: twisted sampling, X-window
-edge guard, validation), which is what makes their agreement a meaningful
-cross-check of the integrators.
+edge guard, validation).  Each integrates its own field: this module the
+characteristics of the feet (theta, a X + nu) and amplitudes, quad_dynamics
+eps(t) and beta(t).  Their agreement checks the two fields; the referees
+that share none of this machinery are oracles.classical_trajectory
+(scipy solve_ivp), the Wronskian check of solve_epsilon and the per-node
+RK4 integration in the tests.
 """
 
 import numpy as np
 
-from .errors import StepError, TimeError
+from .quad_dynamics import _n_steps, _rk4, _time_nodes
 from .transforms import Tomogram
 
 # Ceiling on the characteristic time step, tightened when omega^2 exceeds 1.
@@ -68,54 +72,30 @@ def evolve_semilagrangian(w0, hamiltonian, T, dt=1e-3, stops=()):
     also the weight, as a = weight = 1/r for the affine map.  A time of 0
     gives a copy of w0.
 
-    Raises TimeError for T < 0 or a stop outside [0, T], StepError when dt
-    exceeds the advection accuracy budget and SupportError when a foot
+    Raises TimeError for T < 0 or a stop outside [0, T], StepError unless
+    0 < dt <= STEP_LIMIT / max(1, sup omega^2), and SupportError when a foot
     leaves the X window while w0 still carries mass at its edge.
     """
-    T = float(T)
-    dt = float(dt)
-    if T < 0.0:
-        raise TimeError(f"evolution time must be nonnegative, got {T:g}")
-    times = sorted({float(s) for s in stops} | {T})
-    bad = [s for s in times if not 0.0 <= s <= T]
-    if bad:
-        raise TimeError(f"stop {bad[0]:g} outside [0, {T:g}]")
-    sup = hamiltonian.step_scale
-    limit = STEP_LIMIT / sup
-    if dt <= 0.0 or dt > limit * (1.0 + 1e-12):
-        raise StepError(
-            f"characteristic step {dt:g} outside (0, {limit:g}] "
-            f"for sup omega^2 = {sup:g}"
-        )
+    nodes = _time_nodes(T, stops, dt, STEP_LIMIT, hamiltonian)
+    wanted = {float(s) for s in stops} | {float(T)}
     tg = w0.grid
 
-    # Nodes in sweep order, from T down to 0; block k of the state's rows
-    # belongs to nodes[k].
-    nodes = [t for t in reversed(times) if t > 0.0] + [0.0]
+    # The sweep runs from T down to 0; block k of the state's rows belongs
+    # to sweep[k].
+    sweep = nodes[::-1]
     start = np.zeros((3, tg.n_theta))
     start[0] = tg.thetas
     y = np.empty((3, 0))
-    for t_hi, t_lo in zip(nodes, nodes[1:]):
+    for t_hi, t_lo in zip(sweep, sweep[1:]):
         y = np.concatenate((y, start), axis=1)
-        n = max(1, int(np.ceil((t_hi - t_lo) / dt - 1e-9)))
-        h = (t_hi - t_lo) / n
-        # The coefficients at every RK4 stage time of the segment.
-        ts = np.linspace(t_hi, t_lo, 2 * n + 1)
-        w2s = hamiltonian.omega_sq(ts).tolist()
-        fs = hamiltonian.force(ts).tolist()
-        for i in range(0, 2 * n, 2):
-            k1 = _field(y, w2s[i], fs[i])
-            k2 = _field(y - 0.5 * h * k1, w2s[i + 1], fs[i + 1])
-            k3 = _field(y - 0.5 * h * k2, w2s[i + 1], fs[i + 1])
-            k4 = _field(y - h * k3, w2s[i + 2], fs[i + 2])
-            y -= (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        _rk4(_field, y, t_hi, t_lo, _n_steps(t_hi, t_lo, dt), hamiltonian)
 
     # Backward accumulation flips the sign of the ln-amp integral.
     amp = np.exp(-y[2])
     out = {}
-    for k, t in enumerate(nodes[:-1]):
+    for k, t in enumerate(sweep[:-1]):
         rows = slice(k * tg.n_theta, (k + 1) * tg.n_theta)
         out[t] = w0.pull_back(y[0, rows], amp[rows], y[1, rows], amp[rows], norm_tol=2e-3)
-    if times[0] == 0.0:
+    if 0.0 in wanted:
         out[0.0] = Tomogram(tg, w0.values.copy())
-    return [out[t] for t in times]
+    return [out[t] for t in nodes if t in wanted]

@@ -9,7 +9,8 @@ classical trajectory.  The tomogram then evolves by a deterministic affine
 reference-frame map with weight 1/r, the delta form of the propagator.
 optical_map reads Lambda and Delta straight off a node of the RK4 solve
 of eps(t); solve_epsilon(..., stops=times) puts a node at every time
-wanted.
+wanted.  The node rule, step guards and RK4 stepper below also integrate
+the characteristics of pde_evolution; each backend supplies its own field.
 
 Sign convention: Delta = (sqrt(2) Im beta, sqrt(2) Re beta).  The sign of
 the first component is pinned by requiring the integrals of motion to
@@ -27,6 +28,9 @@ from .transforms import Tomogram
 # RK4 nodes hold det Lambda = 1 to ~1e-12; a trajectory built by hand may not.
 DET_TOL = 1e-8
 WRONSKIAN_TOL = 1e-8
+
+# Ceiling on the eps(t) step, divided by max(1, sup omega_sq).
+EPS_STEP_LIMIT = 1e-2
 
 # How far outside its table a TableSampler may be read (integrator rounding).
 TABLE_SLACK = 1e-12
@@ -160,73 +164,84 @@ class EpsilonTrajectory:
         return float(self.times[-1])
 
 
-def _rhs(t, eps, eps_dot, beta, H):
-    om = H.omega_sq(t)
-    f = H.force(t)
-    return eps_dot, -om * eps, (-1j / np.sqrt(2.0)) * eps * f
+def _time_nodes(T, stops, dt, limit, H):
+    """sorted({0, T} | stops), after the guards both integrators share:
+    TimeError for T < 0 or a stop outside [0, T], StepError unless
+    0 < dt <= limit / H.step_scale."""
+    T = float(T)
+    if T < 0.0:
+        raise TimeError(f"evolution time must be nonnegative, got {T:g}")
+    nodes = sorted({0.0, T} | {float(s) for s in stops})
+    bad = [s for s in nodes if not 0.0 <= s <= T]
+    if bad:
+        raise TimeError(f"stop {bad[0]:g} outside [0, {T:g}]")
+    cap = limit / H.step_scale
+    if not 0.0 < dt <= cap * (1.0 + 1e-12):
+        raise StepError(
+            f"dt = {dt:g} outside (0, {limit:g}/max(1, sup omega_sq)] = (0, {cap:g}]"
+        )
+    return nodes
+
+
+def _n_steps(t0, t1, dt):
+    """Equal steps that split [t0, t1] with none longer than dt."""
+    return max(1, int(np.ceil(abs(t1 - t0) / dt - 1e-9)))
+
+
+def _rk4(field, y, t0, t1, n, H, trace=None):
+    """Advance y in place from t0 to t1 (either direction) by n classic RK4
+    steps of h = (t1 - t0) / n.  field(y, omega_sq, f) is the derivative;
+    omega_sq and f are sampled once, at the 2n + 1 stage times
+    linspace(t0, t1, 2n + 1), so a TableSampler sees exact segment ends.
+    Step i's state is written to trace[i] when trace is given."""
+    h = (t1 - t0) / n
+    ts = np.linspace(t0, t1, 2 * n + 1)
+    w2s = H.omega_sq(ts).tolist()
+    fs = H.force(ts).tolist()
+    for i in range(0, 2 * n, 2):
+        k1 = field(y, w2s[i], fs[i])
+        k2 = field(y + 0.5 * h * k1, w2s[i + 1], fs[i + 1])
+        k3 = field(y + 0.5 * h * k2, w2s[i + 1], fs[i + 1])
+        k4 = field(y + h * k3, w2s[i + 2], fs[i + 2])
+        y += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if trace is not None:
+            trace[i // 2] = y
+
+
+def _eps_field(y, w2, f):
+    """d(eps, eps', beta)/dt."""
+    return np.array([y[1], -w2 * y[0], (-1j / np.sqrt(2.0)) * y[0] * f])
 
 
 def solve_epsilon(H, T, dt=1e-3, stops=()):
     """Integrate eps'' + omega_sq(t) eps = 0 with eps(0)=1, eps'(0)=i,
     accumulating beta' = -(i/sqrt(2)) eps f(t), by classic RK4.
 
-    Every time in stops that lies in (0, T) is made a node: each segment
-    between consecutive stops is split into equal steps no longer than dt,
-    so the first segment is the trajectory solve_epsilon(H, stop) gives and
-    optical_map can read the map to every stop.
+    Every time in stops is made a node: each segment between consecutive
+    nodes is split into equal steps no longer than dt, so the first segment
+    is the trajectory solve_epsilon(H, stop) gives and optical_map can read
+    the map to every stop.
 
-    The Wronskian 2 Im(eps' eps*) = 2 is checked at every node; drift beyond
-    1e-8 (or an oversized step) raises StepError.
+    Raises TimeError for T < 0 or a stop outside [0, T] and StepError when
+    dt exceeds EPS_STEP_LIMIT / max(1, sup omega_sq) or the Wronskian
+    2 Im(eps' eps*) = 2 drifts beyond WRONSKIAN_TOL at any node.
     """
-    T = float(T)
-    if T < 0.0:
-        raise TimeError("causal evolution requires T >= 0")
-    dt = float(dt)
-    if dt <= 0.0:
-        raise StepError("dt must be positive")
-    sup = H.step_scale
-    if dt > 1e-2 / sup * (1.0 + 1e-12):
-        raise StepError(
-            f"dt = {dt:g} exceeds 1e-2/max(1, sup omega_sq) = {1e-2 / sup:g}"
-        )
-
-    if T == 0.0:
-        return EpsilonTrajectory(
-            np.array([0.0]), np.array([1.0 + 0.0j]), np.array([0.0 + 1.0j]),
-            np.array([0.0 + 0.0j]),
-        )
-
-    ends = sorted({float(s) for s in stops if 0.0 < s < T} | {T})
-    times, steps = [np.array([0.0])], []
-    for start, end in zip([0.0] + ends, ends):
-        n = max(1, int(np.ceil((end - start) / dt - 1e-9)))
-        times.append(np.linspace(start, end, n + 1)[1:])
-        steps.append(np.full(n, (end - start) / n))
-    times, steps = np.concatenate(times), np.concatenate(steps)
-    n = steps.size
-    eps = np.empty(n + 1, dtype=complex)
-    eps_dot = np.empty(n + 1, dtype=complex)
-    beta = np.empty(n + 1, dtype=complex)
-    eps[0], eps_dot[0], beta[0] = 1.0, 1.0j, 0.0
-
-    e, ed, b = eps[0], eps_dot[0], beta[0]
-    for i in range(n):
-        t, h = times[i], steps[i]
-        k1 = _rhs(t, e, ed, b, H)
-        k2 = _rhs(t + 0.5 * h, e + 0.5 * h * k1[0], ed + 0.5 * h * k1[1], b + 0.5 * h * k1[2], H)
-        k3 = _rhs(t + 0.5 * h, e + 0.5 * h * k2[0], ed + 0.5 * h * k2[1], b + 0.5 * h * k2[2], H)
-        k4 = _rhs(t + h, e + h * k3[0], ed + h * k3[1], b + h * k3[2], H)
-        e = e + (h / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-        ed = ed + (h / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-        b = b + (h / 6.0) * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
-        eps[i + 1], eps_dot[i + 1], beta[i + 1] = e, ed, b
+    nodes = _time_nodes(T, stops, dt, EPS_STEP_LIMIT, H)
+    y = np.array([1.0, 1.0j, 0.0])
+    times, states = [np.zeros(1)], [y[None].copy()]
+    for t0, t1 in zip(nodes, nodes[1:]):
+        n = _n_steps(t0, t1, dt)
+        times.append(np.linspace(t0, t1, n + 1)[1:])
+        states.append(np.empty((n, 3), dtype=complex))
+        _rk4(_eps_field, y, t0, t1, n, H, trace=states[-1])
+    eps, eps_dot, beta = np.concatenate(states).T.copy()
 
     drift = np.abs(2.0 * np.imag(eps_dot * np.conj(eps)) - 2.0).max()
     if drift > WRONSKIAN_TOL:
         raise StepError(
             f"Wronskian drift {drift:.3e} exceeds {WRONSKIAN_TOL:g}; reduce dt"
         )
-    return EpsilonTrajectory(times, eps, eps_dot, beta)
+    return EpsilonTrajectory(np.concatenate(times), eps, eps_dot, beta)
 
 
 @dataclass(frozen=True)

@@ -104,6 +104,11 @@ def test_solver_guards():
     with pytest.raises(StepError):
         qd.solve_epsilon(mathieu(), 1.0, dt=1e-2)
     qd.solve_epsilon(mathieu(), 1.0, dt=1e-2 / 1.2)
+    # Every stop must lie in [0, T].
+    with pytest.raises(TimeError):
+        qd.solve_epsilon(mathieu(), 1.0, stops=[-0.5])
+    with pytest.raises(TimeError):
+        qd.solve_epsilon(mathieu(), 1.0, stops=[1.5])
 
 
 def test_zero_time_trajectory():
