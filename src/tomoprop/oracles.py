@@ -14,8 +14,6 @@ eps(t), so it referees the map itself.
 import numpy as np
 from dataclasses import dataclass
 
-from scipy.integrate import solve_ivp
-
 from .errors import CausticError, GridError, SupportError, TimeError
 from .states import DensityMatrix, WaveFunction
 from . import quad_dynamics
@@ -122,8 +120,12 @@ def classical_trajectory(hamiltonian, q0, p0, times, rtol=1e-11, atol=1e-12):
 
     Deliberately independent of the RK4 machinery in quad_dynamics: scipy's
     adaptive integrator with tight tolerances referees when the package's
-    own integrators are checked against Ehrenfest's theorem.
+    own integrators are checked against Ehrenfest's theorem.  solve_ivp is
+    imported here, not at module level, because no CLI task calls this and
+    scipy.integrate would add to every job's start-up.
     """
+    from scipy.integrate import solve_ivp
+
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if times.size == 0:
         raise TimeError("classical trajectory needs at least one time")

@@ -11,9 +11,8 @@ phase space, tomogram rows normalized to 1 in X.
 
 import numpy as np
 from dataclasses import dataclass
-from scipy.fft import next_fast_len
+from scipy.fft import fft, ifft, next_fast_len
 from scipy.ndimage import map_coordinates, spline_filter
-from scipy.signal import czt
 
 from .errors import GridError, SingularityError, SupportError
 from .grids import CoordinateGrid, TomogramGrid, trapezoid_weights
@@ -471,6 +470,24 @@ def density_from_tomogram(w, grid=None):
     return density_from_wigner(inverse_radon(w, grid))
 
 
+def _czt(x, m, w, a):
+    """Chirp-z transform of the 1-D x at the m points a * w**-k (Bluestein).
+
+    Replays the arithmetic of scipy.signal.czt as of SciPy 1.17.1
+    (scipy.signal._czt.CZT) step for step, so its output is bit-identical
+    while scipy.signal, which pulls in scipy.stats and scipy.optimize, stays
+    unimported.  tests/test_transforms.py::test_czt_is_bit_identical_to_scipy
+    compares the two; re-run it whenever the SciPy pin moves.
+    """
+    n = x.shape[-1]
+    k = np.arange(max(m, n), dtype=np.min_scalar_type(-max(m, n) ** 2))
+    wk2 = w ** (k**2 / 2.0)
+    awk2 = a**-k[:n] * wk2[:n]
+    nfft = next_fast_len(n + m - 1)
+    fwk2 = fft(1 / np.hstack((wk2[n - 1:0:-1], wk2[:m])), nfft)
+    return ifft(fwk2 * fft(x * awk2, nfft))[n - 1:n + m - 1] * wk2[:m]
+
+
 def tomogram_from_wavefunction(psi, tgrid=None):
     """Tomogram of a pure state through the rotated-quadrature kernel.
 
@@ -530,13 +547,13 @@ def tomogram_from_wavefunction(psi, tgrid=None):
         if abs(s) >= abs(c):
             chirp = np.exp(1j * qs**2 * c / (2.0 * s))
             cvec = vals * chirp * wq
-            amp = czt(cvec, tgrid.n_x, np.exp(-1j * dx * dq_s / s), np.exp(1j * x0 * dq_s / s))
+            amp = _czt(cvec, tgrid.n_x, np.exp(-1j * dx * dq_s / s), np.exp(1j * x0 * dq_s / s))
             div = abs(s)
         else:
             sp = -c
             chirp = np.exp(1j * ps**2 * s / (2.0 * sp))
             cvec = psi_p * chirp * dp
-            amp = czt(cvec, tgrid.n_x, np.exp(-1j * dx * dp / sp), np.exp(1j * x0 * dp / sp))
+            amp = _czt(cvec, tgrid.n_x, np.exp(-1j * dx * dp / sp), np.exp(1j * x0 * dp / sp))
             div = abs(c)
         rows[j] = np.abs(amp) ** 2 / (2.0 * np.pi * div)
     return Tomogram(tgrid, rows)

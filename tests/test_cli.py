@@ -655,3 +655,25 @@ def test_thread_cap_applies_before_numpy():
         proc = subprocess.run([sys.executable, "-c", code],
                               capture_output=True, text=True, env=env)
         assert proc.stdout.strip() == "None"
+
+
+def test_imports_leave_heavy_scipy_packages_unloaded():
+    # Every job imports tomoprop.cli and then every submodule before it
+    # runs; scipy.signal, scipy.integrate and what they pull in would add
+    # half a second to each start.  solve_ivp loads on first use only.
+    code = "\n".join([
+        "import importlib, sys",
+        "import tomoprop.cli",
+        "for name in ('config', 'errors', 'grids', 'oracles', 'output',",
+        "             'pde_evolution', 'quad_dynamics', 'states', 'transforms'):",
+        "    importlib.import_module('tomoprop.' + name)",
+        "heavy = ('scipy.signal', 'scipy.integrate', 'scipy.stats', 'scipy.optimize')",
+        "print(sorted(set(heavy) & set(sys.modules)))",
+        "from tomoprop.oracles import classical_trajectory",
+        "from tomoprop.quad_dynamics import QuadraticHamiltonian",
+        "traj = classical_trajectory(QuadraticHamiltonian.harmonic(), 1.0, 0.0, [1.0])",
+        "print(round(float(traj.q_cl[0]), 6), 'scipy.integrate' in sys.modules)",
+    ])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", f"{round(np.cos(1.0), 6)} True"]

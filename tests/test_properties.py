@@ -2,8 +2,12 @@
 
 Both evolution backends run on a small grid (256 X by 45 theta) from
 coherent states that stay well inside the X window; the affine maps are
-checked for associative composition.  Examples are bounded and drawn
-deterministically, so the tier-1 run time stays flat and reruns repeat.
+checked for associative composition.  Each property runs on the corners
+of its domain plus 20 cases from a seeded numpy generator, all passed to
+Hypothesis as explicit examples: Hypothesis itself draws nothing, because
+its float draws are seeded with the numeric literals of every loaded local
+module, so a literal edited anywhere in the package would move its cases.
+Tier-1 run time stays flat and reruns repeat.
 
 256 X points is the coarsest X axis on this window that the map backend's
 own check accepts: at 128 the bilinear pull-back moves row norms by
@@ -12,7 +16,7 @@ own check accepts: at 128 the bilinear pull-back moves row norms by
 """
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
 from tomoprop import pde_evolution as pde
 from tomoprop import quad_dynamics as qd
@@ -24,27 +28,66 @@ from tomoprop.states import make_coherent
 GRID = CoordinateGrid(q_max=8.0, n_q=128)
 TGRID = TomogramGrid(x_max=8.0, n_x=256, n_theta=45)
 
-PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+N_DRAWN = 20
 
-mathieu = st.builds(
-    lambda b, freq, f: qd.QuadraticHamiltonian(
-        qd.CosineSampler(1.0, b, freq), qd.ConstantSampler(f)
-    ),
-    st.floats(-0.3, 0.3), st.floats(0.5, 3.0), st.floats(-0.5, 0.5),
-)
-forced = st.builds(
-    lambda w2, f: qd.QuadraticHamiltonian(qd.ConstantSampler(w2), qd.ConstantSampler(f)),
-    st.floats(0.0, 1.5), st.floats(-0.5, 0.5),
-)
-hamiltonians = st.one_of(mathieu, forced)
+
+def mathieu(b, freq, f):
+    return qd.QuadraticHamiltonian(qd.CosineSampler(1.0, b, freq), qd.ConstantSampler(f))
+
+
+def forced(w2, f):
+    return qd.QuadraticHamiltonian(qd.ConstantSampler(w2), qd.ConstantSampler(f))
+
+
+def draw_hamiltonian(rng):
+    """Mathieu with b in [-0.3, 0.3], freq in [0.5, 3], f in [-0.5, 0.5], or
+    a constant omega^2 in [0, 1.5] with the same force, at even odds."""
+    if rng.random() < 0.5:
+        return mathieu(rng.uniform(-0.3, 0.3), rng.uniform(0.5, 3.0), rng.uniform(-0.5, 0.5))
+    return forced(rng.uniform(0.0, 1.5), rng.uniform(-0.5, 0.5))
+
+
+# Corners first: the free particle at rest, each family at its extremes.
+CORNER_HAMILTONIANS = [forced(0.0, 0.0), forced(0.0, 0.5), forced(1.5, -0.5),
+                       mathieu(0.3, 3.0, 0.5), mathieu(-0.3, 0.5, -0.5)]
+
+
+def explicit_cases(cases):
+    """Run a property on exactly these cases; Hypothesis still reports the
+    failing case, but its generate phase is off, so the placeholder
+    strategies are never drawn."""
+    def wrap(test):
+        for case in reversed(cases):
+            test = example(**case)(test)
+        settle = settings(phases=[Phase.explicit], deadline=None, database=None)
+        return settle(given(**{name: st.none() for name in cases[0]})(test))
+    return wrap
+
+
 # With |Re alpha|, |Im alpha| <= 0.5 and |f| <= 0.5 the centre stays within
 # |X| < 2.8 up to t = 1.5 and rows widen at most 2x, so the mass an evolved
 # row loses past |X| = 8 stays near 1e-4.
-alphas = st.builds(complex, st.floats(-0.5, 0.5), st.floats(-0.5, 0.5))
+_rng = np.random.default_rng(2011)
+BACKEND_CASES = [
+    dict(H=H, T=T, alpha=alpha)
+    for H, T, alpha in zip(CORNER_HAMILTONIANS, (0.05, 1.5, 1.5, 1.5, 1.5),
+                           (0.0, 0.5 + 0.5j, -0.5 - 0.5j, 0.5 - 0.5j, -0.5 + 0.5j))
+] + [
+    dict(H=draw_hamiltonian(_rng), T=_rng.uniform(0.05, 1.5),
+         alpha=complex(*_rng.uniform(-0.5, 0.5, 2)))
+    for _ in range(N_DRAWN)
+]
+COMPOSE_CASES = [
+    dict(H=H, steps=steps)
+    for H, steps in zip(CORNER_HAMILTONIANS, ([0.05] * 3, [0.6] * 3, [0.6] * 3,
+                                             [0.6] * 3, [0.05, 0.6, 0.05]))
+] + [
+    dict(H=draw_hamiltonian(_rng), steps=list(_rng.uniform(0.05, 0.6, 3)))
+    for _ in range(N_DRAWN)
+]
 
 
-@PROPERTY_SETTINGS
-@given(H=hamiltonians, T=st.floats(0.05, 1.5), alpha=alphas)
+@explicit_cases(BACKEND_CASES)
 def test_backends_conserve_rows_and_agree(H, T, alpha):
     w0 = tr.tomogram_from_wavefunction(make_coherent(alpha, GRID), TGRID)
     dt = _auto_dt(H)
@@ -64,8 +107,7 @@ def _segment(H, t_from, t_to):
     return qd.optical_map(traj, span, t_from=t_from)
 
 
-@PROPERTY_SETTINGS
-@given(H=hamiltonians, steps=st.lists(st.floats(0.05, 0.6), min_size=3, max_size=3))
+@explicit_cases(COMPOSE_CASES)
 def test_compose_is_associative(H, steps):
     t1, t2, t3 = np.cumsum(steps)
     m1, m2, m3 = _segment(H, 0.0, t1), _segment(H, t1, t2), _segment(H, t2, t3)

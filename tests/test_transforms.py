@@ -74,6 +74,38 @@ def test_wavefunction_route_is_nonnegative(cat_psi, tgrid9):
     assert w.values.min() >= 0.0
 
 
+def test_czt_is_bit_identical_to_scipy(monkeypatch):
+    # The private kernel replays scipy.signal.czt's arithmetic; every call
+    # tomogram_from_wavefunction makes must give SciPy's bits exactly, so
+    # this fails as soon as an installed SciPy changes its arithmetic.
+    from scipy.signal import czt
+
+    calls = []
+
+    def recording(x, m, w, a):
+        out = kernel(x, m, w, a)
+        assert np.array_equal(out, czt(x, m, w, a)), (x.size, m)
+        calls.append((x.size, m))
+        return out
+
+    kernel = tr._czt
+    monkeypatch.setattr(tr, "_czt", recording)
+    # 512 q samples feed the q rows as they are (n_fft = 2048 momentum
+    # samples); 64 samples are refined twofold (128, n_fft = 256).  So both
+    # branches run with m < n and with m > n: q rows 1024 > 512 and
+    # 100 < 128, momentum rows 1024 < 2048 and 300 > 256.
+    for n_q, n_x, q_lengths, n_fft in ((512, 1024, {512}, 2048),
+                                       (64, 100, {128}, 256),
+                                       (64, 300, {128}, 256)):
+        g = CoordinateGrid(q_max=8.0, n_q=n_q)
+        tg = TomogramGrid(x_max=8.0, n_x=n_x, n_theta=8)
+        calls.clear()
+        tr.tomogram_from_wavefunction(make_coherent(0.7 - 0.4j, g), tg)
+        assert len(calls) == tg.n_theta
+        assert {n for n, _ in calls} == q_lengths | {n_fft}
+        assert {m for _, m in calls} == {n_x}
+
+
 def test_tomogram_row_norms(vacuum_tomogram):
     assert np.abs(vacuum_tomogram.row_norms() - 1.0).max() < 1e-9
     vacuum_tomogram.validate()
