@@ -19,10 +19,6 @@ from .states import DensityMatrix, WaveFunction
 from . import quad_dynamics
 from . import transforms
 
-# Probability density allowed at the grid boundary before kernel evolution
-# refuses to run (matches the tomogram edge-mass rule).
-EDGE_DENSITY_TOL = 1e-8
-
 
 @dataclass(frozen=True)
 class GreenKernel:
@@ -79,7 +75,7 @@ def green_kernel(m):
 
 def _check_edge_density(density, what):
     edge = max(float(density[0]), float(density[-1]))
-    if edge > EDGE_DENSITY_TOL:
+    if edge > transforms.EDGE_MASS_TOL:
         raise SupportError(
             f"{what} carries probability density {edge:.3e} at the grid "
             f"boundary; enlarge q_max"

@@ -11,6 +11,10 @@ optical_map reads Lambda and Delta straight off a node of the RK4 solve
 of eps(t); solve_epsilon(..., stops=times) puts a node at every time
 wanted.  The node rule, step guards and RK4 stepper below also integrate
 the characteristics of pde_evolution; each backend supplies its own field.
+The two health figures live here and nowhere else:
+EpsilonTrajectory.wronskian_drift and OpticalAffineMap.det.  The guards
+of solve_epsilon and optical_map read them, and so does the CLI's
+validate task.
 
 Sign convention: Delta = (sqrt(2) Im beta, sqrt(2) Re beta).  The sign of
 the first component is pinned by requiring the integrals of motion to
@@ -163,6 +167,11 @@ class EpsilonTrajectory:
     def final_time(self):
         return float(self.times[-1])
 
+    @property
+    def wronskian_drift(self):
+        """max over nodes of |2 Im(eps' eps*) - 2|; 0 for exact dynamics."""
+        return float(np.abs(2.0 * np.imag(self.eps_dot * np.conj(self.eps)) - 2.0).max())
+
 
 def _time_nodes(T, stops, dt, limit, H):
     """sorted({0, T} | stops), after the guards both integrators share:
@@ -234,14 +243,13 @@ def solve_epsilon(H, T, dt=1e-3, stops=()):
         times.append(np.linspace(t0, t1, n + 1)[1:])
         states.append(np.empty((n, 3), dtype=complex))
         _rk4(_eps_field, y, t0, t1, n, H, trace=states[-1])
-    eps, eps_dot, beta = np.concatenate(states).T.copy()
-
-    drift = np.abs(2.0 * np.imag(eps_dot * np.conj(eps)) - 2.0).max()
+    traj = EpsilonTrajectory(np.concatenate(times), *np.concatenate(states).T.copy())
+    drift = traj.wronskian_drift
     if drift > WRONSKIAN_TOL:
         raise StepError(
             f"Wronskian drift {drift:.3e} exceeds {WRONSKIAN_TOL:g}; reduce dt"
         )
-    return EpsilonTrajectory(np.concatenate(times), eps, eps_dot, beta)
+    return traj
 
 
 @dataclass(frozen=True)
@@ -267,6 +275,12 @@ class OpticalAffineMap:
             raise TimeError(
                 f"map runs backward: t_to = {self.t_to:g} < t_from = {self.t_from:g}"
             )
+
+    @property
+    def det(self):
+        """det Lambda; 1 for a symplectic map."""
+        lam = self.lambda_mat
+        return float(lam[0, 0] * lam[1, 1] - lam[0, 1] * lam[1, 0])
 
     @property
     def is_identity(self):
@@ -305,16 +319,15 @@ def optical_map(traj, t, t_from=0.0):
             "solve it with solve_epsilon(..., stops=[t])"
         )
     e, ed, b = traj.eps[i], traj.eps_dot[i], traj.beta[i]
-    lam = np.array([[np.real(e), -np.real(ed)], [-np.imag(e), np.imag(ed)]])
-    det = lam[0, 0] * lam[1, 1] - lam[0, 1] * lam[1, 0]
-    if abs(det - 1.0) > DET_TOL:
-        raise StepError(f"det Lambda = {det:.10f} is not symplectic within {DET_TOL:g}")
-    return OpticalAffineMap(
-        lambda_mat=lam,
-        delta=np.array([np.sqrt(2.0) * np.imag(b), np.sqrt(2.0) * np.real(b)]),
+    m = OpticalAffineMap(
+        lambda_mat=[[np.real(e), -np.real(ed)], [-np.imag(e), np.imag(ed)]],
+        delta=[np.sqrt(2.0) * np.imag(b), np.sqrt(2.0) * np.real(b)],
         t_from=float(t_from),
         t_to=float(t_from) + t,
     )
+    if abs(m.det - 1.0) > DET_TOL:
+        raise StepError(f"det Lambda = {m.det:.10f} is not symplectic within {DET_TOL:g}")
+    return m
 
 
 def compose(outer, inner):

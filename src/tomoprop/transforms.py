@@ -29,7 +29,8 @@ LINE_STEP = 0.15
 # transform refuses to run (mass would be truncated).
 BOUNDARY_REL_TOL = 1e-4
 
-# Absolute tomogram magnitude at the X edge above which inversion refuses.
+# Absolute tomogram magnitude at the X edge above which inversion refuses;
+# the Green-kernel evolution in oracles holds the q-edge density to it too.
 EDGE_MASS_TOL = 1e-8
 
 # Relative eigenvalue magnitude below which tomogram_from_density drops an
@@ -544,18 +545,13 @@ def tomogram_from_wavefunction(psi, tgrid=None):
         s, c = np.sin(theta), np.cos(theta)
         if abs(s) < 1e-12:
             raise SingularityError("tomogram row requested at sin(theta) = 0")
-        if abs(s) >= abs(c):
-            chirp = np.exp(1j * qs**2 * c / (2.0 * s))
-            cvec = vals * chirp * wq
-            amp = _czt(cvec, tgrid.n_x, np.exp(-1j * dx * dq_s / s), np.exp(1j * x0 * dq_s / s))
-            div = abs(s)
-        else:
-            sp = -c
-            chirp = np.exp(1j * ps**2 * s / (2.0 * sp))
-            cvec = psi_p * chirp * dp
-            amp = _czt(cvec, tgrid.n_x, np.exp(-1j * dx * dp / sp), np.exp(1j * x0 * dp / sp))
-            div = abs(c)
-        rows[j] = np.abs(amp) ** 2 / (2.0 * np.pi * div)
+        # Position samples, or momentum ones with (sin, cos) -> (-cos, sin).
+        u, f, w, du, sn, cs = (
+            (qs, vals, wq, dq_s, s, c) if abs(s) >= abs(c) else (ps, psi_p, dp, dp, -c, s)
+        )
+        chirp = np.exp(1j * u**2 * cs / (2.0 * sn))
+        amp = _czt(f * chirp * w, tgrid.n_x, np.exp(-1j * dx * du / sn), np.exp(1j * x0 * du / sn))
+        rows[j] = np.abs(amp) ** 2 / (2.0 * np.pi * abs(sn))
     return Tomogram(tgrid, rows)
 
 

@@ -231,6 +231,21 @@ def test_pipeline_check_builds_the_initial_tomogram_once(tmp_path, monkeypatch):
     assert len(read_json(tmp_path, "report.json")["records"]) == 2
 
 
+def test_validate_runs_only_the_chirp_z_route(tmp_path, monkeypatch):
+    # Vacuum and state tomograms come straight from their wavefunctions, as
+    # in the tasks; the one radon is the tomogram round trip's.
+    from tomoprop import transforms
+
+    calls = {}
+    for name in ("tomogram_from_wavefunction", "tomogram_from_density", "radon"):
+        def counted(*args, _fn=getattr(transforms, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(transforms, name, counted)
+    assert run(tmp_path, "validate", {"state": {"kind": "coherent", "alpha_re": 1.0}}) == 0
+    assert calls == {"tomogram_from_wavefunction": 2, "radon": 1}
+
+
 def test_evolve_solves_epsilon_once(tmp_path, monkeypatch):
     # One eps(t) trajectory to max(times) serves the map at every time.
     from tomoprop import quad_dynamics

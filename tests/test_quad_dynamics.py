@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from tomoprop.cli import main
 from tomoprop.errors import RangeError, StepError, SupportError, TimeError
 from tomoprop.grids import TomogramGrid
 from tomoprop.states import make_vacuum
@@ -87,6 +90,29 @@ def test_wronskian_conserved_over_long_run():
     traj = qd.solve_epsilon(mathieu(), 10.0)
     wr = 2.0 * np.imag(traj.eps_dot * np.conj(traj.eps))
     assert np.abs(wr - 2.0).max() < 1e-12
+
+
+def test_health_figures_have_one_source(tmp_path):
+    # The trajectory and the map carry the only copies of the two formulas;
+    # the solver guards and validate's report read them.
+    traj = qd.solve_epsilon(mathieu(0.3), 10.0)
+    wr = 2.0 * np.imag(traj.eps_dot * np.conj(traj.eps))
+    assert traj.wronskian_drift == np.abs(wr - 2.0).max()
+    for t in np.linspace(0.0, 10.0, 21):
+        m = qd.optical_map(traj, t)
+        assert m.det == det(m.lambda_mat)
+
+    grid = {"x_max": 8.0, "n_x": 256, "n_theta": 45, "q_max": 8.0, "n_q": 128}
+    config = tmp_path / "job.json"
+    config.write_text(json.dumps({"grid": grid}))
+    assert main(["validate", "--config", str(config), "--output-dir", str(tmp_path)]) == 0
+    checks = {c["name"]: c["measured"]
+              for c in json.loads((tmp_path / "report.json").read_text())["checks"]}
+    traj = qd.solve_epsilon(mathieu(), 10.0, 1e-3)
+    assert checks["wronskian_drift"] == traj.wronskian_drift
+    assert checks["det_lambda_defect"] == max(
+        abs(qd.optical_map(traj, t).det - 1.0) for t in np.linspace(0.0, 10.0, 21)
+    )
 
 
 def test_epsilon_step_consistency():
