@@ -7,12 +7,15 @@ applies automatically.
 
 Conventions: hbar = 1, Wigner functions normalized to integrate to 2*pi over
 phase space, tomogram rows normalized to 1 in X.
+
+Every FFT here is numpy's, and the default (linear) tomogram sampler is a
+private numpy kernel, so importing this module loads no SciPy.  The cubic
+samplers (Tomogram.sample_twisted with interp="cubic", and radon) import
+scipy.ndimage on first use.
 """
 
 import numpy as np
 from dataclasses import dataclass
-from scipy.fft import fft, ifft, next_fast_len
-from scipy.ndimage import map_coordinates, spline_filter
 
 from .errors import GridError, SingularityError, SupportError
 from .grids import CoordinateGrid, TomogramGrid, trapezoid_weights
@@ -37,6 +40,47 @@ EDGE_MASS_TOL = 1e-8
 # eigenpair of rho dq; the weight dropped is then at most n_q times this
 # (times the largest eigenvalue), far below every transform tolerance.
 EIG_REL_TOL = 1e-12
+
+
+def _linear_nodes(x, n):
+    """Per-axis part of _bilinear: whether x lies in [0, n - 1] (False for
+    NaN and +-Inf), the two node indices and their weights.
+
+    The upper node of a point on n - 1 itself is mirrored onto n - 2 (its
+    weight is 0), as ndimage's boundary rule does.
+    """
+    inside = (x >= 0.0) & (x <= n - 1)
+    x = np.where(inside, x, 0.0)
+    i0 = np.floor(x)
+    w0 = 1.0 - (x - i0)
+    i0 = i0.astype(np.intp)
+    i1 = np.where(i0 < n - 1, i0 + 1, max(n - 2, 0))
+    return inside, i0, i1, w0, 1.0 - w0
+
+
+def _bilinear(data, row, col):
+    """Bilinear interpolation of the 2-D data at the index coordinates
+    (row, col), broadcast together; 0 outside [0, n - 1] on either axis.
+
+    Replays scipy.ndimage.map_coordinates(data, ..., order=1,
+    prefilter=False, mode="constant", cval=0.0) as of SciPy 1.17.1 step
+    for step (weights 1 - frac and 1 - that, products and sum in ndimage's
+    order), so its output is bit-identical while scipy.ndimage, which pulls
+    in scipy.special, stays unimported.  A row coordinate of lower rank
+    than col (one per tomogram row) keeps its per-row work at that size.
+    tests/test_transforms.py::test_bilinear_is_bit_identical_to_ndimage
+    compares the two; re-run it whenever the SciPy pin moves.
+    """
+    n_r, n_c = data.shape
+    r_in, r0, r1, wr0, wr1 = _linear_nodes(row, n_r)
+    c_in, c0, c1, wc0, wc1 = _linear_nodes(col, n_c)
+    flat = data.ravel()
+    r0, r1 = r0 * n_c, r1 * n_c
+    out = 0.0 + np.take(flat, r0 + c0) * wr0 * wc0
+    out += np.take(flat, r0 + c1) * wr0 * wc1
+    out += np.take(flat, r1 + c0) * wr1 * wc0
+    out += np.take(flat, r1 + c1) * wr1 * wc1
+    return np.where(r_in & c_in, out, 0.0)
 
 
 @dataclass
@@ -74,21 +118,23 @@ class Tomogram:
         whole real line, using the twisted periodic extension.
 
         X outside the grid evaluates to 0.  interp is "linear" (default,
-        positivity preserving) or "cubic".
+        positivity preserving, the numpy kernel _bilinear) or "cubic"
+        (scipy.ndimage's spline, imported on first use).
         """
         X = np.asarray(X, dtype=float)
         theta = np.asarray(theta, dtype=float)
-        X, theta = np.broadcast_arrays(X, theta)
 
+        # The fold and the row coordinate depend on theta alone, so they are
+        # computed on theta's own shape (one per pull-back row).
         k = np.floor(theta / np.pi)
         theta_loc = theta - k * np.pi
         sign = np.where(np.mod(k, 2.0) == 0.0, 1.0, -1.0)
         Xe = sign * X
 
         if interp == "linear":
-            order, g = 1, 1
+            g = 1
         elif interp == "cubic":
-            order, g = 3, 4
+            g = 4
         else:
             raise ValueError(f"unknown interpolation {interp!r}")
 
@@ -96,20 +142,22 @@ class Tomogram:
         top = np.flip(self.values[n_t - g:], axis=1)
         bottom = np.flip(self.values[:g], axis=1)
         ext = np.concatenate([top, self.values, bottom], axis=0)
-        if order == 3:
-            ext = spline_filter(ext, order=3)
 
         row = theta_loc / self.grid.theta_spacing - 0.5 + g
         col = (Xe + self.grid.x_max) / self.grid.x_spacing
+        if g == 1:
+            return _bilinear(ext, row, col)
+        from scipy.ndimage import map_coordinates, spline_filter
+
         out = map_coordinates(
-            ext,
-            np.array([row.ravel(), col.ravel()]),
-            order=order,
+            spline_filter(ext, order=3),
+            np.array([np.broadcast_to(row, col.shape).ravel(), col.ravel()]),
+            order=3,
             prefilter=False,
             mode="constant",
             cval=0.0,
         )
-        return out.reshape(X.shape)
+        return out.reshape(col.shape)
 
     def pull_back(self, theta0, a, b, weight, interp="linear", norm_tol=1e-3):
         """Row-affine pull-back w(X, theta_j) = weight_j * self(a_j X + b_j, theta0_j),
@@ -211,10 +259,13 @@ class _SampledWigner:
 
     A coarse grid is first refined along both axes by exact trigonometric
     interpolation so the spline step stays below SAMPLING_STEP; the line
-    quadrature spans the whole array.
+    quadrature spans the whole array.  The spline is scipy.ndimage's, which
+    is imported on first use (radon is the only caller).
     """
 
     def __init__(self, W):
+        from scipy.ndimage import spline_filter
+
         q0 = float(W.grid.points[0])
         k = max(1, int(np.ceil(W.spacing / SAMPLING_STEP)))
         vals = np.ascontiguousarray(W.values, dtype=float)
@@ -229,6 +280,8 @@ class _SampledWigner:
         self._yw = trapezoid_weights(self._ys.size, LINE_STEP)
 
     def at(self, qs, ps):
+        from scipy.ndimage import map_coordinates
+
         iq = (np.asarray(qs) - self.q0) / self.dq
         ip = (np.asarray(ps) - self.q0) / self.dq
         out = map_coordinates(
@@ -407,7 +460,7 @@ def inverse_radon(w, grid=None):
             f"tomogram carries {edge:.3e} at |X| = x_max; support is truncated"
         )
 
-    n_fft = next_fast_len(8 * tg.n_x)
+    n_fft = _next_fast_len(8 * tg.n_x)
     dx = tg.x_spacing
     # Discrete ramp built as the FFT of the real-space kernel of the
     # Nyquist-band-limited |eta| filter.  Sampling |eta| directly would zero
@@ -471,22 +524,38 @@ def density_from_tomogram(w, grid=None):
     return density_from_wigner(inverse_radon(w, grid))
 
 
+def _next_fast_len(n):
+    """Smallest 11-smooth integer >= n (n >= 1): the FFT length
+    scipy.fft.next_fast_len(n) returns for complex input."""
+    m = n
+    while True:
+        k = m
+        for f in (2, 3, 5, 7, 11):
+            while k % f == 0:
+                k //= f
+        if k == 1:
+            return m
+        m += 1
+
+
 def _czt(x, m, w, a):
     """Chirp-z transform of the 1-D x at the m points a * w**-k (Bluestein).
 
     Replays the arithmetic of scipy.signal.czt as of SciPy 1.17.1
-    (scipy.signal._czt.CZT) step for step, so its output is bit-identical
-    while scipy.signal, which pulls in scipy.stats and scipy.optimize, stays
-    unimported.  tests/test_transforms.py::test_czt_is_bit_identical_to_scipy
-    compares the two; re-run it whenever the SciPy pin moves.
+    (scipy.signal._czt.CZT) step for step with numpy.fft in place of
+    scipy.fft, so no SciPy module is imported.  On numpy 2.4.6 both FFTs are
+    the same pocketfft, and the output is bit-identical to SciPy's; numpy < 2
+    had a different FFT, so the bits are pinned by
+    tests/test_transforms.py::test_czt_is_bit_identical_to_scipy, not by
+    this docstring.  Re-run it whenever the numpy or SciPy pin moves.
     """
     n = x.shape[-1]
     k = np.arange(max(m, n), dtype=np.min_scalar_type(-max(m, n) ** 2))
     wk2 = w ** (k**2 / 2.0)
     awk2 = a**-k[:n] * wk2[:n]
-    nfft = next_fast_len(n + m - 1)
-    fwk2 = fft(1 / np.hstack((wk2[n - 1:0:-1], wk2[:m])), nfft)
-    return ifft(fwk2 * fft(x * awk2, nfft))[n - 1:n + m - 1] * wk2[:m]
+    nfft = _next_fast_len(n + m - 1)
+    fwk2 = np.fft.fft(1 / np.hstack((wk2[n - 1:0:-1], wk2[:m])), nfft)
+    return np.fft.ifft(fwk2 * np.fft.fft(x * awk2, nfft))[n - 1:n + m - 1] * wk2[:m]
 
 
 def tomogram_from_wavefunction(psi, tgrid=None):
@@ -534,7 +603,7 @@ def tomogram_from_wavefunction(psi, tgrid=None):
         wq = np.full(k * n, dq_s)
 
     # Momentum samples on a q-padded FFT axis.
-    n_fft = next_fast_len(max(4 * grid.n_q, int(np.ceil(span / dq))))
+    n_fft = _next_fast_len(max(4 * grid.n_q, int(np.ceil(span / dq))))
     spec = np.fft.fft(psi.values * grid.trapezoid_weights, n=n_fft)
     ps = 2.0 * np.pi * np.fft.fftshift(np.fft.fftfreq(n_fft, d=dq))
     dp = ps[1] - ps[0]

@@ -8,6 +8,7 @@ the Gaussian-margin precondition is binding), hence the 9-unit variants.
 
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 
 from tomoprop.grids import CoordinateGrid, TomogramGrid
 from tomoprop.states import (
@@ -122,11 +123,12 @@ def vacuum_wigner_reference(grid):
 def reference_inverse_radon(w, grid=None):
     """Filtered back-projection as one np.interp per theta over the whole
     (q, p) square, masked to the reconstruction disc afterwards: the loop
-    transforms.inverse_radon must reproduce bit for bit."""
+    transforms.inverse_radon must reproduce bit for bit.  The FFT length
+    comes from scipy.fft, independent of the code under test."""
     tg = w.grid
     if grid is None:
         grid = CoordinateGrid(q_max=tg.x_max, n_q=min(tg.n_x, 512))
-    n_fft = tr.next_fast_len(8 * tg.n_x)
+    n_fft = next_fast_len(8 * tg.n_x)
     dx = tg.x_spacing
     n = np.fft.fftfreq(n_fft, d=1.0 / n_fft).astype(int)
     kern = np.zeros(n_fft)

@@ -692,3 +692,40 @@ def test_imports_leave_heavy_scipy_packages_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]", f"{round(np.cos(1.0), 6)} True"]
+
+
+def test_jobs_load_no_scipy(tmp_path):
+    # numpy's FFT and a private bilinear kernel serve every job, so neither
+    # the imports nor an evolve, invert or pipeline-check run loads any
+    # SciPy module; scipy.ndimage loads on the first cubic sample only.
+    state = {"kind": "coherent", "alpha_re": 1.0}
+    evolve = write_config(tmp_path, {"times": [0.5], "backend": "both"}, name="evolve.json")
+    tomogram = write_config(tmp_path, {"state": state}, name="tomogram.json")
+    invert = write_config(tmp_path, {"input_path": str(tmp_path / "tomogram" / "tomogram.csv")},
+                          name="invert.json")
+    pipeline = write_config(tmp_path, {"times": [1.0], "state": state}, name="pipeline.json")
+    code = "\n".join([
+        "import importlib, sys",
+        "import tomoprop.cli",
+        "for name in ('config', 'errors', 'grids', 'oracles', 'output',",
+        "             'pde_evolution', 'quad_dynamics', 'states', 'transforms'):",
+        "    importlib.import_module('tomoprop.' + name)",
+        "evolve, tomogram, invert, pipeline, out = sys.argv[1:]",
+        "jobs = (('evolve', evolve), ('tomogram', tomogram), ('invert', invert),",
+        "        ('pipeline-check', pipeline))",
+        "codes = [tomoprop.cli.main([task, '--config', cfg, '--output-dir', out + '/' + task])",
+        "         for task, cfg in jobs]",
+        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        "import numpy as np",
+        "from tomoprop.grids import TomogramGrid",
+        "from tomoprop.transforms import Tomogram",
+        "w = Tomogram(TomogramGrid(x_max=4.0, n_x=16, n_theta=8), np.ones((8, 16)))",
+        "w.sample_twisted(0.5, 0.3, interp='cubic')",
+        "print('scipy.ndimage' in sys.modules)",
+    ])
+    proc = subprocess.run(
+        [sys.executable, "-c", code, evolve, tomogram, invert, pipeline, str(tmp_path)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[0, 0, 0, 0] []", "True"]

@@ -106,6 +106,16 @@ def test_czt_is_bit_identical_to_scipy(monkeypatch):
         assert {m for _, m in calls} == {n_x}
 
 
+def test_next_fast_len_matches_scipy():
+    # The FFT lengths of _czt, tomogram_from_wavefunction and inverse_radon
+    # are the 11-smooth sizes scipy.fft picks for complex input.
+    from scipy.fft import next_fast_len
+
+    assert [tr._next_fast_len(t) for t in range(1, 20001)] == [
+        next_fast_len(t) for t in range(1, 20001)
+    ]
+
+
 def test_tomogram_row_norms(vacuum_tomogram):
     assert np.abs(vacuum_tomogram.row_norms() - 1.0).max() < 1e-9
     vacuum_tomogram.validate()
@@ -197,6 +207,120 @@ def test_sample_twisted_cubic_tracks_linear(coherent_tomogram):
     a = coherent_tomogram.sample_twisted(X, theta, interp="linear")
     b = coherent_tomogram.sample_twisted(X, theta, interp="cubic")
     assert np.abs(a - b).max() < 5e-4
+
+
+def _edge_coordinates(n):
+    """Index coordinates at and around both ends of an axis of n nodes."""
+    ulp_in = [np.nextafter(0.0, 1.0), np.nextafter(n - 1.0, 0.0)]
+    ulp_out = [np.nextafter(0.0, -1.0), np.nextafter(n - 1.0, n)]
+    return np.array(
+        [0.0, -0.0, n - 1.0, 1.0, n - 2.0, 0.5, n - 1.5, *ulp_in, *ulp_out,
+         -1e-300, -0.5, -1.0 + 1e-12, -1.0, -2.5, n - 0.5, n - 1e-12, n, n + 3.0,
+         np.nan, np.inf, -np.inf]
+    )
+
+
+def _same_bits(a, b):
+    """Equal values, NaN where NaN and the same sign on every zero."""
+    return (np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+def test_bilinear_is_bit_identical_to_ndimage():
+    # _bilinear replays map_coordinates(order=1, prefilter=False,
+    # mode="constant", cval=0) operation for operation; any change in the
+    # weights, the order of the sum or the edge rule shows in the bits.
+    from scipy.ndimage import map_coordinates
+
+    def ndimage(data, row, col):
+        row, col = np.broadcast_arrays(row, col)
+        out = map_coordinates(
+            data, np.array([row.ravel(), col.ravel()]),
+            order=1, prefilter=False, mode="constant", cval=0.0,
+        )
+        return out.reshape(row.shape)
+
+    rng = np.random.default_rng(2011)
+    for n_r, n_c in ((182, 1024), (3, 2), (7, 1)):
+        data = rng.standard_normal((n_r, n_c))
+        # Negative zeros beside negative values: only ndimage's leading
+        # 0.0 + turns a node's -0.0 into +0.0.
+        data[::2, ::2] = -0.0
+        data[1::2] = -np.abs(data[1::2])
+        # Every pair of edge coordinates, nodes and mid-cells included.
+        er, ec = _edge_coordinates(n_r), _edge_coordinates(n_c)
+        nodes_r = np.arange(n_r, dtype=float)
+        nodes_c = np.arange(n_c, dtype=float)
+        for rows, cols in ((er, ec), (nodes_r, nodes_c), (nodes_r + 0.25, nodes_c + 0.75)):
+            got = tr._bilinear(data, rows[:, None], cols[None, :])
+            assert _same_bits(got, ndimage(data, rows[:, None], cols[None, :])), (n_r, n_c)
+        # Random points, per point and with one row coordinate per row.
+        for _ in range(3):
+            row = rng.uniform(-1.5, n_r + 0.5, (n_r, 1))
+            col = rng.uniform(-1.5, n_c + 0.5, (n_r, n_c))
+            assert _same_bits(tr._bilinear(data, row, col), ndimage(data, row, col))
+            row = np.broadcast_to(row, col.shape)
+            assert _same_bits(tr._bilinear(data, row, col), ndimage(data, row, col))
+    # Non-finite data: the zero-weight node at the upper edge is ndimage's
+    # mirrored one, so NaN and Inf spread to the same points.
+    data = rng.standard_normal((5, 6))
+    data[3, :] = np.nan
+    data[:, 4] = np.inf
+    e5, e6 = _edge_coordinates(5), _edge_coordinates(6)
+    with np.errstate(invalid="ignore"):
+        got = tr._bilinear(data, e5[:, None], e6[None, :])
+    assert _same_bits(got, ndimage(data, e5[:, None], e6[None, :]))
+
+
+def test_sample_twisted_linear_is_bit_identical_to_ndimage(coherent_tomogram):
+    # The linear sampler as it was written with scipy.ndimage: fold theta
+    # on the broadcast arrays, add one twisted row at each end of the
+    # tomogram, interpolate with map_coordinates.
+    from scipy.ndimage import map_coordinates
+
+    w = coherent_tomogram
+    tg = w.grid
+
+    def ndimage(X, theta):
+        X, theta = np.broadcast_arrays(np.asarray(X, float), np.asarray(theta, float))
+        k = np.floor(theta / np.pi)
+        Xe = np.where(np.mod(k, 2.0) == 0.0, 1.0, -1.0) * X
+        row = (theta - k * np.pi) / tg.theta_spacing - 0.5 + 1
+        col = (Xe + tg.x_max) / tg.x_spacing
+        ext = np.concatenate([w.values[-1:, ::-1], w.values, w.values[:1, ::-1]])
+        out = map_coordinates(
+            ext, np.array([row.ravel(), col.ravel()]),
+            order=1, prefilter=False, mode="constant", cval=0.0,
+        )
+        return out.reshape(X.shape)
+
+    rng = np.random.default_rng(7)
+    base = rng.uniform(0.0, np.pi, 24)
+    thetas = np.concatenate([
+        base, base + np.pi, base - np.pi, base + 2.0 * np.pi, -base,
+        tg.thetas, tg.thetas + np.pi, tg.thetas - np.pi, tg.thetas + 2.0 * np.pi,
+        [0.0, -0.0, np.pi, -np.pi, 2.0 * np.pi, np.nextafter(np.pi, 0.0),
+         np.nextafter(np.pi, 4.0), np.nan, np.inf, -np.inf],
+    ])
+    x_max = tg.x_max
+    Xs = np.concatenate([
+        rng.uniform(-x_max - 0.1, x_max + 0.1, 64), tg.xs,
+        [x_max, -x_max, np.nextafter(x_max, 0.0), np.nextafter(x_max, 99.0),
+         np.nextafter(-x_max, 0.0), np.nextafter(-x_max, -99.0), 0.0, -0.0,
+         x_max + 0.5 * tg.x_spacing, -x_max - 0.5 * tg.x_spacing, np.nan, np.inf, -np.inf],
+    ])
+    with np.errstate(invalid="ignore"):
+        # Pull-back layout: one theta per row, a full X row each.
+        got = w.sample_twisted(Xs[None, :], thetas[:, None])
+        assert _same_bits(got, ndimage(Xs[None, :], thetas[:, None]))
+        assert _same_bits(w.sample_twisted(Xs[:, None], thetas[None, :]),
+                          ndimage(Xs[:, None], thetas[None, :]))
+    # Per point, and scalars.
+    X = rng.uniform(-x_max - 0.1, x_max + 0.1, 5000)
+    theta = rng.uniform(-3.0 * np.pi, 3.0 * np.pi, 5000)
+    assert _same_bits(w.sample_twisted(X, theta), ndimage(X, theta))
+    assert _same_bits(w.sample_twisted(1.3, 0.4), ndimage(1.3, 0.4))
+    assert w.sample_twisted(1.3, 0.4).shape == ()
 
 
 def test_sample_twisted_unknown_interp(coherent_tomogram):
