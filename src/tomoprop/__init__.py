@@ -42,6 +42,7 @@ _EXPORTS = {
     "density_from_wigner": "transforms",
     "radon": "transforms",
     "inverse_radon": "transforms",
+    "inverse_radon_many": "transforms",
     "tomogram_from_density": "transforms",
     "tomogram_from_wavefunction": "transforms",
     "density_from_tomogram": "transforms",

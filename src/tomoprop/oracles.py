@@ -152,22 +152,32 @@ def trace_distance(rho_a, rho_b):
     return 0.5 * float(np.abs(np.linalg.eigvalsh(diff)).sum())
 
 
-def pipeline_discrepancy(rho0, w0, m):
-    """Gap between the quantum and the optical propagator of one map.
+def pipeline_discrepancy(rho0, w0, maps):
+    """Gap between the quantum and the optical propagator of each map.
 
     Route A evolves rho0 with green_kernel(m).  Route B evolves w0, the
     caller's optical tomogram of rho0 (its grid sets the tomogram grid),
     with evolve_tomogram(w0, m) and reconstructs the density matrix by
-    filtered back-projection.  Returns {"trace_distance", "l_inf"} between
-    the two final densities.  For the identity map route A is rho0 itself
-    and route B a round trip through the caller's transform and the
-    back-projection, so the record isolates the transform error.
-    """
-    rho_a = rho0 if m.is_identity else evolve_density(rho0, green_kernel(m))
-    w_t = quad_dynamics.evolve_tomogram(w0, m)
-    rho_b = transforms.density_from_tomogram(w_t, rho0.grid)
+    filtered back-projection.  Returns one {"trace_distance", "l_inf"}
+    between the two final densities per map, in the order of maps.  For
+    the identity map route A is rho0 itself and route B a round trip
+    through the caller's transform and the back-projection, so the record
+    isolates the transform error.
 
-    return {
-        "trace_distance": trace_distance(rho_a, rho_b),
-        "l_inf": float(np.abs(rho_a.values - rho_b.values).max()),
-    }
+    Every kernel is built first, so a focal map raises CausticError before
+    any back-projection runs; all the evolved tomograms then share one
+    inverse_radon_many, whose temporaries are freed before route A runs.
+    """
+    kernels = [None if m.is_identity else green_kernel(m) for m in maps]
+    w_ts = [quad_dynamics.evolve_tomogram(w0, m) for m in maps]
+    wigners = transforms.inverse_radon_many(w_ts, rho0.grid)
+    del w_ts
+    records = []
+    for kernel, W in zip(kernels, wigners):
+        rho_a = rho0 if kernel is None else evolve_density(rho0, kernel)
+        rho_b = transforms.density_from_wigner(W)
+        records.append({
+            "trace_distance": trace_distance(rho_a, rho_b),
+            "l_inf": float(np.abs(rho_a.values - rho_b.values).max()),
+        })
+    return records

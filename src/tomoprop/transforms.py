@@ -373,8 +373,10 @@ BACKPROJECT_BLOCK = 16384
 
 
 def _back_project(xs, rows, thetas, q, p):
-    """Sum over j of np.interp(q cos(thetas[j]) + p sin(thetas[j]), xs,
-    rows[j], left=0, right=0), accumulated in j order, bit for bit.
+    """For each tomogram i of the stack rows (shape (k, n_theta, n_x)), the
+    sum over j of np.interp(q cos(thetas[j]) + p sin(thetas[j]), xs,
+    rows[i, j], left=0, right=0), accumulated in j order, bit for bit;
+    returns shape (k, m).
 
     q and p are flat point coordinates and xs is strictly increasing and
     uniform up to rounding.  Each point's bracket comes from arithmetic,
@@ -384,15 +386,18 @@ def _back_project(xs, rows, thetas, q, p):
     residual s - xs[j] vouches for the bracket when it lies in [0, smallest
     step): then xs[j] <= s < xs[j + 1] exactly.  Every other point (a
     rounding miss, s on or beyond the last node, s outside the window, NaN)
-    is redone with np.interp itself.
+    is redone with np.interp itself.  The geometry (s, the bracket, the
+    residual and the redo mask) depends on the points and the angle alone,
+    so it is computed once per block and angle for every tomogram.
     """
-    m = q.size
-    acc = np.zeros(m)
+    k, m = rows.shape[0], q.size
+    acc = np.zeros((k, m))
     if m == 0:
         return acc
     x_lo, x_lower = xs[0], xs[:-1]
     inv_dx = (xs.size - 1) / (xs[-1] - xs[0])
-    slopes = np.diff(rows, axis=1) / np.diff(xs)
+    slopes = np.diff(rows, axis=-1) / np.diff(xs)
+    lower = rows[..., :-1]
     # Nonnegative doubles order like their bit patterns; negative ones (and
     # NaN) map above every positive step, so one unsigned compare finds both.
     step_bits = np.diff(xs).min().view(np.uint64)
@@ -405,11 +410,11 @@ def _back_project(xs, rows, thetas, q, p):
     # which the residual check then rejects.
     with np.errstate(invalid="ignore"):
         for lo in range(0, m, b):
-            k = min(b, m - lo)
-            qb, pb, ab = q[lo:lo + k], p[lo:lo + k], acc[lo:lo + k]
-            s, t, r, v = s_buf[:k], t_buf[:k], r_buf[:k], v_buf[:k]
-            j, bad = j_buf[:k], bad_buf[:k]
-            for slope, f, (c, sn) in zip(slopes, rows, trig):
+            n = min(b, m - lo)
+            qb, pb, ab = q[lo:lo + n], p[lo:lo + n], acc[:, lo:lo + n]
+            s, t, r, v = s_buf[:n], t_buf[:n], r_buf[:n], v_buf[:n]
+            j, bad = j_buf[:n], bad_buf[:n]
+            for a, (c, sn) in enumerate(trig):
                 np.multiply(qb, c, out=s)
                 np.multiply(pb, sn, out=t)
                 np.add(s, t, out=s)
@@ -418,23 +423,27 @@ def _back_project(xs, rows, thetas, q, p):
                 np.copyto(j, t, casting="unsafe")
                 # Clipping to the last bracket start leaves any point past it
                 # to the residual check.
-                np.take(x_lower, j, out=r, mode="clip")
+                x_lower.take(j, out=r, mode="clip")
                 np.subtract(s, r, out=r)
                 np.greater_equal(r.view(np.uint64), step_bits, out=bad)
-                np.take(slope, j, out=v, mode="clip")
-                np.multiply(v, r, out=v)
-                np.take(f[:-1], j, out=t, mode="clip")
-                np.add(v, t, out=v)
-                if bad.any():
-                    redo = np.flatnonzero(bad)
-                    v[redo] = np.interp(s[redo], xs, f, left=0.0, right=0.0)
-                np.add(ab, v, out=ab)
+                redo = np.flatnonzero(bad) if bad.any() else None
+                if redo is not None:
+                    s_redo = s[redo]
+                for i in range(k):
+                    slopes[i, a].take(j, out=v, mode="clip")
+                    np.multiply(v, r, out=v)
+                    lower[i, a].take(j, out=t, mode="clip")
+                    np.add(v, t, out=v)
+                    if redo is not None:
+                        v[redo] = np.interp(s_redo, xs, rows[i, a], left=0.0, right=0.0)
+                    np.add(ab[i], v, out=ab[i])
     return acc
 
 
-def inverse_radon(w, grid=None):
-    """Filtered back-projection of a tomogram onto the square (q, p) grid
-    of a CoordinateGrid, by default CoordinateGrid(x_max, min(n_x, 512)).
+def inverse_radon_many(ws, grid=None):
+    """Filtered back-projection of tomograms on one TomogramGrid onto the
+    square (q, p) grid of a CoordinateGrid, by default
+    CoordinateGrid(x_max, min(n_x, 512)); one WignerFunction per tomogram.
 
     Per theta row: FFT in X, multiply by the |eta| ramp (band-limited at the
     X Nyquist frequency), inverse FFT, then back-project with linear
@@ -445,20 +454,30 @@ def inverse_radon(w, grid=None):
     is confined to the reconstruction disc r < x_max: outside it the
     projections carry no information and the truncated tails leave
     percent-level junk, so only points strictly inside are back-projected
-    and every other point is exactly 0.  The back-projection
-    is bit-identical to one np.interp(s, X, row, left=0, right=0) per theta
-    summed in theta order over the whole grid and masked afterwards.
-    A tomogram holding NaN or Inf is refused (SupportError).
+    and every other point is exactly 0.  Each output is bit-identical to
+    one np.interp(s, X, row, left=0, right=0) per theta summed in theta
+    order over the whole grid and masked afterwards.
+
+    The ramp is built once and the tomograms are filtered one at a time;
+    one back-projection pass then shares its geometry across all of them.
+    Tomograms on different grids are refused (GridError), and so is a
+    tomogram holding NaN or Inf or carrying mass at |X| = x_max
+    (SupportError), before any is filtered.
     """
-    tg = w.grid
+    if not ws:
+        return []
+    tg = ws[0].grid
+    if any(w.grid != tg for w in ws):
+        raise GridError("tomograms to back-project live on different grids")
     if grid is None:
         grid = CoordinateGrid(q_max=tg.x_max, n_q=min(tg.n_x, 512))
-    _require_finite(w.values, "tomogram")
-    edge = w.edge_mass()
-    if edge > EDGE_MASS_TOL:
-        raise SupportError(
-            f"tomogram carries {edge:.3e} at |X| = x_max; support is truncated"
-        )
+    for w in ws:
+        _require_finite(w.values, "tomogram")
+        edge = w.edge_mass()
+        if edge > EDGE_MASS_TOL:
+            raise SupportError(
+                f"tomogram carries {edge:.3e} at |X| = x_max; support is truncated"
+            )
 
     n_fft = _next_fast_len(8 * tg.n_x)
     dx = tg.x_spacing
@@ -473,17 +492,30 @@ def inverse_radon(w, grid=None):
     kern[odd] = -2.0 / (np.pi * (n[odd] * dx) ** 2)
     ramp = np.real(np.fft.fft(kern)) * dx
 
-    filtered = np.fft.ifft(np.fft.fft(w.values, n=n_fft, axis=1) * ramp, axis=1)
-    # Keep only the window's real part: the padded complex rows (24 MB on
-    # the default grids) are freed before the back-projection starts.
-    filtered = filtered[:, : tg.n_x].real.copy()
+    # Only the window's real part is kept: each padded complex array (24 MB
+    # on the default grids) is freed before the next tomogram is filtered,
+    # and the stack is allocated once none of them is alive.
+    filtered = np.stack([
+        np.fft.ifft(np.fft.fft(w.values, n=n_fft, axis=1) * ramp, axis=1)[:, : tg.n_x].real.copy()
+        for w in ws
+    ])
 
     qq, pp = np.broadcast_arrays(grid.points[:, None], grid.points[None, :])
     inside = np.hypot(qq, pp) < tg.x_max
-    out = np.zeros(inside.shape)
     acc = _back_project(tg.xs, filtered, tg.thetas, qq[inside], pp[inside])
-    out[inside] = acc * tg.theta_spacing
-    return WignerFunction(grid, out)
+    del filtered
+    outs = []
+    for a in acc:
+        out = np.zeros(inside.shape)
+        out[inside] = a * tg.theta_spacing
+        outs.append(WignerFunction(grid, out))
+    return outs
+
+
+def inverse_radon(w, grid=None):
+    """Filtered back-projection of one tomogram: inverse_radon_many([w],
+    grid)[0], which documents the filter, the disc and the refusals."""
+    return inverse_radon_many([w], grid)[0]
 
 
 def tomogram_from_density(rho, tgrid=None):

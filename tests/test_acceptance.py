@@ -165,8 +165,7 @@ def test_acceptance_08_kernel_correspondence(capsys, vacuum_rho, coherent_rho,
                          (qd.QuadraticHamiltonian.harmonic(), 1.0))]
     pairs = []
     for rho, w0 in ((vacuum_rho, vacuum_tomogram), (coherent_rho, coherent_tomogram)):
-        for m in maps:
-            rec = oracles.pipeline_discrepancy(rho, w0, m)
+        for rec in oracles.pipeline_discrepancy(rho, w0, maps):
             pairs.append((rec["trace_distance"], 1e-2))
     emit(capsys, 8, "kernel_correspondence", pairs)
 

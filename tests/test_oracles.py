@@ -228,18 +228,56 @@ def test_pipeline_discrepancy_at_zero_time_is_transform_error(vacuum_rho,
                                                              vacuum_tomogram):
     m = map_of(OSCILLATOR, 0.0)
     assert m.is_identity
-    rec = oracles.pipeline_discrepancy(vacuum_rho, vacuum_tomogram, m)
+    [rec] = oracles.pipeline_discrepancy(vacuum_rho, vacuum_tomogram, [m])
     assert rec["trace_distance"] < 1e-3
     assert rec["l_inf"] < 1e-3
 
 
 def test_pipeline_discrepancy_shrinks_under_refinement(vacuum_rho):
-    coarse, fine = (
+    [coarse], [fine] = (
         oracles.pipeline_discrepancy(
-            vacuum_rho, tr.tomogram_from_density(vacuum_rho, tg), map_of(OSCILLATOR, 1.0)
+            vacuum_rho, tr.tomogram_from_density(vacuum_rho, tg), [map_of(OSCILLATOR, 1.0)]
         )
         for tg in (TomogramGrid(x_max=8.0, n_x=512, n_theta=90),
                    TomogramGrid(x_max=8.0, n_x=1024, n_theta=180))
     )
     assert fine["trace_distance"] < coarse["trace_distance"]
     assert fine["trace_distance"] < 1e-3
+
+
+SMALL_GRID = CoordinateGrid(q_max=8.0, n_q=128)
+SMALL_TGRID = TomogramGrid(x_max=8.0, n_x=256, n_theta=32)
+
+
+def test_pipeline_discrepancy_equals_the_per_map_composition():
+    # One back-projection pass for every map gives each record bit for bit
+    # as the two routes composed map by map.
+    rho0 = density_from_wavefunction(make_coherent(1.0, SMALL_GRID))
+    w0 = tr.tomogram_from_density(rho0, SMALL_TGRID)
+    traj = qd.solve_epsilon(FORCED_MATHIEU, 1.0, stops=[0.5, 1.0])
+    maps = [qd.optical_map(traj, t) for t in (0.5, 1.0)]
+    got = oracles.pipeline_discrepancy(rho0, w0, maps)
+    assert len(got) == 2
+    for rec, m in zip(got, maps):
+        rho_a = oracles.evolve_density(rho0, oracles.green_kernel(m))
+        rho_b = tr.density_from_tomogram(qd.evolve_tomogram(w0, m), rho0.grid)
+        assert rec == {
+            "trace_distance": oracles.trace_distance(rho_a, rho_b),
+            "l_inf": float(np.abs(rho_a.values - rho_b.values).max()),
+        }
+
+
+def test_pipeline_discrepancy_refuses_a_focal_map_before_any_fbp(monkeypatch):
+    rho0 = density_from_wavefunction(make_coherent(1.0, SMALL_GRID))
+    w0 = tr.tomogram_from_density(rho0, SMALL_TGRID)
+    maps = [map_of(OSCILLATOR, 1.0), map_of(OSCILLATOR, np.pi)]
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        raise AssertionError("back-projection ran")
+
+    monkeypatch.setattr(tr, "_back_project", counted)
+    with pytest.raises(CausticError):
+        oracles.pipeline_discrepancy(rho0, w0, maps)
+    assert calls == []

@@ -425,17 +425,24 @@ def test_inverse_radon_matches_reference_loop_beyond_the_disc(coherent_psi):
 
 
 def test_back_project_brackets_equal_np_interp(monkeypatch):
-    # s = q at theta = 0.  Points on every X node and one ulp to either
-    # side, on and past both window ends, far outside and NaN: the
-    # arithmetic bracket is off or undefined for many of them, so the
-    # residual guard has to send them to np.interp itself.
+    # s = q at theta = 0 and -q at theta = pi.  Points on every X node and
+    # one ulp to either side, on and past both window ends, far outside and
+    # NaN: the arithmetic bracket is off or undefined for many of them, so
+    # the residual guard has to send them to np.interp itself.  Three row
+    # sets share that geometry, and each sums its own rows.
     xs = np.linspace(-2.0, 2.0, 17)
-    f = np.random.default_rng(3).normal(size=xs.size)
+    thetas = [0.0, np.pi]
+    rows = np.random.default_rng(3).normal(size=(3, len(thetas), xs.size))
     q = np.concatenate([
         xs, np.nextafter(xs, np.inf), np.nextafter(xs, -np.inf),
         [-100.0, 100.0, 1e300, -1e300, np.nan, 0.3, -1.7],
     ])
-    expected = 0.0 + np.interp(q, xs, f, left=0.0, right=0.0)
+    p = np.zeros_like(q)
+    expected = np.zeros((rows.shape[0], q.size))
+    for e, f in zip(expected, rows):
+        for theta, row in zip(thetas, f):
+            s = q * np.cos(theta) + p * np.sin(theta)
+            e += np.interp(s, xs, row, left=0.0, right=0.0)
 
     interp, redone = np.interp, []
 
@@ -444,12 +451,30 @@ def test_back_project_brackets_equal_np_interp(monkeypatch):
         return interp(x, *args, **kwargs)
 
     monkeypatch.setattr(np, "interp", counted)
-    got = tr._back_project(xs, f[None, :], [0.0], q, np.zeros_like(q))
+    got = tr._back_project(xs, rows, thetas, q, p)
     monkeypatch.undo()
     assert sum(redone) > 0
-    assert np.array_equal(got, expected, equal_nan=True)
+    assert got.shape == expected.shape
     finite = np.isfinite(expected)
-    assert got[finite].tobytes() == expected[finite].tobytes()
+    for g, e, ok in zip(got, expected, finite):
+        assert np.array_equal(g, e, equal_nan=True)
+        assert g[ok].tobytes() == e[ok].tobytes()
+
+
+def test_inverse_radon_many_equals_one_call_per_tomogram(coherent_psi, vacuum_psi):
+    tg = TomogramGrid(x_max=8.0, n_x=300, n_theta=37)
+    g = CoordinateGrid(q_max=8.0, n_q=101)
+    ws = [tr.tomogram_from_wavefunction(psi, tg) for psi in (coherent_psi, vacuum_psi)]
+    many = tr.inverse_radon_many(ws, g)
+    assert len(many) == 2
+    for got, w in zip(many, ws):
+        one = tr.inverse_radon(w, g)
+        assert got.grid == one.grid == g
+        assert got.values.tobytes() == one.values.tobytes()
+
+    other = tr.tomogram_from_wavefunction(vacuum_psi, TomogramGrid(x_max=8.0, n_x=300, n_theta=36))
+    with pytest.raises(GridError, match="different grids"):
+        tr.inverse_radon_many([ws[0], other], g)
 
 
 @pytest.mark.parametrize("n", [64, 65, 256, 257])
