@@ -123,11 +123,13 @@ def _read_headers(path):
 
 
 def read_tomogram(path):
-    """Parse a tomogram data file back into a validated Tomogram.
+    """Parse a tomogram data file back into a Tomogram.
 
-    A file that is not UTF-8, holds a header or cell that does not parse
-    as a number, or whose header grid TomogramGrid refuses, raises
-    ParseError naming the file.
+    Only the layout is checked: a file that is not UTF-8, holds a header or
+    cell that does not parse as a number, whose header grid TomogramGrid
+    refuses, or whose rows or columns do not match that grid, raises
+    ParseError naming the file.  The values are not validated; callers run
+    Tomogram.validate() (the invert task does).
     """
     try:
         meta = _read_headers(path)

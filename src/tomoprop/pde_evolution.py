@@ -23,10 +23,10 @@ seam of the extension.
 
 The two backends share the time-stepping machinery of quad_dynamics (the
 node rule and step guards of _time_nodes, the RK4 stepper _rk4) and the
-final row-affine pull-back (Tomogram.pull_back: twisted sampling, X-window
-edge guard, validation).  Each integrates its own field: this module the
-characteristics of the feet (theta, a X + nu) and amplitudes, quad_dynamics
-eps(t) and beta(t).  Their agreement checks the two fields; the referees
+final pull-back of one affine frame (theta0, a, b) per row
+(Tomogram.pull_back: twisted sampling, X-window edge guard, validation).
+Each integrates its own field: this module the characteristics of the
+feet (theta, a X + nu) and amplitudes, quad_dynamics eps(t) and beta(t).  Their agreement checks the two fields; the referees
 that share none of this machinery are oracles.classical_trajectory
 (scipy solve_ivp), the Wronskian check of solve_epsilon and the per-node
 RK4 integration in the tests.
@@ -68,9 +68,9 @@ def evolve_semilagrangian(w0, hamiltonian, T, dt=1e-3, stops=()):
     the RK4 stages are themselves affine in the state, which makes the
     factored integration agree with tracing every node separately up to
     float rounding.  The sweep carries (theta, nu, log_amp) per row: a
-    obeys da/dt = b a where d(log_amp)/dt = -b, so a = exp(-log_amp) is
-    also the weight, as a = weight = 1/r for the affine map.  A time of 0
-    gives a copy of w0.
+    obeys da/dt = b a where d(log_amp)/dt = -b, so a = exp(-log_amp), and
+    each time's rows are the pull-back frame (theta0, a, b) = (theta, a, nu),
+    the affine map's (theta0, 1/r, b).  A time of 0 gives a copy of w0.
 
     Raises TimeError for T < 0 or a stop outside [0, T], StepError unless
     0 < dt <= STEP_LIMIT / max(1, sup omega^2), and SupportError when a foot
@@ -95,7 +95,7 @@ def evolve_semilagrangian(w0, hamiltonian, T, dt=1e-3, stops=()):
     out = {}
     for k, t in enumerate(sweep[:-1]):
         rows = slice(k * tg.n_theta, (k + 1) * tg.n_theta)
-        out[t] = w0.pull_back(y[0, rows], amp[rows], y[1, rows], amp[rows], norm_tol=2e-3)
+        out[t] = w0.pull_back(y[0, rows], amp[rows], y[1, rows], norm_tol=2e-3)
     if 0.0 in wanted:
         out[0.0] = Tomogram(tg, w0.values.copy())
     return [out[t] for t in nodes if t in wanted]

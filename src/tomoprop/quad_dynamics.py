@@ -6,7 +6,8 @@ eps'(0) = i) and the forcing quadrature beta(t) assemble into linear
 integrals of motion: a symplectic matrix Lambda(t) and a drift vector
 Delta(t) satisfying Lambda(t) (p, q)(t) + Delta(t) = (p, q)(0) along every
 classical trajectory.  The tomogram then evolves by a deterministic affine
-reference-frame map with weight 1/r, the delta form of the propagator.
+reference-frame map w_t(X, theta) = a w_0(a X + b, theta0) with a = 1/r,
+the delta form of the propagator.
 optical_map reads Lambda and Delta straight off a node of the RK4 solve
 of eps(t); solve_epsilon(..., stops=times) puts a node at every time
 wanted.  The node rule, step guards and RK4 stepper below also integrate
@@ -254,13 +255,13 @@ def solve_epsilon(H, T, dt=1e-3, stops=()):
 
 @dataclass(frozen=True)
 class OpticalAffineMap:
-    """Reference-frame map (X, theta) -> (X0, theta0, weight) over [t_from, t_to].
+    """Reference-frame map (X, theta) -> (X0, theta0) over [t_from, t_to].
 
     With the row vector N = (sin theta, cos theta) and N' = N Lambda^-1:
-    r = |N'|, theta0 = atan2(N'_1, N'_2) in (-pi, pi], X0 = (X + N' . Delta)/r,
-    weight = 1/r.  theta0 is left unfolded; Tomogram.sample_twisted reads it
-    through the twisted extension.  X0 is affine in X at fixed theta;
-    frames() gives its coefficients.
+    r = |N'|, theta0 = atan2(N'_1, N'_2) in (-pi, pi], X0 = (X + N' . Delta)/r.
+    theta0 is left unfolded; Tomogram.sample_twisted reads it through the
+    twisted extension.  X0 = a X + b is affine in X at fixed theta, and the
+    propagated tomogram is a w0(X0, theta0): frames() gives (theta0, a, b).
     """
 
     lambda_mat: np.ndarray
@@ -288,8 +289,9 @@ class OpticalAffineMap:
         return bool(np.array_equal(self.lambda_mat, np.eye(2)) and not np.any(self.delta))
 
     def frames(self, theta):
-        """Per-angle frames (theta0, a, b, weight) with X0 = a X + b:
-        theta0 = atan2(N'_1, N'_2), a = weight = 1/r, b = a (N' . Delta)."""
+        """Per-angle frames (theta0, a, b) with X0 = a X + b:
+        theta0 = atan2(N'_1, N'_2), a = 1/r, b = a (N' . Delta).  The X-scale
+        a is also the prefactor of the pull-back."""
         theta = np.asarray(theta, dtype=float)
         lam = self.lambda_mat
         # det Lambda = 1, so the inverse is the adjugate.
@@ -298,7 +300,7 @@ class OpticalAffineMap:
         n1 = s * inv[0, 0] + c * inv[1, 0]
         n2 = s * inv[0, 1] + c * inv[1, 1]
         a = 1.0 / np.hypot(n1, n2)
-        return np.arctan2(n1, n2), a, a * (n1 * self.delta[0] + n2 * self.delta[1]), a
+        return np.arctan2(n1, n2), a, a * (n1 * self.delta[0] + n2 * self.delta[1])
 
 
 def optical_map(traj, t, t_from=0.0):
@@ -351,7 +353,7 @@ def compose(outer, inner):
 
 
 def evolve_tomogram(w0, m, interp="linear"):
-    """Pull back a tomogram through an affine map: w(X,theta) = weight * w0(X0, theta0).
+    """Pull back a tomogram through an affine map: w(X,theta) = a * w0(a X + b, theta0).
 
     The identity map returns an exact copy.  Otherwise every row is one
     affine frame of Tomogram.pull_back: bilinear sampling preserves
@@ -360,5 +362,4 @@ def evolve_tomogram(w0, m, interp="linear"):
     """
     if m.is_identity:
         return Tomogram(w0.grid, w0.values.copy())
-    theta0, a, b, weight = m.frames(w0.grid.thetas)
-    return w0.pull_back(theta0, a, b, weight, interp=interp, norm_tol=1e-3)
+    return w0.pull_back(*m.frames(w0.grid.thetas), interp=interp, norm_tol=1e-3)

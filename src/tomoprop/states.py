@@ -19,6 +19,12 @@ GAUSSIAN_MARGIN = 6.0
 # Relative spectral weight allowed in the top Nyquist band of a wavefunction.
 BANDLIMIT_TOL = 1e-8
 
+# validate() bounds: a wavefunction's norm deviation from 1, a density
+# matrix's largest |rho - rho^H| entry and its most negative diagonal entry.
+NORM_TOL = 1e-8
+HERMITICITY_TOL = 1e-10
+DIAGONAL_TOL = 1e-12
+
 
 def _require_finite(values, what):
     """Refuse NaN or Inf, which every tolerance comparison would let pass."""
@@ -37,15 +43,15 @@ class WaveFunction:
     def norm(self):
         return float(np.sqrt(np.sum(np.abs(self.values) ** 2 * self.grid.trapezoid_weights)))
 
-    def validate(self, norm_tol=1e-8):
+    def validate(self):
         if self.values.shape != (self.grid.n_q,):
             raise GridError(
                 f"wavefunction has shape {self.values.shape}, grid expects ({self.grid.n_q},)"
             )
         _require_finite(self.values, "wavefunction")
         n = self.norm()
-        if abs(n - 1.0) > norm_tol:
-            raise SupportError(f"wavefunction norm {n} deviates from 1 by more than {norm_tol}")
+        if abs(n - 1.0) > NORM_TOL:
+            raise SupportError(f"wavefunction norm {n} deviates from 1 by more than {NORM_TOL}")
         # Spectral tail check: the grid must resolve the state's momentum
         # content, otherwise every FFT-based transform downstream aliases.
         spec = np.abs(np.fft.fft(self.values))
@@ -79,21 +85,21 @@ class DensityMatrix:
         w = self.grid.trapezoid_weights
         return float(np.real(np.sum((self.values * w) * (self.values.T * w[:, None]))))
 
-    def validate(self, herm_tol=1e-10, trace_tol=1e-6, diag_tol=1e-12):
+    def validate(self, trace_tol=1e-6):
         if self.values.shape != (self.grid.n_q, self.grid.n_q):
             raise GridError(
                 f"density matrix shape {self.values.shape} does not match grid size {self.grid.n_q}"
             )
         _require_finite(self.values, "density matrix")
         herm = float(np.abs(self.values - self.values.conj().T).max())
-        if herm > herm_tol:
-            raise SupportError(f"hermiticity defect {herm:.3e} exceeds {herm_tol:.1e}")
+        if herm > HERMITICITY_TOL:
+            raise SupportError(f"hermiticity defect {herm:.3e} exceeds {HERMITICITY_TOL:.1e}")
         tr = self.trace()
         if abs(tr - 1.0) > trace_tol:
             raise SupportError(f"trace {tr} deviates from 1 by more than {trace_tol:.1e}")
         diag_min = float(np.real(np.diag(self.values)).min())
-        if diag_min < -diag_tol:
-            raise SupportError(f"diagonal attains {diag_min:.3e}, below -{diag_tol:.1e}")
+        if diag_min < -DIAGONAL_TOL:
+            raise SupportError(f"diagonal attains {diag_min:.3e}, below -{DIAGONAL_TOL:.1e}")
         return self
 
 

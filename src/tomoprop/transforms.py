@@ -9,9 +9,11 @@ Conventions: hbar = 1, Wigner functions normalized to integrate to 2*pi over
 phase space, tomogram rows normalized to 1 in X.
 
 Every FFT here is numpy's, and the default (linear) tomogram sampler is a
-private numpy kernel, so importing this module loads no SciPy.  The cubic
-samplers (Tomogram.sample_twisted with interp="cubic", and radon) import
-scipy.ndimage on first use.
+private numpy kernel, _bilinear, so importing this module loads no SciPy.
+Its cubic twin _cubic is the one scipy.ndimage entry: the cubic samplers
+(Tomogram.sample_twisted with interp="cubic", and radon) spline-filter
+their data and evaluate it through _cubic, importing scipy.ndimage on
+first use.
 """
 
 import numpy as np
@@ -35,6 +37,10 @@ BOUNDARY_REL_TOL = 1e-4
 # Absolute tomogram magnitude at the X edge above which inversion refuses;
 # the Green-kernel evolution in oracles holds the q-edge density to it too.
 EDGE_MASS_TOL = 1e-8
+
+# Largest deviation of a Wigner function's mass (its phase-space integral
+# over 2 pi) from 1.
+WIGNER_MASS_TOL = 1e-3
 
 # Relative eigenvalue magnitude below which tomogram_from_density drops an
 # eigenpair of rho dq; the weight dropped is then at most n_q times this
@@ -83,6 +89,19 @@ def _bilinear(data, row, col):
     return np.where(r_in & c_in, out, 0.0)
 
 
+def _cubic(coeffs, row, col):
+    """The cubic twin of _bilinear: the spline with the 2-D coefficients
+    coeffs (spline_filter(data, order=3)) at the index coordinates (row,
+    col), broadcast together; 0 outside the array.  The package's one
+    scipy.ndimage.map_coordinates call, imported on first use."""
+    from scipy.ndimage import map_coordinates
+
+    row, col = np.broadcast_arrays(row, col)
+    out = map_coordinates(coeffs, np.array([row.ravel(), col.ravel()]), order=3,
+                          prefilter=False, mode="constant", cval=0.0)
+    return out.reshape(row.shape)
+
+
 @dataclass
 class Tomogram:
     """Optical tomogram sampled on a TomogramGrid, rows indexed by theta."""
@@ -119,7 +138,7 @@ class Tomogram:
 
         X outside the grid evaluates to 0.  interp is "linear" (default,
         positivity preserving, the numpy kernel _bilinear) or "cubic"
-        (scipy.ndimage's spline, imported on first use).
+        (scipy.ndimage's spline through _cubic, imported on first use).
         """
         X = np.asarray(X, dtype=float)
         theta = np.asarray(theta, dtype=float)
@@ -131,12 +150,9 @@ class Tomogram:
         sign = np.where(np.mod(k, 2.0) == 0.0, 1.0, -1.0)
         Xe = sign * X
 
-        if interp == "linear":
-            g = 1
-        elif interp == "cubic":
-            g = 4
-        else:
+        if interp not in ("linear", "cubic"):
             raise ValueError(f"unknown interpolation {interp!r}")
+        g = 1 if interp == "linear" else 4
 
         n_t = self.grid.n_theta
         top = np.flip(self.values[n_t - g:], axis=1)
@@ -147,29 +163,22 @@ class Tomogram:
         col = (Xe + self.grid.x_max) / self.grid.x_spacing
         if g == 1:
             return _bilinear(ext, row, col)
-        from scipy.ndimage import map_coordinates, spline_filter
+        from scipy.ndimage import spline_filter
 
-        out = map_coordinates(
-            spline_filter(ext, order=3),
-            np.array([np.broadcast_to(row, col.shape).ravel(), col.ravel()]),
-            order=3,
-            prefilter=False,
-            mode="constant",
-            cval=0.0,
-        )
-        return out.reshape(col.shape)
+        return _cubic(spline_filter(ext, order=3), row, col)
 
-    def pull_back(self, theta0, a, b, weight, interp="linear", norm_tol=1e-3):
-        """Row-affine pull-back w(X, theta_j) = weight_j * self(a_j X + b_j, theta0_j),
+    def pull_back(self, theta0, a, b, interp="linear", norm_tol=1e-3):
+        """Row-affine pull-back w(X, theta_j) = a_j * self(a_j X + b_j, theta0_j),
         the delta-kernel form of every quadratic propagator.
 
-        The frames are float arrays of length n_theta (theta0 anywhere on the
-        real line), sampled in one sample_twisted call.  SupportError when a
-        source point leaves the X window while this tomogram has mass at its
-        edge.
+        The frame (theta0, a, b) is three float arrays of length n_theta
+        (theta0 anywhere on the real line), sampled in one sample_twisted
+        call.  The prefactor is the X-scale a itself, which keeps each row a
+        probability density in X.  SupportError when a source point leaves
+        the X window while this tomogram has mass at its edge.
         The result must keep rows normalized within norm_tol and nonnegative
         (cubic may undershoot by 1e-6; a negative input floor may grow by the
-        largest weight).
+        largest a).
         """
         tg = self.grid
         X0 = a[:, None] * tg.xs + b[:, None]
@@ -181,11 +190,11 @@ class Tomogram:
                     "mapped source points leave the X window while the tomogram "
                     f"still carries {edge:.3e} at its edge; enlarge x_max"
                 )
-        w = Tomogram(tg, weight[:, None] * self.sample_twisted(X0, theta0[:, None], interp=interp))
+        w = Tomogram(tg, a[:, None] * self.sample_twisted(X0, theta0[:, None], interp=interp))
         floor = min(0.0, float(self.values.min()))
         base_tol = 1e-12 if interp == "linear" else 1e-6
         w.validate(
-            neg_tol=base_tol + 1.01 * abs(floor) * max(1.0, float(weight.max())),
+            neg_tol=base_tol + 1.01 * abs(floor) * max(1.0, float(a.max())),
             norm_tol=norm_tol,
         )
         return w
@@ -217,11 +226,13 @@ class WignerFunction:
         w = trapezoid_weights(self.grid.n_q, self.spacing)
         return float(w @ self.values @ w) / (2.0 * np.pi)
 
-    def validate(self, mass_tol=1e-3):
+    def validate(self):
         _require_finite(self.values, "Wigner function")
         m = self.mass()
-        if abs(m - 1.0) > mass_tol:
-            raise SupportError(f"Wigner mass {m} deviates from 1 by more than {mass_tol:.1e}")
+        if abs(m - 1.0) > WIGNER_MASS_TOL:
+            raise SupportError(
+                f"Wigner mass {m} deviates from 1 by more than {WIGNER_MASS_TOL:.1e}"
+            )
         return self
 
 
@@ -252,54 +263,6 @@ def _fourier_refine(values, axis, factor):
     fine = np.real(np.fft.ifft(pad, axis=-1)) * factor
     fine = fine[..., : (n - 1) * factor + 1]
     return np.moveaxis(fine, -1, axis)
-
-
-class _SampledWigner:
-    """Cubic-spline sampler over a (possibly refined) Wigner array.
-
-    A coarse grid is first refined along both axes by exact trigonometric
-    interpolation so the spline step stays below SAMPLING_STEP; the line
-    quadrature spans the whole array.  The spline is scipy.ndimage's, which
-    is imported on first use (radon is the only caller).
-    """
-
-    def __init__(self, W):
-        from scipy.ndimage import spline_filter
-
-        q0 = float(W.grid.points[0])
-        k = max(1, int(np.ceil(W.spacing / SAMPLING_STEP)))
-        vals = np.ascontiguousarray(W.values, dtype=float)
-        vals = _fourier_refine(_fourier_refine(vals, 0, k), 1, k)
-
-        self.q0, self.dq = q0, W.spacing / k
-        reach = max(abs(q0), abs(q0 + (vals.shape[0] - 1) * self.dq))
-        self._filt = spline_filter(vals, order=3)
-
-        n_half = int(np.ceil(np.hypot(reach, reach) / LINE_STEP))
-        self._ys = np.arange(-n_half, n_half + 1) * LINE_STEP
-        self._yw = trapezoid_weights(self._ys.size, LINE_STEP)
-
-    def at(self, qs, ps):
-        from scipy.ndimage import map_coordinates
-
-        iq = (np.asarray(qs) - self.q0) / self.dq
-        ip = (np.asarray(ps) - self.q0) / self.dq
-        out = map_coordinates(
-            self._filt,
-            np.array([iq.ravel(), ip.ravel()]),
-            order=3,
-            prefilter=False,
-            mode="constant",
-            cval=0.0,
-        )
-        return out.reshape(np.shape(qs))
-
-    def line_integral(self, theta, xs):
-        """(1/2pi) * integral of W along the line q cos + p sin = X."""
-        s, c = np.sin(theta), np.cos(theta)
-        qs = xs[:, None] * c - self._ys[None, :] * s
-        ps = xs[:, None] * s + self._ys[None, :] * c
-        return self.at(qs, ps) @ self._yw / (2.0 * np.pi)
 
 
 def density_from_wigner(W):
@@ -355,15 +318,35 @@ def radon(W, tgrid=None):
     """Optical tomogram of a Wigner function by rotated line integrals.
 
     w(X, theta) = (1/2pi) * integral over the line q cos(theta) + p sin(theta) = X.
+
+    W is refined along both axes by trigonometric interpolation until its
+    step is at most SAMPLING_STEP and spline-filtered once; each line is a
+    trapezoid quadrature at LINE_STEP across the whole array, through _cubic.
     """
+    from scipy.ndimage import spline_filter
+
     if tgrid is None:
         tgrid = TomogramGrid()
     _check_wigner_boundary(W)
-    sw = _SampledWigner(W)
+
+    q0 = float(W.grid.points[0])
+    k = max(1, int(np.ceil(W.spacing / SAMPLING_STEP)))
+    vals = np.ascontiguousarray(W.values, dtype=float)
+    vals = _fourier_refine(_fourier_refine(vals, 0, k), 1, k)
+    dq = W.spacing / k
+    reach = max(abs(q0), abs(q0 + (vals.shape[0] - 1) * dq))
+    coeffs = spline_filter(vals, order=3)
+
+    n_half = int(np.ceil(np.hypot(reach, reach) / LINE_STEP))
+    ys = np.arange(-n_half, n_half + 1) * LINE_STEP
+    yw = trapezoid_weights(ys.size, LINE_STEP)
     xs = tgrid.xs
     rows = np.empty((tgrid.n_theta, tgrid.n_x))
     for j, theta in enumerate(tgrid.thetas):
-        rows[j] = sw.line_integral(theta, xs)
+        s, c = np.sin(theta), np.cos(theta)
+        qs = xs[:, None] * c - ys[None, :] * s
+        ps = xs[:, None] * s + ys[None, :] * c
+        rows[j] = _cubic(coeffs, (qs - q0) / dq, (ps - q0) / dq) @ yw / (2.0 * np.pi)
     return Tomogram(tgrid, rows)
 
 

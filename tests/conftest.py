@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.fft import next_fast_len
 
-from tomoprop.grids import CoordinateGrid, TomogramGrid
+from tomoprop.grids import CoordinateGrid, TomogramGrid, trapezoid_weights
 from tomoprop.states import (
     DensityMatrix,
     density_from_wavefunction,
@@ -148,6 +148,40 @@ def reference_inverse_radon(w, grid=None):
     out *= tg.theta_spacing
     out[np.hypot(qq, pp) >= tg.x_max] = 0.0
     return tr.WignerFunction(grid, out)
+
+
+def reference_radon(W, tg):
+    """Rotated line integrals as a per-angle sampler object computed them:
+    W refined by trigonometric interpolation until its step is at most
+    SAMPLING_STEP, spline-filtered once, and each line integrated by the
+    trapezoid rule at LINE_STEP over map_coordinates samples of the
+    coefficients.  transforms.radon must reproduce it bit for bit (the
+    boundary check is not part of it)."""
+    from scipy.ndimage import map_coordinates, spline_filter
+
+    q0 = float(W.grid.points[0])
+    k = max(1, int(np.ceil(W.spacing / tr.SAMPLING_STEP)))
+    vals = np.ascontiguousarray(W.values, dtype=float)
+    vals = tr._fourier_refine(tr._fourier_refine(vals, 0, k), 1, k)
+    dq = W.spacing / k
+    reach = max(abs(q0), abs(q0 + (vals.shape[0] - 1) * dq))
+    filt = spline_filter(vals, order=3)
+    n_half = int(np.ceil(np.hypot(reach, reach) / tr.LINE_STEP))
+    ys = np.arange(-n_half, n_half + 1) * tr.LINE_STEP
+    yw = trapezoid_weights(ys.size, tr.LINE_STEP)
+
+    rows = np.empty((tg.n_theta, tg.n_x))
+    for j, theta in enumerate(tg.thetas):
+        s, c = np.sin(theta), np.cos(theta)
+        qs = tg.xs[:, None] * c - ys[None, :] * s
+        ps = tg.xs[:, None] * s + ys[None, :] * c
+        iq, ip = (qs - q0) / dq, (ps - q0) / dq
+        out = map_coordinates(
+            filt, np.array([iq.ravel(), ip.ravel()]),
+            order=3, prefilter=False, mode="constant", cval=0.0,
+        )
+        rows[j] = out.reshape(qs.shape) @ yw / (2.0 * np.pi)
+    return tr.Tomogram(tg, rows)
 
 
 def reference_density_from_wigner(W):

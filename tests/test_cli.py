@@ -249,6 +249,23 @@ def test_pipeline_check_back_projects_once(tmp_path, monkeypatch):
     assert len(read_json(tmp_path, "report.json")["records"]) == 2
 
 
+def test_validate_back_projects_once(tmp_path, monkeypatch):
+    # One FBP of the state's tomogram serves the density and the tomogram
+    # round trips.
+    from tomoprop import transforms
+
+    calls = []
+    back_project = transforms._back_project
+
+    def counted(xs, rows, *args, **kwargs):
+        calls.append(rows.shape[0])
+        return back_project(xs, rows, *args, **kwargs)
+
+    monkeypatch.setattr(transforms, "_back_project", counted)
+    assert run(tmp_path, "validate", {"state": {"kind": "coherent", "alpha_re": 1.0}}) == 0
+    assert calls == [1]
+
+
 def test_validate_runs_only_the_chirp_z_route(tmp_path, monkeypatch):
     # Vacuum and state tomograms come straight from their wavefunctions, as
     # in the tasks; the one radon is the tomogram round trip's.

@@ -234,9 +234,10 @@ def test_harmonic_map_is_pure_rotation(tgrid):
     t = np.pi / 5
     traj = qd.solve_epsilon(qd.QuadraticHamiltonian.harmonic(), t)
     m = qd.optical_map(traj, t)
-    theta0, a, b, weight = m.frames(tgrid.thetas[:, None])
+    theta0, a, b = m.frames(tgrid.thetas[:, None])
     X0 = a * tgrid.xs + b
-    np.testing.assert_allclose(weight, 1.0, atol=1e-10)
+    # a is both the X-scale and the pull-back's prefactor.
+    np.testing.assert_allclose(a, 1.0, atol=1e-10)
     # Rotation shifts theta by t, wrapped into (-pi, pi] and left unfolded,
     # so X is untouched.
     shifted = tgrid.thetas[:, None] + t
@@ -249,11 +250,11 @@ def test_free_map_scales_rows(tgrid):
     traj = qd.solve_epsilon(qd.QuadraticHamiltonian.free(), 1.0)
     m = qd.optical_map(traj, 1.0)
     theta = tgrid.thetas
-    _, a, b, weight = m.frames(theta)
+    _, a, b = m.frames(theta)
     X0 = a * 1.0 + b
     s, c = np.sin(theta), np.cos(theta)
     r = np.hypot(s + c, c)
-    np.testing.assert_allclose(weight, 1.0 / r, atol=1e-9)
+    np.testing.assert_allclose(a, 1.0 / r, atol=1e-9)
     np.testing.assert_allclose(np.abs(X0) * r, 1.0, atol=1e-9)
 
 

@@ -10,6 +10,7 @@ from conftest import (
     coherent_tomogram_reference,
     reference_density_from_wigner,
     reference_inverse_radon,
+    reference_radon,
     vacuum_tomogram_reference,
     vacuum_wigner_reference,
 )
@@ -273,24 +274,28 @@ def test_bilinear_is_bit_identical_to_ndimage():
 
 
 def test_sample_twisted_linear_is_bit_identical_to_ndimage(coherent_tomogram):
-    # The linear sampler as it was written with scipy.ndimage: fold theta
-    # on the broadcast arrays, add one twisted row at each end of the
-    # tomogram, interpolate with map_coordinates.
-    from scipy.ndimage import map_coordinates
+    # Both samplers as they were written with scipy.ndimage: fold theta on
+    # the broadcast arrays, add g twisted rows at each end of the tomogram
+    # (one for linear, four for cubic, whose data is then spline-filtered),
+    # interpolate with map_coordinates.
+    from scipy.ndimage import map_coordinates, spline_filter
 
     w = coherent_tomogram
     tg = w.grid
 
-    def ndimage(X, theta):
+    def ndimage(X, theta, interp="linear"):
+        g, order = (1, 1) if interp == "linear" else (4, 3)
         X, theta = np.broadcast_arrays(np.asarray(X, float), np.asarray(theta, float))
         k = np.floor(theta / np.pi)
         Xe = np.where(np.mod(k, 2.0) == 0.0, 1.0, -1.0) * X
-        row = (theta - k * np.pi) / tg.theta_spacing - 0.5 + 1
+        row = (theta - k * np.pi) / tg.theta_spacing - 0.5 + g
         col = (Xe + tg.x_max) / tg.x_spacing
-        ext = np.concatenate([w.values[-1:, ::-1], w.values, w.values[:1, ::-1]])
+        ext = np.concatenate([w.values[-g:, ::-1], w.values, w.values[:g, ::-1]])
+        if order == 3:
+            ext = spline_filter(ext, order=3)
         out = map_coordinates(
             ext, np.array([row.ravel(), col.ravel()]),
-            order=1, prefilter=False, mode="constant", cval=0.0,
+            order=order, prefilter=False, mode="constant", cval=0.0,
         )
         return out.reshape(X.shape)
 
@@ -309,18 +314,19 @@ def test_sample_twisted_linear_is_bit_identical_to_ndimage(coherent_tomogram):
          np.nextafter(-x_max, 0.0), np.nextafter(-x_max, -99.0), 0.0, -0.0,
          x_max + 0.5 * tg.x_spacing, -x_max - 0.5 * tg.x_spacing, np.nan, np.inf, -np.inf],
     ])
-    with np.errstate(invalid="ignore"):
-        # Pull-back layout: one theta per row, a full X row each.
-        got = w.sample_twisted(Xs[None, :], thetas[:, None])
-        assert _same_bits(got, ndimage(Xs[None, :], thetas[:, None]))
-        assert _same_bits(w.sample_twisted(Xs[:, None], thetas[None, :]),
-                          ndimage(Xs[:, None], thetas[None, :]))
-    # Per point, and scalars.
     X = rng.uniform(-x_max - 0.1, x_max + 0.1, 5000)
     theta = rng.uniform(-3.0 * np.pi, 3.0 * np.pi, 5000)
-    assert _same_bits(w.sample_twisted(X, theta), ndimage(X, theta))
-    assert _same_bits(w.sample_twisted(1.3, 0.4), ndimage(1.3, 0.4))
-    assert w.sample_twisted(1.3, 0.4).shape == ()
+    for interp in ("linear", "cubic"):
+        with np.errstate(invalid="ignore"):
+            # Pull-back layout: one theta per row, a full X row each.
+            got = w.sample_twisted(Xs[None, :], thetas[:, None], interp=interp)
+            assert _same_bits(got, ndimage(Xs[None, :], thetas[:, None], interp)), interp
+            assert _same_bits(w.sample_twisted(Xs[:, None], thetas[None, :], interp=interp),
+                              ndimage(Xs[:, None], thetas[None, :], interp)), interp
+        # Per point, and scalars.
+        assert _same_bits(w.sample_twisted(X, theta, interp=interp), ndimage(X, theta, interp))
+        assert _same_bits(w.sample_twisted(1.3, 0.4, interp=interp), ndimage(1.3, 0.4, interp))
+        assert w.sample_twisted(1.3, 0.4, interp=interp).shape == ()
 
 
 def test_sample_twisted_unknown_interp(coherent_tomogram):
@@ -349,6 +355,22 @@ def test_density_wigner_round_trip_is_exact(vacuum_rho, grid):
     back = tr.density_from_wigner(W)
     assert np.abs(back.values - vacuum_rho.values).max() < 1e-12
     assert back.hermiticity_defect < 1e-12
+
+
+def test_radon_matches_reference_quadrature_on_a_refined_grid():
+    # A 64-point grid (step 0.25) is refined 7-fold before the spline; a
+    # displaced Gaussian keeps the rows apart.
+    grid = CoordinateGrid(q_max=8.0, n_q=64)
+    q = grid.points
+    W = tr.WignerFunction(grid, 2.0 * np.exp(-(q[:, None] - 1.0) ** 2 - (q[None, :] + 0.5) ** 2))
+    tg = TomogramGrid(x_max=8.0, n_x=256, n_theta=30)
+    assert np.array_equal(tr.radon(W, tg).values, reference_radon(W, tg).values)
+
+
+def test_radon_matches_reference_quadrature_on_the_default_grid(coherent_tomogram, tgrid):
+    # The validate round trip: the FBP of a tomogram on the default grids.
+    W = tr.inverse_radon(coherent_tomogram)
+    assert np.array_equal(tr.radon(W, tgrid).values, reference_radon(W, tgrid).values)
 
 
 def test_radon_rejects_truncated_support():
