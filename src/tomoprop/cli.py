@@ -7,7 +7,8 @@ Usage: tomoprop <task> --config job.json [--output-dir DIR]
 Exit codes: 0 success, 2 config error, 3 numeric or validation failure,
 4 I/O error.  Every run writes report.json (machine-readable results, no
 timestamps, byte identical across reruns) next to the task's data files;
-volatile metadata (timestamps, version) is segregated into run_meta.json.
+volatile metadata (timestamps, versions of the package, numpy and SciPy,
+the thread cap) is segregated into run_meta.json.
 On failure an error.json record is written when the output directory is
 usable, and the same record always goes to stderr.
 
@@ -27,14 +28,17 @@ import tempfile
 
 
 def _apply_thread_env():
+    """Export the TOMOPROP_THREADS cap; returns it, or None for automatic."""
     val = os.environ.get("TOMOPROP_THREADS", "").strip()
     if val and val != "0":
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                     "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
             os.environ.setdefault(var, val)
+        return val
+    return None
 
 
-_apply_thread_env()
+_THREAD_CAP = _apply_thread_env()
 
 import numpy as np  # noqa: E402
 
@@ -199,8 +203,10 @@ def _invariant_suite(cfg):
 
     Both tomograms come from the pure-state (chirp-z) route the tasks run,
     without validate(): a clipped X window shows as failing checks.
-    wronskian_drift and det_lambda_defect are measured on a fixed unforced
-    Mathieu H (omega^2 = 1 + 0.2 cos 2t, T = 10), not on cfg.hamiltonian.
+    wronskian_drift and det_lambda_defect are measured on cfg.hamiltonian,
+    solved with the tasks' step to T = max(cfg.times), or to
+    config.VALIDATE_HORIZON without times; det Lambda is read at 21 evenly
+    spaced nodes of [0, T].
     """
     checks = []
 
@@ -231,10 +237,11 @@ def _invariant_suite(cfg):
     w_rb = tr.radon(W, tg)
     add("tomogram_round_trip_linf", np.abs(w_rb.values - w0.values).max(), 2e-3)
 
-    H = qd.QuadraticHamiltonian(qd.CosineSampler(1.0, 0.2, 2.0), qd.ConstantSampler(0.0))
-    traj = qd.solve_epsilon(H, 10.0, 1e-3)
+    H = cfg.hamiltonian
+    nodes = np.linspace(0.0, max(cfg.times, default=cfgmod.VALIDATE_HORIZON), 21)
+    traj = qd.solve_epsilon(H, nodes[-1], _auto_dt(H), stops=nodes)
     add("wronskian_drift", traj.wronskian_drift, 1e-8)
-    det_defect = max(abs(qd.optical_map(traj, t).det - 1.0) for t in np.linspace(0.0, 10.0, 21))
+    det_defect = max(abs(qd.optical_map(traj, t).det - 1.0) for t in nodes)
     add("det_lambda_defect", det_defect, 1e-8)
 
     return checks
@@ -259,11 +266,18 @@ def _emit_error(record, outdir):
 
 
 def _write_meta(outdir, record):
+    """The volatile sidecar: the record, the package version and the
+    numeric stack the data-file bytes depend on (numpy's FFTs and integer
+    arithmetic; SciPy only when the run loaded it)."""
+    scipy = sys.modules.get("scipy")
     try:
-        io.write_report(
-            os.path.join(outdir, "run_meta.json"),
-            {**record, "version": __version__},
-        )
+        io.write_report(os.path.join(outdir, "run_meta.json"), {
+            **record,
+            "version": __version__,
+            "numpy_version": np.__version__,
+            "scipy_version": getattr(scipy, "__version__", None),
+            "thread_cap": _THREAD_CAP,
+        })
     except OSError:
         pass
 

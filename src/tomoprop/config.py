@@ -33,6 +33,10 @@ STATE_KINDS = ("vacuum", "coherent", "cat")
 BACKENDS = ("map", "pde", "both")
 SAMPLERS = {"constant": ConstantSampler, "cosine": CosineSampler, "table": TableSampler}
 
+# validate solves the job's Hamiltonian to max(times), or to this time when
+# the job gives none.
+VALIDATE_HORIZON = 10.0
+
 _DEFAULT_STATE = {"kind": "vacuum", "alpha_re": 0.0, "alpha_im": 0.0, "sign": 1}
 _DEFAULT_GRID = {"x_max": 8.0, "n_x": 1024, "n_theta": 180, "q_max": 8.0, "n_q": 512}
 _DEFAULT_HAMILTONIAN = {
@@ -193,9 +197,14 @@ def parse_config(doc):
     for k in ham_doc:
         if k not in _DEFAULT_HAMILTONIAN:
             bad.append(f"hamiltonian has unknown field {k!r}")
-    # The tasks that evolve read the Hamiltonian over [0, max(times)], so a
+    # The tasks that evolve read the Hamiltonian over [0, max(times)], and
+    # validate over [0, VALIDATE_HORIZON] when there are no times, so a
     # table sampler has to cover that span.
-    t_end = max(times) if task in ("evolve", "pipeline-check") and times else None
+    t_end = None
+    if task == "validate":
+        t_end = max(times, default=VALIDATE_HORIZON)
+    elif task in ("evolve", "pipeline-check") and times:
+        t_end = max(times)
     omega_sq, force = (
         _check_sampler(f"hamiltonian.{f}", ham_doc.get(f, default), bad, t_end)
         for f, default in _DEFAULT_HAMILTONIAN.items()

@@ -249,6 +249,20 @@ def test_pipeline_check_back_projects_once(tmp_path, monkeypatch):
     assert len(read_json(tmp_path, "report.json")["records"]) == 2
 
 
+def test_validate_measures_the_configured_hamiltonian(tmp_path):
+    drifts = []
+    for k, omega_sq in enumerate(({"kind": "constant", "value": 1.0},
+                                  {"kind": "cosine", "a": 1.0, "b": 0.5, "freq": 2.0})):
+        job = tmp_path / str(k)
+        job.mkdir()
+        doc = {"hamiltonian": {"omega_sq": omega_sq}, "times": [3.0]}
+        assert run(job, "validate", doc) == 0
+        checks = {c["name"]: c for c in read_json(job, "report.json")["checks"]}
+        assert checks["wronskian_drift"]["pass"] and checks["det_lambda_defect"]["pass"]
+        drifts.append(checks["wronskian_drift"]["measured"])
+    assert drifts[0] != drifts[1]
+
+
 def test_validate_back_projects_once(tmp_path, monkeypatch):
     # One FBP of the state's tomogram serves the density and the tomogram
     # round trips.
@@ -436,6 +450,34 @@ def test_run_meta_sidecar(tmp_path):
     # volatile fields live only in the sidecar
     report = read_json(tmp_path, "report.json")
     assert "started_utc" not in report
+
+
+def test_run_meta_records_the_numeric_stack(tmp_path):
+    import tomoprop.cli as cli
+
+    run(tmp_path, "tomogram", {})
+    meta = read_json(tmp_path, "run_meta.json")
+    assert meta["numpy_version"] == np.__version__
+    scipy = sys.modules.get("scipy")
+    assert meta["scipy_version"] == (scipy.__version__ if scipy else None)
+    assert meta["thread_cap"] == cli._THREAD_CAP
+    report = read_json(tmp_path, "report.json")
+    assert not {"numpy_version", "scipy_version", "thread_cap"} & set(report)
+
+
+def test_run_meta_thread_cap_is_the_resolved_cap(tmp_path):
+    cfg = write_config(tmp_path, {"grid": {"x_max": 6.0, "n_x": 64, "n_theta": 8,
+                                           "q_max": 6.0, "n_q": 32}})
+    pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(tomoprop.__file__)))
+    pythonpath = os.pathsep.join(filter(None, [pkg_root, os.environ.get("PYTHONPATH", "")]))
+    for val, cap in (("2", "2"), ("0", None)):
+        out = tmp_path / ("out" + val)
+        env = {**os.environ, "TOMOPROP_THREADS": val, "PYTHONPATH": pythonpath}
+        proc = subprocess.run([sys.executable, "-m", "tomoprop", "tomogram", "--config", cfg,
+                               "--output-dir", str(out)], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        with open(out / "run_meta.json", encoding="utf-8") as fh:
+            assert json.load(fh)["thread_cap"] == cap
 
 
 def test_positional_task_wins_over_an_override(tmp_path):

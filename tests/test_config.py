@@ -205,6 +205,17 @@ def test_table_sampler_must_cover_the_evolved_span():
     assert parse({**doc, "task": "tomogram"}).task == "tomogram"
 
 
+def test_validate_table_sampler_must_cover_its_horizon():
+    # validate solves the job's Hamiltonian to max(times), or to
+    # VALIDATE_HORIZON when the job gives no times.
+    table = {"kind": "table", "times": [0.0, 2.0], "values": [1.0, 1.1]}
+    doc = {"task": "validate", "hamiltonian": {"omega_sq": table}}
+    assert violations_of(doc) == [
+        "hamiltonian.omega_sq.times cover [0, 2], not the job's [0, 10]"
+    ]
+    assert parse({**doc, "times": [1.5]}).times == (1.5,)
+
+
 def test_sampler_unknown_field():
     bad = violations_of({
         "task": "tomogram",

@@ -148,8 +148,8 @@ def test_write_report_sorts_keys(tmp_path):
 # ---------------------------------------------------------------------------
 # byte identity with the per-value writers
 #
-# The reference writers below format one value at a time, as the package
-# did before each file body became one `%` call over a row template.
+# The reference writers below format one value at a time with `%.17g`;
+# the package formats whole blocks of values with numpy.
 
 F = output.FLOAT_FMT
 
@@ -290,26 +290,106 @@ def test_writers_refuse_values_off_the_grid(tmp_path):
 
 
 def test_tomogram_template_cache_keeps_grids_apart(tmp_path):
-    # Two grids of the same shape, so another grid's template would fill
-    # without error and only its X and theta columns would be wrong.
+    # Two grids of the same shape, so another grid's X and theta cells
+    # would fill without error and only those columns would be wrong.
     a = TomogramGrid(x_max=3.0, n_x=16, n_theta=8)
     b = TomogramGrid(x_max=3.5, n_x=16, n_theta=8)
-    output._tomogram_rows.cache_clear()
     for k, tg in enumerate((a, b, a)):
         w = transforms.Tomogram(tg, values_with_edges((8, 16), 10 + k))
         path = tmp_path / ("w%d.csv" % k)
         output.write_tomogram(path, w)
         assert_bytes(path, reference_tomogram(w))
-    info = output._tomogram_rows.cache_info()
-    assert (info.hits, info.misses) == (1, 2)
 
 
 # ---------------------------------------------------------------------------
-# row blocks
+# the numpy formatter
 #
-# Each body is formatted one block of ROW_BLOCK leading-axis rows at a time.
-# These shapes end mid-block; the reference fills one template for the whole
-# body in a single `%` call, as the writers did before row blocks.
+# Every value of a body goes through output._format; it must print the same
+# bytes as `'%.17g' % x`, including the values it hands back to `%`.
+
+
+def formatted(x):
+    """FLOAT_FMT of each value of x through the writers' body routine."""
+    x = np.asarray(x, np.float64)
+    body = b"".join(output._body([""] * x.size, [""], {"x": x}, (x.size,)))
+    return body.decode("ascii").split("\n")[:-1]
+
+
+def assert_formats_like_percent(x):
+    got, want = formatted(x), [F % v for v in np.asarray(x, np.float64).tolist()]
+    bad = [(w, g) for w, g in zip(want, got) if w != g]
+    assert len(got) == len(want) and not bad, bad[:5]
+
+
+def test_formatter_matches_percent_on_random_values():
+    rng = np.random.default_rng(2024)
+    n = 20000
+    assert_formats_like_percent(np.concatenate([
+        rng.normal(size=n) * 10.0 ** rng.uniform(-30, 30, n),
+        rng.normal(size=n) * 10.0 ** rng.uniform(-250, 250, n),
+        np.exp(-rng.uniform(0, 640, n)),
+        rng.uniform(-10, 10, n),
+        np.round(rng.uniform(-1000, 1000, n), 3),
+    ]))
+
+
+def test_formatter_matches_percent_on_random_bit_patterns():
+    # NaNs, infinities, subnormals and every exponent, mostly outside the
+    # vectorised range.
+    bits = np.random.default_rng(2025).integers(0, 2 ** 64, 20000, dtype=np.uint64)
+    assert_formats_like_percent(bits.view(np.float64))
+
+
+def test_formatter_matches_percent_at_powers_of_ten():
+    # The exponent comes from the unrounded scaled value: a draft that took
+    # it from the rounded one printed 1e-280 for 9.9999999999999996e-281.
+    p = np.array([float("1e%d" % e) for e in range(-300, 301)])
+    near = [np.nextafter(p, 0.0), np.nextafter(p, np.inf)]
+    x = np.concatenate([p, *near, -p, *(-q for q in near)])
+    assert 9.9999999999999996e-281 in x
+    assert_formats_like_percent(x)
+    assert formatted([9.9999999999999996e-281]) == ["9.9999999999999996e-281"]
+
+
+def test_formatter_matches_percent_on_special_values():
+    tiny = np.finfo(np.float64).tiny
+    assert_formats_like_percent([
+        0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e-310,
+        tiny, np.nextafter(tiny, 0.0), 1e-280, np.nextafter(1e-280, 0.0),
+        1e280, np.nextafter(1e280, np.inf), np.finfo(np.float64).max,
+    ])
+
+
+def test_formatter_matches_percent_on_exact_ties():
+    # Doubles of |x| >= 1e14 have so few fraction bits that x 10**(16 - k)
+    # can be an exact half: %.17g rounds those to even.
+    from fractions import Fraction
+
+    rng = np.random.default_rng(2026)
+    x = rng.integers(10 ** 14, 2 ** 51, 4000) + rng.integers(1, 8, 4000) / 8.0
+    x = np.concatenate([x, -x])
+    ties = sum(
+        (Fraction(v) * Fraction(10) ** (16 - len(str(int(abs(v)))) + 1)).denominator == 2
+        for v in x.tolist()
+    )
+    assert ties > 1000
+    assert_formats_like_percent(x)
+
+
+def test_formatter_takes_the_numpy_path_for_tomogram_values():
+    rng = np.random.default_rng(2027)
+    a = np.abs(rng.normal(size=5000)) * 10.0 ** rng.uniform(-12, 1, 5000)
+    _, _, certain = output._decimal(a, output._tables()[0])
+    assert certain.all()
+
+
+# ---------------------------------------------------------------------------
+# blocks
+#
+# Each body is formatted one block of whole leading-axis rows at a time,
+# sized by BLOCK_BYTES.  These tests shrink the blocks so that the bodies
+# span several and end mid-block; the reference fills one template for the
+# whole body in a single `%` call.
 
 
 def single_percent(headers, prefixes, cells, columns):
@@ -318,11 +398,33 @@ def single_percent(headers, prefixes, cells, columns):
     return "\n".join(headers) + "\n" + body + "\n"
 
 
-def test_write_tomogram_row_blocks_match_single_percent(tmp_path):
+def small_blocks(monkeypatch, block_bytes):
+    """Shrink the blocks; returns the list that gets the number of values
+    of every _format call, one call per block and value column."""
+    sizes = []
+    real = output._format
+
+    def spy(x, out):
+        sizes.append(x.size)
+        return real(x, out)
+
+    monkeypatch.setattr(output, "BLOCK_BYTES", block_bytes)
+    monkeypatch.setattr(output, "_format", spy)
+    return sizes
+
+
+def assert_ends_mid_block(sizes, n_values):
+    # Several full blocks, then a shorter last one.
+    assert sum(sizes) == n_values
+    assert len(sizes) > 2 and len(set(sizes[:-1])) == 1 and sizes[-1] < sizes[0]
+
+
+def test_write_tomogram_row_blocks_match_single_percent(tmp_path, monkeypatch):
     tg = TomogramGrid(x_max=0.1 * 37, n_x=16, n_theta=45)
-    assert tg.n_theta % output.ROW_BLOCK != 0
+    sizes = small_blocks(monkeypatch, 4096)
     w = transforms.Tomogram(tg, values_with_edges((45, 16), 20))
     output.write_tomogram(tmp_path / "w.csv", w)
+    assert_ends_mid_block(sizes, 45 * 16)
     text = single_percent(
         ["# x_max=" + (F % tg.x_max), "# n_x=16", "# n_theta=45",
          "# columns=theta_index,theta,X,w"],
@@ -333,13 +435,16 @@ def test_write_tomogram_row_blocks_match_single_percent(tmp_path):
     assert_bytes(tmp_path / "w.csv", text)
 
 
-def test_write_density_row_blocks_match_single_percent(tmp_path):
+def test_write_density_row_blocks_match_single_percent(tmp_path, monkeypatch):
     g = CoordinateGrid(q_max=0.1 * 29, n_q=37)
-    assert g.n_q % output.ROW_BLOCK != 0
+    sizes = small_blocks(monkeypatch, 16384)
     vals = np.empty((37, 37), complex)
     vals.real, vals.imag = values_with_edges((37, 37), 21), values_with_edges((37, 37), 22)
     rho = states.DensityMatrix(g, vals)
     output.write_density(tmp_path / "rho.csv", rho)
+    # Two value columns: each block formats re, then im.
+    assert_ends_mid_block(sizes[0::2], 37 * 37)
+    assert sizes[0::2] == sizes[1::2]
     text = single_percent(
         ["# q_max=" + (F % g.q_max), "# n_q=37", "# columns=qi,qj,re,im"],
         ["%d," % i for i in range(37)],

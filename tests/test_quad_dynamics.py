@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from tomoprop.cli import main
+from tomoprop.cli import _auto_dt, main
 from tomoprop.errors import RangeError, StepError, SupportError, TimeError
 from tomoprop.grids import TomogramGrid
 from tomoprop.states import make_vacuum
@@ -102,16 +102,20 @@ def test_health_figures_have_one_source(tmp_path):
         m = qd.optical_map(traj, t)
         assert m.det == det(m.lambda_mat)
 
+    # validate measures the job's Hamiltonian, to T = 10 without times.
     grid = {"x_max": 8.0, "n_x": 256, "n_theta": 45, "q_max": 8.0, "n_q": 128}
+    hamiltonian = {"omega_sq": {"kind": "cosine", "a": 1.0, "b": 0.2, "freq": 2.0},
+                   "force": {"kind": "constant", "value": 0.3}}
     config = tmp_path / "job.json"
-    config.write_text(json.dumps({"grid": grid}))
+    config.write_text(json.dumps({"grid": grid, "hamiltonian": hamiltonian}))
     assert main(["validate", "--config", str(config), "--output-dir", str(tmp_path)]) == 0
     checks = {c["name"]: c["measured"]
               for c in json.loads((tmp_path / "report.json").read_text())["checks"]}
-    traj = qd.solve_epsilon(mathieu(), 10.0, 1e-3)
+    nodes = np.linspace(0.0, 10.0, 21)
+    traj = qd.solve_epsilon(mathieu(0.3), 10.0, _auto_dt(mathieu(0.3)), stops=nodes)
     assert checks["wronskian_drift"] == traj.wronskian_drift
     assert checks["det_lambda_defect"] == max(
-        abs(qd.optical_map(traj, t).det - 1.0) for t in np.linspace(0.0, 10.0, 21)
+        abs(qd.optical_map(traj, t).det - 1.0) for t in nodes
     )
 
 
