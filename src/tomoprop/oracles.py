@@ -15,7 +15,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from .errors import CausticError, GridError, SupportError, TimeError
-from .states import DensityMatrix, WaveFunction
+from .states import DensityMatrix, WaveFunction, _hermitian_part
 from . import quad_dynamics
 from . import transforms
 
@@ -96,7 +96,7 @@ def evolve_density(rho0, kernel):
     _check_edge_density(diag0, "input density")
     U = kernel.matrix(rho0.grid) * rho0.grid.spacing
     vals = U @ rho0.values @ U.conj().T
-    vals = 0.5 * (vals + vals.conj().T)
+    _hermitian_part(vals, symmetrize=True)
     _check_edge_density(np.real(np.diag(vals)), "evolved density")
     rho = DensityMatrix(rho0.grid, vals)
     return rho.validate(trace_tol=1e-3)
@@ -167,17 +167,21 @@ def pipeline_discrepancy(rho0, w0, maps):
     Every kernel is built first, so a focal map raises CausticError before
     any back-projection runs; all the evolved tomograms then share one
     inverse_radon_many, whose temporaries are freed before route A runs.
+    Each map's Wigner function and densities are freed before the next
+    map's are built.
     """
     kernels = [None if m.is_identity else green_kernel(m) for m in maps]
     w_ts = [quad_dynamics.evolve_tomogram(w0, m) for m in maps]
     wigners = transforms.inverse_radon_many(w_ts, rho0.grid)
     del w_ts
     records = []
-    for kernel, W in zip(kernels, wigners):
+    for i, kernel in enumerate(kernels):
+        rho_b = transforms.density_from_wigner(wigners[i])
+        wigners[i] = None
         rho_a = rho0 if kernel is None else evolve_density(rho0, kernel)
-        rho_b = transforms.density_from_wigner(W)
         records.append({
             "trace_distance": trace_distance(rho_a, rho_b),
             "l_inf": float(np.abs(rho_a.values - rho_b.values).max()),
         })
+        del rho_a, rho_b
     return records

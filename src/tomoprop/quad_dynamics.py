@@ -15,7 +15,8 @@ the characteristics of pde_evolution; each backend supplies its own field.
 The two health figures live here and nowhere else:
 EpsilonTrajectory.wronskian_drift and OpticalAffineMap.det.  The guards
 of solve_epsilon and optical_map read them, and so does the CLI's
-validate task.
+validate task, through the unguarded _integrate_epsilon and _map_at_node
+so that a figure beyond its guard is reported, not raised.
 
 Sign convention: Delta = (sqrt(2) Im beta, sqrt(2) Re beta).  The sign of
 the first component is pinned by requiring the integrals of motion to
@@ -223,6 +224,22 @@ def _eps_field(y, w2, f):
     return np.array([y[1], -w2 * y[0], (-1j / np.sqrt(2.0)) * y[0] * f])
 
 
+def _integrate_epsilon(H, T, dt, stops):
+    """solve_epsilon without its Wronskian guard: the node and step guards
+    of _time_nodes, then the RK4 solve.  The validate task reads the drift
+    of this trajectory, so a drift beyond the guard shows as a failing
+    check."""
+    nodes = _time_nodes(T, stops, dt, EPS_STEP_LIMIT, H)
+    y = np.array([1.0, 1.0j, 0.0])
+    times, states = [np.zeros(1)], [y[None].copy()]
+    for t0, t1 in zip(nodes, nodes[1:]):
+        n = _n_steps(t0, t1, dt)
+        times.append(np.linspace(t0, t1, n + 1)[1:])
+        states.append(np.empty((n, 3), dtype=complex))
+        _rk4(_eps_field, y, t0, t1, n, H, trace=states[-1])
+    return EpsilonTrajectory(np.concatenate(times), *np.concatenate(states).T.copy())
+
+
 def solve_epsilon(H, T, dt=1e-3, stops=()):
     """Integrate eps'' + omega_sq(t) eps = 0 with eps(0)=1, eps'(0)=i,
     accumulating beta' = -(i/sqrt(2)) eps f(t), by classic RK4.
@@ -236,15 +253,7 @@ def solve_epsilon(H, T, dt=1e-3, stops=()):
     dt exceeds EPS_STEP_LIMIT / max(1, sup omega_sq) or the Wronskian
     2 Im(eps' eps*) = 2 drifts beyond WRONSKIAN_TOL at any node.
     """
-    nodes = _time_nodes(T, stops, dt, EPS_STEP_LIMIT, H)
-    y = np.array([1.0, 1.0j, 0.0])
-    times, states = [np.zeros(1)], [y[None].copy()]
-    for t0, t1 in zip(nodes, nodes[1:]):
-        n = _n_steps(t0, t1, dt)
-        times.append(np.linspace(t0, t1, n + 1)[1:])
-        states.append(np.empty((n, 3), dtype=complex))
-        _rk4(_eps_field, y, t0, t1, n, H, trace=states[-1])
-    traj = EpsilonTrajectory(np.concatenate(times), *np.concatenate(states).T.copy())
+    traj = _integrate_epsilon(H, T, dt, stops)
     drift = traj.wronskian_drift
     if drift > WRONSKIAN_TOL:
         raise StepError(
@@ -303,15 +312,8 @@ class OpticalAffineMap:
         return np.arctan2(n1, n2), a, a * (n1 * self.delta[0] + n2 * self.delta[1])
 
 
-def optical_map(traj, t, t_from=0.0):
-    """Affine tomogram map over [t_from, t_from + t], read off the node of
-    traj at t.
-
-    Lambda = [[Re eps, -Re eps'], [-Im eps, Im eps']] acting on (p, q);
-    Delta = (sqrt(2) Im beta, sqrt(2) Re beta).  Only a node (|t - node| <
-    1e-12) is read: any other t raises RangeError, and
-    solve_epsilon(..., stops=[t]) makes t a node.
-    """
+def _map_at_node(traj, t, t_from=0.0):
+    """optical_map without its det Lambda guard; the node check stays."""
     t = float(t)
     times = traj.times
     i = int(np.abs(times - t).argmin())
@@ -321,12 +323,25 @@ def optical_map(traj, t, t_from=0.0):
             "solve it with solve_epsilon(..., stops=[t])"
         )
     e, ed, b = traj.eps[i], traj.eps_dot[i], traj.beta[i]
-    m = OpticalAffineMap(
+    return OpticalAffineMap(
         lambda_mat=[[np.real(e), -np.real(ed)], [-np.imag(e), np.imag(ed)]],
         delta=[np.sqrt(2.0) * np.imag(b), np.sqrt(2.0) * np.real(b)],
         t_from=float(t_from),
         t_to=float(t_from) + t,
     )
+
+
+def optical_map(traj, t, t_from=0.0):
+    """Affine tomogram map over [t_from, t_from + t], read off the node of
+    traj at t.
+
+    Lambda = [[Re eps, -Re eps'], [-Im eps, Im eps']] acting on (p, q);
+    Delta = (sqrt(2) Im beta, sqrt(2) Re beta).  Only a node (|t - node| <
+    1e-12) is read: any other t raises RangeError, and
+    solve_epsilon(..., stops=[t]) makes t a node.  StepError when det
+    Lambda departs from 1 by more than DET_TOL.
+    """
+    m = _map_at_node(traj, t, t_from)
     if abs(m.det - 1.0) > DET_TOL:
         raise StepError(f"det Lambda = {m.det:.10f} is not symplectic within {DET_TOL:g}")
     return m

@@ -33,6 +33,31 @@ def _require_finite(values, what):
         raise SupportError(f"{what} holds {bad} non-finite values")
 
 
+# Rows per block of _hermitian_part's defect scan.
+HERMITIAN_BLOCK = 64
+
+
+def _hermitian_part(values, symmetrize=False):
+    """max |v - v^H| over the square array values; with symmetrize, values
+    is also replaced in place by its Hermitian part (v + v^H) / 2.
+
+    The defect is scanned in blocks of rows against the matching columns,
+    so it allocates nothing of full size.  Symmetrizing holds one copy,
+    v^H, and does the operations of 0.5 * (v + v.conj().T) in place, so
+    both results keep the bits of the whole-array expressions.
+    """
+    b = HERMITIAN_BLOCK
+    defect = float(np.max([
+        np.abs(values[lo:lo + b] - values[:, lo:lo + b].conj().T).max()
+        for lo in range(0, values.shape[0], b)
+    ]))
+    if symmetrize:
+        h = values.conj().T
+        values += h
+        values *= 0.5
+    return defect
+
+
 @dataclass
 class WaveFunction:
     """Pure state psi(q) sampled on a CoordinateGrid, L2-normalized."""
@@ -91,7 +116,7 @@ class DensityMatrix:
                 f"density matrix shape {self.values.shape} does not match grid size {self.grid.n_q}"
             )
         _require_finite(self.values, "density matrix")
-        herm = float(np.abs(self.values - self.values.conj().T).max())
+        herm = _hermitian_part(self.values)
         if herm > HERMITICITY_TOL:
             raise SupportError(f"hermiticity defect {herm:.3e} exceeds {HERMITICITY_TOL:.1e}")
         tr = self.trace()

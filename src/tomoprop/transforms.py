@@ -21,7 +21,13 @@ from dataclasses import dataclass
 
 from .errors import GridError, SingularityError, SupportError
 from .grids import CoordinateGrid, TomogramGrid, trapezoid_weights
-from .states import GAUSSIAN_MARGIN, DensityMatrix, WaveFunction, _require_finite
+from .states import (
+    GAUSSIAN_MARGIN,
+    DensityMatrix,
+    WaveFunction,
+    _hermitian_part,
+    _require_finite,
+)
 
 # Interpolation step (in either phase-space direction) that keeps cubic-spline
 # sampling errors comfortably below the 1e-5 transform accuracy target.
@@ -277,25 +283,36 @@ def density_from_wigner(W):
     dq = W.spacing
 
     k = 2.0 * np.pi * np.fft.fftfreq(n, d=dq)
-    shifted = np.real(
-        np.fft.ifft(np.fft.fft(W.values, axis=0) * np.exp(1j * k * dq / 2.0)[:, None], axis=0)
-    )
+    spec = np.fft.fft(W.values, axis=0)
+    spec *= np.exp(1j * k * dq / 2.0)[:, None]
+    shifted = np.fft.ifft(spec, axis=0, out=spec).real[: n - 1].copy()
+    del spec
     # rho(q_i, q_i') is P[m, d] = sum_p W_m(p) exp(i p d dq) dp / 2pi at
     # m = i + i' (even m: row m/2 of W, odd m: a half-step-shifted row) and
     # d = i - i', which has the parity of m.  Each parity class needs only
     # its own n offsets d = 2c - (n - 1) + ((n - 1 + parity) % 2), c < n,
-    # so P is kept as C[m, c] with c = (d + n - 1) // 2.
+    # so P is kept as C[m, c] with c = (d + n - 1) // 2.  Every full-size
+    # step runs in place, with the operations of the plain expressions.
     c = np.arange(n)
     C = np.empty((2 * n - 1, n), dtype=complex)
-    for parity, rows in ((0, W.values), (1, shifted[: n - 1])):
+    for parity, rows in ((0, W.values), (1, shifted)):
         d = 2 * c - (n - 1) + (n - 1 + parity) % 2
-        phase = np.exp(1j * np.outer(grid.points, d * dq)) * (dq / (2.0 * np.pi))
-        C[parity::2] = rows.astype(complex) @ phase
+        phase = np.outer(grid.points, d * dq) * 1j
+        np.exp(phase, out=phase)
+        phase *= dq / (2.0 * np.pi)
+        np.matmul(rows.astype(complex), phase, out=C[parity::2])
+        del phase
+    del shifted
 
+    # One flat gather of C at row i + i' and column (i - i' + n - 1) // 2.
     ii = np.arange(n)
-    vals = C[ii[:, None] + ii[None, :], (ii[:, None] - ii[None, :] + (n - 1)) // 2]
-    defect = float(np.abs(vals - vals.conj().T).max())
-    vals = 0.5 * (vals + vals.conj().T)
+    flat = np.subtract.outer(ii, ii)
+    flat += n - 1
+    flat //= 2
+    flat += np.add.outer(n * ii, n * ii)
+    vals = C.ravel().take(flat)
+    del C, flat
+    defect = _hermitian_part(vals, symmetrize=True)
     return DensityMatrix(grid, vals, hermiticity_defect=defect)
 
 
@@ -354,6 +371,11 @@ def radon(W, tgrid=None):
 # stay in the L2 cache while every angle passes over them.
 BACKPROJECT_BLOCK = 16384
 
+# Tomogram rows per block of the FBP ramp filter; each block's padded
+# spectrum and filtered rows take about 1 MB apiece on the default grids.
+# Row blocks give the same bits as one whole-array real FFT.
+FILTER_BLOCK = 16
+
 
 def _back_project(xs, rows, thetas, q, p):
     """For each tomogram i of the stack rows (shape (k, n_theta, n_x)), the
@@ -385,18 +407,23 @@ def _back_project(xs, rows, thetas, q, p):
     # NaN) map above every positive step, so one unsigned compare finds both.
     step_bits = np.diff(xs).min().view(np.uint64)
     trig = [(np.cos(theta), np.sin(theta)) for theta in thetas]
+    # numpy wraps an index by adding or subtracting the length until it
+    # fits, so the (cheaper) wrapped gathers take the cast indices as they
+    # are only in a block whose points all lie within twice the window's
+    # reach; any other block (a point far outside, Inf or NaN, whose cast
+    # index is arbitrary) clips its indices first.
+    reach_sq = (2.0 * max(abs(xs[0]), abs(xs[-1]))) ** 2
 
     b = min(BACKPROJECT_BLOCK, m)
     s_buf, t_buf, r_buf, v_buf = (np.empty(b) for _ in range(4))
     j_buf, bad_buf = np.empty(b, dtype=np.intp), np.empty(b, dtype=bool)
-    # An s far outside the window (or NaN) casts to an arbitrary index,
-    # which the residual check then rejects.
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         for lo in range(0, m, b):
             n = min(b, m - lo)
             qb, pb, ab = q[lo:lo + n], p[lo:lo + n], acc[:, lo:lo + n]
             s, t, r, v = s_buf[:n], t_buf[:n], r_buf[:n], v_buf[:n]
             j, bad = j_buf[:n], bad_buf[:n]
+            tame = bool(np.max(qb * qb + pb * pb) <= reach_sq)
             for a, (c, sn) in enumerate(trig):
                 np.multiply(qb, c, out=s)
                 np.multiply(pb, sn, out=t)
@@ -404,18 +431,22 @@ def _back_project(xs, rows, thetas, q, p):
                 np.subtract(s, x_lo, out=t)
                 np.multiply(t, inv_dx, out=t)
                 np.copyto(j, t, casting="unsafe")
-                # Clipping to the last bracket start leaves any point past it
-                # to the residual check.
-                x_lower.take(j, out=r, mode="clip")
+                if not tame:
+                    np.clip(j, 0, x_lower.size - 1, out=j)
+                # Any index out of range (past the last bracket start,
+                # negative, or cast from NaN) lands on some node whose
+                # residual fails the check below, so np.interp redoes that
+                # point.
+                x_lower.take(j, out=r, mode="wrap")
                 np.subtract(s, r, out=r)
                 np.greater_equal(r.view(np.uint64), step_bits, out=bad)
                 redo = np.flatnonzero(bad) if bad.any() else None
                 if redo is not None:
                     s_redo = s[redo]
                 for i in range(k):
-                    slopes[i, a].take(j, out=v, mode="clip")
+                    slopes[i, a].take(j, out=v, mode="wrap")
                     np.multiply(v, r, out=v)
-                    lower[i, a].take(j, out=t, mode="clip")
+                    lower[i, a].take(j, out=t, mode="wrap")
                     np.add(v, t, out=v)
                     if redo is not None:
                         v[redo] = np.interp(s_redo, xs, rows[i, a], left=0.0, right=0.0)
@@ -428,10 +459,10 @@ def inverse_radon_many(ws, grid=None):
     square (q, p) grid of a CoordinateGrid, by default
     CoordinateGrid(x_max, min(n_x, 512)); one WignerFunction per tomogram.
 
-    Per theta row: FFT in X, multiply by the |eta| ramp (band-limited at the
-    X Nyquist frequency), inverse FFT, then back-project with linear
-    interpolation at s = q cos(theta) + p sin(theta) and midpoint-rule theta
-    sum.  The row FFT is zero-padded so the ramp acts as a linear (not
+    Per theta row: real FFT in X, multiply by the |eta| ramp (band-limited
+    at the X Nyquist frequency), inverse real FFT, then back-project with
+    linear interpolation at s = q cos(theta) + p sin(theta) and
+    midpoint-rule theta sum.  The row FFT is zero-padded so the ramp acts as a linear (not
     circular) convolution; the filtered projections decay only like 1/X^2
     and would otherwise wrap their tails back into the window.  The result
     is confined to the reconstruction disc r < x_max: outside it the
@@ -441,8 +472,10 @@ def inverse_radon_many(ws, grid=None):
     one np.interp(s, X, row, left=0, right=0) per theta summed in theta
     order over the whole grid and masked afterwards.
 
-    The ramp is built once and the tomograms are filtered one at a time;
-    one back-projection pass then shares its geometry across all of them.
+    The ramp is built once and each tomogram is filtered in blocks of
+    FILTER_BLOCK rows into one preallocated stack, so no padded array of a
+    whole tomogram is ever alive; one back-projection pass then shares its
+    geometry across all of them.
     Tomograms on different grids are refused (GridError), and so is a
     tomogram holding NaN or Inf or carrying mass at |X| = x_max
     (SupportError), before any is filtered.
@@ -473,15 +506,16 @@ def inverse_radon_many(ws, grid=None):
     kern[0] = np.pi / (2.0 * dx * dx)
     odd = (n % 2) != 0
     kern[odd] = -2.0 / (np.pi * (n[odd] * dx) ** 2)
-    ramp = np.real(np.fft.fft(kern)) * dx
+    # The kernel is real and even, so its spectrum is real: the real-input
+    # FFT carries half of it.
+    ramp = np.real(np.fft.rfft(kern)) * dx
 
-    # Only the window's real part is kept: each padded complex array (24 MB
-    # on the default grids) is freed before the next tomogram is filtered,
-    # and the stack is allocated once none of them is alive.
-    filtered = np.stack([
-        np.fft.ifft(np.fft.fft(w.values, n=n_fft, axis=1) * ramp, axis=1)[:, : tg.n_x].real.copy()
-        for w in ws
-    ])
+    filtered = np.empty((len(ws), tg.n_theta, tg.n_x))
+    for out, w in zip(filtered, ws):
+        for lo in range(0, tg.n_theta, FILTER_BLOCK):
+            spec = np.fft.rfft(w.values[lo:lo + FILTER_BLOCK], n=n_fft, axis=1)
+            spec *= ramp
+            out[lo:lo + FILTER_BLOCK] = np.fft.irfft(spec, n=n_fft, axis=1)[:, : tg.n_x]
 
     qq, pp = np.broadcast_arrays(grid.points[:, None], grid.points[None, :])
     inside = np.hypot(qq, pp) < tg.x_max

@@ -120,14 +120,13 @@ def vacuum_wigner_reference(grid):
     return tr.WignerFunction(grid, 2.0 * np.exp(-q[:, None] ** 2 - q[None, :] ** 2))
 
 
-def reference_inverse_radon(w, grid=None):
-    """Filtered back-projection as one np.interp per theta over the whole
-    (q, p) square, masked to the reconstruction disc afterwards: the loop
-    transforms.inverse_radon must reproduce bit for bit.  The FFT length
-    comes from scipy.fft, independent of the code under test."""
+def reference_ramp_filter(w, real=True):
+    """The FBP's ramp filter of every row of the tomogram w, as one
+    whole-array FFT zero-padded to next_fast_len(8 n_x): the real-input FFT
+    pair by default, the complex pair (the real part of its inverse) with
+    real=False.  The FFT length comes from scipy.fft, independent of the
+    code under test."""
     tg = w.grid
-    if grid is None:
-        grid = CoordinateGrid(q_max=tg.x_max, n_q=min(tg.n_x, 512))
     n_fft = next_fast_len(8 * tg.n_x)
     dx = tg.x_spacing
     n = np.fft.fftfreq(n_fft, d=1.0 / n_fft).astype(int)
@@ -135,9 +134,24 @@ def reference_inverse_radon(w, grid=None):
     kern[0] = np.pi / (2.0 * dx * dx)
     odd = (n % 2) != 0
     kern[odd] = -2.0 / (np.pi * (n[odd] * dx) ** 2)
+    if real:
+        ramp = np.real(np.fft.rfft(kern)) * dx
+        spec = np.fft.rfft(w.values, n=n_fft, axis=1) * ramp
+        return np.fft.irfft(spec, n=n_fft, axis=1)[:, : tg.n_x]
     ramp = np.real(np.fft.fft(kern)) * dx
     spec = np.fft.fft(w.values, n=n_fft, axis=1) * ramp
-    filtered = np.real(np.fft.ifft(spec, axis=1))[:, : tg.n_x]
+    return np.real(np.fft.ifft(spec, axis=1))[:, : tg.n_x]
+
+
+def reference_inverse_radon(w, grid=None):
+    """Filtered back-projection as one np.interp per theta over the whole
+    (q, p) square, masked to the reconstruction disc afterwards: the loop
+    transforms.inverse_radon must reproduce bit for bit.  The rows are
+    filtered by reference_ramp_filter."""
+    tg = w.grid
+    if grid is None:
+        grid = CoordinateGrid(q_max=tg.x_max, n_q=min(tg.n_x, 512))
+    filtered = reference_ramp_filter(w)
 
     out = np.zeros((grid.n_q, grid.n_q))
     qq = grid.points[:, None]

@@ -263,6 +263,22 @@ def test_validate_measures_the_configured_hamiltonian(tmp_path):
     assert drifts[0] != drifts[1]
 
 
+def test_validate_reports_failing_health_figures(tmp_path):
+    # The inverted oscillator's eps grows like e^t, so over T = 10 its
+    # Wronskian drift and det Lambda defect pass both 1e-8 thresholds.
+    # Those are also the solver guards' bounds; validate reports the failing
+    # checks instead of stopping at the guard.
+    doc = {"grid": {"x_max": 8.0, "n_x": 256, "n_theta": 45, "q_max": 8.0, "n_q": 128},
+           "hamiltonian": {"omega_sq": {"kind": "constant", "value": -1.0}}}
+    assert run(tmp_path, "validate", doc) == 3
+    assert sorted(os.listdir(tmp_path / "out")) == ["report.json", "run_meta.json"]
+    report = read_json(tmp_path, "report.json")
+    assert report["pass"] is False
+    failed = {c["name"] for c in report["checks"] if not c["pass"]}
+    assert failed == {"wronskian_drift", "det_lambda_defect"}
+    assert read_json(tmp_path, "run_meta.json")["status"] == "invariants_failed"
+
+
 def test_validate_back_projects_once(tmp_path, monkeypatch):
     # One FBP of the state's tomogram serves the density and the tomogram
     # round trips.
