@@ -15,7 +15,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from .errors import CausticError, GridError, SupportError, TimeError
-from .states import DensityMatrix, WaveFunction, _hermitian_part
+from .states import DensityMatrix, WaveFunction
 from . import quad_dynamics
 from . import transforms
 
@@ -96,7 +96,8 @@ def evolve_density(rho0, kernel):
     _check_edge_density(diag0, "input density")
     U = kernel.matrix(rho0.grid) * rho0.grid.spacing
     vals = U @ rho0.values @ U.conj().T
-    _hermitian_part(vals, symmetrize=True)
+    vals += vals.conj().T
+    vals *= 0.5
     _check_edge_density(np.real(np.diag(vals)), "evolved density")
     rho = DensityMatrix(rho0.grid, vals)
     return rho.validate(trace_tol=1e-3)

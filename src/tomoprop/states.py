@@ -33,29 +33,9 @@ def _require_finite(values, what):
         raise SupportError(f"{what} holds {bad} non-finite values")
 
 
-# Rows per block of _hermitian_part's defect scan.
-HERMITIAN_BLOCK = 64
-
-
-def _hermitian_part(values, symmetrize=False):
-    """max |v - v^H| over the square array values; with symmetrize, values
-    is also replaced in place by its Hermitian part (v + v^H) / 2.
-
-    The defect is scanned in blocks of rows against the matching columns,
-    so it allocates nothing of full size.  Symmetrizing holds one copy,
-    v^H, and does the operations of 0.5 * (v + v.conj().T) in place, so
-    both results keep the bits of the whole-array expressions.
-    """
-    b = HERMITIAN_BLOCK
-    defect = float(np.max([
-        np.abs(values[lo:lo + b] - values[:, lo:lo + b].conj().T).max()
-        for lo in range(0, values.shape[0], b)
-    ]))
-    if symmetrize:
-        h = values.conj().T
-        values += h
-        values *= 0.5
-    return defect
+def _hermitian_defect(values):
+    """max |v - v^H| over the square array values."""
+    return float(np.abs(values - values.conj().T).max())
 
 
 @dataclass
@@ -116,7 +96,7 @@ class DensityMatrix:
                 f"density matrix shape {self.values.shape} does not match grid size {self.grid.n_q}"
             )
         _require_finite(self.values, "density matrix")
-        herm = _hermitian_part(self.values)
+        herm = _hermitian_defect(self.values)
         if herm > HERMITICITY_TOL:
             raise SupportError(f"hermiticity defect {herm:.3e} exceeds {HERMITICITY_TOL:.1e}")
         tr = self.trace()

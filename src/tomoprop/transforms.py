@@ -25,7 +25,7 @@ from .states import (
     GAUSSIAN_MARGIN,
     DensityMatrix,
     WaveFunction,
-    _hermitian_part,
+    _hermitian_defect,
     _require_finite,
 )
 
@@ -285,7 +285,7 @@ def density_from_wigner(W):
     k = 2.0 * np.pi * np.fft.fftfreq(n, d=dq)
     spec = np.fft.fft(W.values, axis=0)
     spec *= np.exp(1j * k * dq / 2.0)[:, None]
-    shifted = np.fft.ifft(spec, axis=0, out=spec).real[: n - 1].copy()
+    shifted = np.fft.ifft(spec, axis=0).real[: n - 1].copy()
     del spec
     # rho(q_i, q_i') is P[m, d] = sum_p W_m(p) exp(i p d dq) dp / 2pi at
     # m = i + i' (even m: row m/2 of W, odd m: a half-step-shifted row) and
@@ -312,7 +312,9 @@ def density_from_wigner(W):
     flat += np.add.outer(n * ii, n * ii)
     vals = C.ravel().take(flat)
     del C, flat
-    defect = _hermitian_part(vals, symmetrize=True)
+    defect = _hermitian_defect(vals)
+    vals += vals.conj().T
+    vals *= 0.5
     return DensityMatrix(grid, vals, hermiticity_defect=defect)
 
 
@@ -407,23 +409,18 @@ def _back_project(xs, rows, thetas, q, p):
     # NaN) map above every positive step, so one unsigned compare finds both.
     step_bits = np.diff(xs).min().view(np.uint64)
     trig = [(np.cos(theta), np.sin(theta)) for theta in thetas]
-    # numpy wraps an index by adding or subtracting the length until it
-    # fits, so the (cheaper) wrapped gathers take the cast indices as they
-    # are only in a block whose points all lie within twice the window's
-    # reach; any other block (a point far outside, Inf or NaN, whose cast
-    # index is arbitrary) clips its indices first.
-    reach_sq = (2.0 * max(abs(xs[0]), abs(xs[-1]))) ** 2
 
     b = min(BACKPROJECT_BLOCK, m)
     s_buf, t_buf, r_buf, v_buf = (np.empty(b) for _ in range(4))
     j_buf, bad_buf = np.empty(b, dtype=np.intp), np.empty(b, dtype=bool)
-    with np.errstate(invalid="ignore", over="ignore"):
+    # An s far outside the window (or NaN) casts to an arbitrary index,
+    # which the residual check then rejects.
+    with np.errstate(invalid="ignore"):
         for lo in range(0, m, b):
             n = min(b, m - lo)
             qb, pb, ab = q[lo:lo + n], p[lo:lo + n], acc[:, lo:lo + n]
             s, t, r, v = s_buf[:n], t_buf[:n], r_buf[:n], v_buf[:n]
             j, bad = j_buf[:n], bad_buf[:n]
-            tame = bool(np.max(qb * qb + pb * pb) <= reach_sq)
             for a, (c, sn) in enumerate(trig):
                 np.multiply(qb, c, out=s)
                 np.multiply(pb, sn, out=t)
@@ -431,22 +428,18 @@ def _back_project(xs, rows, thetas, q, p):
                 np.subtract(s, x_lo, out=t)
                 np.multiply(t, inv_dx, out=t)
                 np.copyto(j, t, casting="unsafe")
-                if not tame:
-                    np.clip(j, 0, x_lower.size - 1, out=j)
-                # Any index out of range (past the last bracket start,
-                # negative, or cast from NaN) lands on some node whose
-                # residual fails the check below, so np.interp redoes that
-                # point.
-                x_lower.take(j, out=r, mode="wrap")
+                # Clipping to the last bracket start leaves any point past it
+                # to the residual check.
+                x_lower.take(j, out=r, mode="clip")
                 np.subtract(s, r, out=r)
                 np.greater_equal(r.view(np.uint64), step_bits, out=bad)
                 redo = np.flatnonzero(bad) if bad.any() else None
                 if redo is not None:
                     s_redo = s[redo]
                 for i in range(k):
-                    slopes[i, a].take(j, out=v, mode="wrap")
+                    slopes[i, a].take(j, out=v, mode="clip")
                     np.multiply(v, r, out=v)
-                    lower[i, a].take(j, out=t, mode="wrap")
+                    lower[i, a].take(j, out=t, mode="clip")
                     np.add(v, t, out=v)
                     if redo is not None:
                         v[redo] = np.interp(s_redo, xs, rows[i, a], left=0.0, right=0.0)

@@ -461,8 +461,10 @@ def test_real_fft_ramp_filter_equals_the_complex_one(coherent_psi, n_x, n_theta)
 
 
 # tracemalloc peaks (numpy reports its buffers to it) of the FBP and the
-# Wigner inversion on the default grids, measured at 10.1 MB and 18.9 MB;
-# each bound is 1.25 times the measure.
+# Wigner inversion on the default grids, measured at 10.1 MB and 18.9 MB
+# with numpy 2.4.6; each bound is 1.25 times the measure.  FFT and matmul
+# temporaries differ between numpy builds, so other versions may need the
+# measure taken again.
 FBP_PEAK_MB = 1.25 * 10.1
 WIGNER_INVERSION_PEAK_MB = 1.25 * 18.9
 
@@ -524,27 +526,6 @@ def test_back_project_brackets_equal_np_interp(monkeypatch):
     for g, e, ok in zip(got, expected, finite):
         assert np.array_equal(g, e, equal_nan=True)
         assert g[ok].tobytes() == e[ok].tobytes()
-
-
-def test_back_project_wrapped_brackets_equal_np_interp():
-    # Points within twice the window's reach take their cast bracket
-    # indices unclipped into wrapped gathers: those past either end, on the
-    # last node and one ulp around the nodes still equal np.interp.
-    xs = np.linspace(-2.0, 2.0, 17)
-    thetas = np.linspace(0.0, np.pi, 7, endpoint=False)
-    rows = np.random.default_rng(5).normal(size=(2, thetas.size, xs.size))
-    q = np.concatenate([
-        xs, np.nextafter(xs, np.inf), np.nextafter(xs, -np.inf),
-        np.linspace(-3.9, 3.9, 41), [2.0 + 1e-12, -2.0 - 1e-12],
-    ])
-    p = np.roll(q, 5) * 0.1
-    assert np.max(q * q + p * p) <= 16.0
-    got = tr._back_project(xs, rows, thetas, q, p)
-    for g, f in zip(got, rows):
-        e = np.zeros(q.size)
-        for theta, row in zip(thetas, f):
-            e += np.interp(q * np.cos(theta) + p * np.sin(theta), xs, row, left=0.0, right=0.0)
-        assert g.tobytes() == e.tobytes()
 
 
 def test_inverse_radon_many_equals_one_call_per_tomogram(coherent_psi, vacuum_psi):
