@@ -24,9 +24,11 @@ seam of the extension.
 The two backends share the time-stepping machinery of quad_dynamics (the
 node rule and step guards of _time_nodes, the RK4 stepper _rk4) and the
 final pull-back of one affine frame (theta0, a, b) per row
-(Tomogram.pull_back: twisted sampling, X-window edge guard, validation).
-Each integrates its own field: this module the characteristics of the
-feet (theta, a X + nu) and amplitudes, quad_dynamics eps(t) and beta(t).  Their agreement checks the two fields; the referees
+(Tomogram.pull_back: X-window edge guard on the row ends, twisted
+sampling of every row in cache-sized blocks, validation).  Each
+integrates its own field: this module the characteristics of the feet
+(theta, a X + nu) and amplitudes, quad_dynamics eps(t) and beta(t).
+Their agreement checks the two fields; the referees
 that share none of this machinery are oracles.classical_trajectory
 (scipy solve_ivp), the Wronskian check of solve_epsilon and the per-node
 RK4 integration in the tests.

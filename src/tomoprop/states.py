@@ -75,8 +75,9 @@ class WaveFunction:
 class DensityMatrix:
     """Mixed state rho(q, q') on the tensor square of a CoordinateGrid.
 
-    hermiticity_defect records the pre-symmetrization defect when the matrix
-    came out of a reconstruction; it is None for directly constructed states.
+    hermiticity_defect records the Hermiticity defect of a reconstruction
+    (0.0 for the density_from_wigner and density_from_wavefunction routes,
+    Hermitian by construction); it is None for directly constructed states.
     """
 
     grid: CoordinateGrid

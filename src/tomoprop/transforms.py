@@ -25,7 +25,6 @@ from .states import (
     GAUSSIAN_MARGIN,
     DensityMatrix,
     WaveFunction,
-    _hermitian_defect,
     _require_finite,
 )
 
@@ -145,33 +144,50 @@ class Tomogram:
         X outside the grid evaluates to 0.  interp is "linear" (default,
         positivity preserving, the numpy kernel _bilinear) or "cubic"
         (scipy.ndimage's spline through _cubic, imported on first use).
+
+        The twisted extension (and the cubic branch's spline prefilter) is
+        built once per call.  The broadcast (X, theta) output is then
+        filled in blocks of whole leading-axis rows of about SAMPLE_BLOCK
+        points, each folded and interpolated on its own; every step is
+        elementwise, so the blocks give the bits of one whole-array pass.
         """
-        X = np.asarray(X, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-
-        # The fold and the row coordinate depend on theta alone, so they are
-        # computed on theta's own shape (one per pull-back row).
-        k = np.floor(theta / np.pi)
-        theta_loc = theta - k * np.pi
-        sign = np.where(np.mod(k, 2.0) == 0.0, 1.0, -1.0)
-        Xe = sign * X
-
         if interp not in ("linear", "cubic"):
             raise ValueError(f"unknown interpolation {interp!r}")
-        g = 1 if interp == "linear" else 4
+        X = np.asarray(X, dtype=float)
+        theta = np.asarray(theta, dtype=float)
+        # Both inputs take the output's rank (a 0-d output is one row), so a
+        # block slices the leading axis of each input that spans it.
+        shape = np.broadcast_shapes(X.shape, theta.shape)
+        lead = shape or (1,)
+        X = X.reshape((1,) * (len(lead) - X.ndim) + X.shape)
+        theta = theta.reshape((1,) * (len(lead) - theta.ndim) + theta.shape)
 
+        g = 1 if interp == "linear" else 4
         n_t = self.grid.n_theta
         top = np.flip(self.values[n_t - g:], axis=1)
         bottom = np.flip(self.values[:g], axis=1)
         ext = np.concatenate([top, self.values, bottom], axis=0)
-
-        row = theta_loc / self.grid.theta_spacing - 0.5 + g
-        col = (Xe + self.grid.x_max) / self.grid.x_spacing
         if g == 1:
-            return _bilinear(ext, row, col)
-        from scipy.ndimage import spline_filter
+            kernel = _bilinear
+        else:
+            from scipy.ndimage import spline_filter
 
-        return _cubic(spline_filter(ext, order=3), row, col)
+            ext = spline_filter(ext, order=3)
+            kernel = _cubic
+
+        out = np.empty(lead)
+        step = max(1, SAMPLE_BLOCK // max(1, int(np.prod(lead[1:]))))
+        for lo in range(0, lead[0], step):
+            Xb = X[lo:lo + step] if X.shape[0] > 1 else X
+            tb = theta[lo:lo + step] if theta.shape[0] > 1 else theta
+            # The fold and the row coordinate depend on theta alone, so they
+            # are computed on theta's own shape (one per pull-back row).
+            k = np.floor(tb / np.pi)
+            row = (tb - k * np.pi) / self.grid.theta_spacing - 0.5 + g
+            sign = np.where(np.mod(k, 2.0) == 0.0, 1.0, -1.0)
+            col = (sign * Xb + self.grid.x_max) / self.grid.x_spacing
+            out[lo:lo + step] = kernel(ext, row, col)
+        return out.reshape(shape)
 
     def pull_back(self, theta0, a, b, interp="linear", norm_tol=1e-3):
         """Row-affine pull-back w(X, theta_j) = a_j * self(a_j X + b_j, theta0_j),
@@ -179,24 +195,29 @@ class Tomogram:
 
         The frame (theta0, a, b) is three float arrays of length n_theta
         (theta0 anywhere on the real line), sampled in one sample_twisted
-        call.  The prefactor is the X-scale a itself, which keeps each row a
-        probability density in X.  SupportError when a source point leaves
-        the X window while this tomogram has mass at its edge.
+        call, which works through the rows in cache-sized blocks; the rows
+        are then scaled by a in place.  The prefactor is the X-scale a
+        itself, which keeps each row a probability density in X.
+        SupportError when a source point leaves the X window while this
+        tomogram has mass at its edge; that guard reads only the row ends,
+        since a X + b is affine in X on each row.
         The result must keep rows normalized within norm_tol and nonnegative
         (cubic may undershoot by 1e-6; a negative input floor may grow by the
         largest a).
         """
         tg = self.grid
-        X0 = a[:, None] * tg.xs + b[:, None]
-        # X0 is affine in X on each row, so its extremes sit at the row ends.
-        if np.any(np.abs(X0[:, [0, -1]]) > tg.x_max):
+        ends = a[:, None] * tg.xs[[0, -1]] + b[:, None]
+        if np.any(np.abs(ends) > tg.x_max):
             edge = self.edge_mass()
             if edge > EDGE_MASS_TOL:
                 raise SupportError(
                     "mapped source points leave the X window while the tomogram "
                     f"still carries {edge:.3e} at its edge; enlarge x_max"
                 )
-        w = Tomogram(tg, a[:, None] * self.sample_twisted(X0, theta0[:, None], interp=interp))
+        X0 = a[:, None] * tg.xs + b[:, None]
+        vals = self.sample_twisted(X0, theta0[:, None], interp=interp)
+        vals *= a[:, None]
+        w = Tomogram(tg, vals)
         floor = min(0.0, float(self.values.min()))
         base_tol = 1e-12 if interp == "linear" else 1e-6
         w.validate(
@@ -277,6 +298,9 @@ def density_from_wigner(W):
 
     Midpoints between coordinate grid points are reached by spectral
     half-step shifting of W in q, and the p-integral uses uniform weights.
+    Only the upper triangle q <= q' is integrated; the lower one is its
+    conjugate, so the result is Hermitian by construction and records
+    hermiticity_defect 0.0.
     """
     grid = W.grid
     n = grid.n_q
@@ -290,11 +314,16 @@ def density_from_wigner(W):
     # rho(q_i, q_i') is P[m, d] = sum_p W_m(p) exp(i p d dq) dp / 2pi at
     # m = i + i' (even m: row m/2 of W, odd m: a half-step-shifted row) and
     # d = i - i', which has the parity of m.  Each parity class needs only
-    # its own n offsets d = 2c - (n - 1) + ((n - 1 + parity) % 2), c < n,
-    # so P is kept as C[m, c] with c = (d + n - 1) // 2.  Every full-size
-    # step runs in place, with the operations of the plain expressions.
-    c = np.arange(n)
-    C = np.empty((2 * n - 1, n), dtype=complex)
+    # its own offsets d = 2c - (n - 1) + ((n - 1 + parity) % 2), so P is
+    # kept as C[m, c] with c = (d + n - 1) // 2.  The phase of -d is the
+    # exact conjugate of the phase of d, so rho(q_i', q_i) is exactly
+    # conj(rho(q_i, q_i')): only the columns d <= 0, c <= (n - 1) // 2, are
+    # built, and the entries with i > i' are conjugated copies.  Every
+    # full-size step runs in place, with the operations of the plain
+    # expressions.
+    n_c = (n - 1) // 2 + 1
+    c = np.arange(n_c)
+    C = np.empty((2 * n - 1, n_c), dtype=complex)
     for parity, rows in ((0, W.values), (1, shifted)):
         d = 2 * c - (n - 1) + (n - 1 + parity) % 2
         phase = np.outer(grid.points, d * dq) * 1j
@@ -304,18 +333,23 @@ def density_from_wigner(W):
         del phase
     del shifted
 
-    # One flat gather of C at row i + i' and column (i - i' + n - 1) // 2.
+    # One flat gather of C at row i + i' and column (-|i - i'| + n - 1) // 2,
+    # then the conjugate below the diagonal.  An imaginary part that
+    # cancels to zero comes out of the matmul as +0 on both sides of the
+    # diagonal, and the conjugate turns it into -0; adding 0.0 makes it +0
+    # again, the bits of the Hermitian part (v + v^H) / 2 of the full table.
     ii = np.arange(n)
     flat = np.subtract.outer(ii, ii)
+    np.abs(flat, out=flat)
+    np.negative(flat, out=flat)
     flat += n - 1
     flat //= 2
-    flat += np.add.outer(n * ii, n * ii)
+    flat += np.add.outer(n_c * ii, n_c * ii)
     vals = C.ravel().take(flat)
     del C, flat
-    defect = _hermitian_defect(vals)
-    vals += vals.conj().T
-    vals *= 0.5
-    return DensityMatrix(grid, vals, hermiticity_defect=defect)
+    np.conjugate(vals, out=vals, where=np.greater.outer(ii, ii))
+    vals.imag += 0.0
+    return DensityMatrix(grid, vals, hermiticity_defect=0.0)
 
 
 def _check_wigner_boundary(W):
@@ -368,6 +402,12 @@ def radon(W, tgrid=None):
         rows[j] = _cubic(coeffs, (qs - q0) / dq, (ps - q0) / dq) @ yw / (2.0 * np.pi)
     return Tomogram(tgrid, rows)
 
+
+# Points per block of Tomogram.sample_twisted (whole leading-axis rows, at
+# least one): 16 rows of the default 1024-point X axis, so the per-point
+# temporaries of a block (coordinates, node indices, weights, gathers;
+# 128 KB each) stay in the L2 cache.
+SAMPLE_BLOCK = 16384
 
 # Points per block of the back-projection: its work buffers of this length
 # stay in the L2 cache while every angle passes over them.
@@ -559,9 +599,8 @@ def density_from_tomogram(w, grid=None):
     """Density matrix from a tomogram via filtered back-projection.
 
     The reconstruction runs through inverse_radon onto grid (its default
-    when None) and the Wigner inversion on that grid.  Hermiticity is
-    enforced by symmetrization; the pre-projection defect is recorded on the
-    result.
+    when None) and the Wigner inversion on that grid, whose result is
+    Hermitian by construction (hermiticity_defect 0.0).
     """
     return density_from_wigner(inverse_radon(w, grid))
 

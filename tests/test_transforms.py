@@ -1,9 +1,11 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
 from tomoprop.errors import GridError, SupportError
 from tomoprop.grids import CoordinateGrid, TomogramGrid
-from tomoprop.states import DensityMatrix, density_from_wavefunction, make_coherent
+from tomoprop.states import DensityMatrix, density_from_wavefunction, make_coherent, make_vacuum
 from tomoprop import transforms as tr
 
 from conftest import (
@@ -274,31 +276,34 @@ def test_bilinear_is_bit_identical_to_ndimage():
     assert _same_bits(got, ndimage(data, e5[:, None], e6[None, :]))
 
 
-def test_sample_twisted_linear_is_bit_identical_to_ndimage(coherent_tomogram):
-    # Both samplers as they were written with scipy.ndimage: fold theta on
-    # the broadcast arrays, add g twisted rows at each end of the tomogram
-    # (one for linear, four for cubic, whose data is then spline-filtered),
-    # interpolate with map_coordinates.
+def _ndimage_sample(w, X, theta, interp="linear"):
+    """Both samplers as they were written with scipy.ndimage, in one pass
+    over the whole broadcast arrays: fold theta, add g twisted rows at each
+    end of the tomogram (one for linear, four for cubic, whose data is then
+    spline-filtered), interpolate with map_coordinates."""
     from scipy.ndimage import map_coordinates, spline_filter
 
+    tg = w.grid
+    g, order = (1, 1) if interp == "linear" else (4, 3)
+    X, theta = np.broadcast_arrays(np.asarray(X, float), np.asarray(theta, float))
+    k = np.floor(theta / np.pi)
+    Xe = np.where(np.mod(k, 2.0) == 0.0, 1.0, -1.0) * X
+    row = (theta - k * np.pi) / tg.theta_spacing - 0.5 + g
+    col = (Xe + tg.x_max) / tg.x_spacing
+    ext = np.concatenate([w.values[-g:, ::-1], w.values, w.values[:g, ::-1]])
+    if order == 3:
+        ext = spline_filter(ext, order=3)
+    out = map_coordinates(
+        ext, np.array([row.ravel(), col.ravel()]),
+        order=order, prefilter=False, mode="constant", cval=0.0,
+    )
+    return out.reshape(X.shape)
+
+
+def test_sample_twisted_linear_is_bit_identical_to_ndimage(coherent_tomogram):
     w = coherent_tomogram
     tg = w.grid
-
-    def ndimage(X, theta, interp="linear"):
-        g, order = (1, 1) if interp == "linear" else (4, 3)
-        X, theta = np.broadcast_arrays(np.asarray(X, float), np.asarray(theta, float))
-        k = np.floor(theta / np.pi)
-        Xe = np.where(np.mod(k, 2.0) == 0.0, 1.0, -1.0) * X
-        row = (theta - k * np.pi) / tg.theta_spacing - 0.5 + g
-        col = (Xe + tg.x_max) / tg.x_spacing
-        ext = np.concatenate([w.values[-g:, ::-1], w.values, w.values[:g, ::-1]])
-        if order == 3:
-            ext = spline_filter(ext, order=3)
-        out = map_coordinates(
-            ext, np.array([row.ravel(), col.ravel()]),
-            order=order, prefilter=False, mode="constant", cval=0.0,
-        )
-        return out.reshape(X.shape)
+    ndimage = partial(_ndimage_sample, w)
 
     rng = np.random.default_rng(7)
     base = rng.uniform(0.0, np.pi, 24)
@@ -333,6 +338,56 @@ def test_sample_twisted_linear_is_bit_identical_to_ndimage(coherent_tomogram):
 def test_sample_twisted_unknown_interp(coherent_tomogram):
     with pytest.raises(ValueError):
         coherent_tomogram.sample_twisted(0.0, 0.5, interp="quintic")
+
+
+@pytest.mark.parametrize("interp", ["linear", "cubic"])
+@pytest.mark.parametrize("block", [1, 4 * 1024 + 5, None, 10**9])
+def test_blocked_sampling_is_bit_identical_to_one_pass(coherent_psi, monkeypatch, interp, block):
+    # Blocks of one row, of four rows, the default 16 rows and one block
+    # for everything.  45 rows are no multiple of 4 or 16, so the last
+    # block is short.
+    tg = TomogramGrid(n_theta=45)
+    w = tr.tomogram_from_wavefunction(coherent_psi, tg)
+    if block is not None:
+        monkeypatch.setattr(tr, "SAMPLE_BLOCK", block)
+
+    # Frames with theta0 from about -9 to 9 (every fold parity) and X-scales
+    # a below and above 1.
+    j = np.arange(tg.n_theta)
+    theta0 = 1.7 * tg.thetas - 2.5 + np.pi * (j % 5 - 2)
+    a = np.where(j % 2 == 0, 0.93, 1.4) + 0.01 * np.cos(j)
+    b = 0.2 * np.sin(j)
+    assert theta0.min() < -np.pi and theta0.max() > 2.0 * np.pi
+    got = w.pull_back(theta0, a, b, interp=interp)
+    X0 = a[:, None] * tg.xs + b[:, None]
+    assert _same_bits(got.values, a[:, None] * _ndimage_sample(w, X0, theta0[:, None], interp))
+
+    rng = np.random.default_rng(45)
+    X = rng.uniform(-tg.x_max - 0.5, tg.x_max + 0.5, 700)
+    theta = rng.uniform(-3.0 * np.pi, 3.0 * np.pi, 700)
+    for Xq, thq in ((X[:, None], theta0[None, :]), (X[None, :], theta0[:, None]),
+                    (X, theta0[:, None]), (X, theta), (1.3, 0.4), (X[:3], -2.0)):
+        got = w.sample_twisted(Xq, thq, interp=interp)
+        assert got.shape == np.broadcast_shapes(np.shape(Xq), np.shape(thq))
+        assert _same_bits(got, _ndimage_sample(w, Xq, thq, interp))
+
+
+def test_pull_back_guards_run_before_sampling(monkeypatch):
+    tg = TomogramGrid(x_max=4.0, n_x=128, n_theta=45)
+    w0 = tr.tomogram_from_wavefunction(make_vacuum(), tg)
+
+    def refuse(*args):
+        raise AssertionError("sampled before the guards")
+
+    monkeypatch.setattr(tr, "_bilinear", refuse)
+    monkeypatch.setattr(tr, "_cubic", refuse)
+    ones, zeros = np.ones(tg.n_theta), np.zeros(tg.n_theta)
+    # a = 2 sends the row ends to +-8, outside the 4-unit window, while the
+    # vacuum still carries 6e-8 at its edge.
+    with pytest.raises(SupportError, match="leave the X window"):
+        w0.pull_back(tg.thetas, 2.0 * ones, zeros)
+    with pytest.raises(ValueError, match="unknown interpolation"):
+        w0.pull_back(tg.thetas, ones, zeros, interp="quintic")
 
 
 # ------------------------------------------------------------------- Wigner
@@ -460,19 +515,25 @@ def test_real_fft_ramp_filter_equals_the_complex_one(coherent_psi, n_x, n_theta)
     assert np.all(gap <= 1e-13 * np.abs(cplx).max(axis=1))
 
 
-# tracemalloc peaks (numpy reports its buffers to it) of the FBP and the
-# Wigner inversion on the default grids, measured at 10.1 MB and 18.9 MB
-# with numpy 2.4.6; each bound is 1.25 times the measure.  FFT and matmul
-# temporaries differ between numpy builds, so other versions may need the
-# measure taken again.
+# tracemalloc peaks (numpy reports its buffers to it) on the default grids,
+# each bound 1.25 times the measure taken with numpy 2.4.6: the FBP at
+# 10.1 MB, the Wigner inversion at 12.6 MB and one linear evolve_tomogram
+# at 5.6 MB.  An inversion over the full offset table (18.9 MB) and a
+# pull-back sampled in one whole-array pass (16.5 MB) break them.  FFT and
+# matmul temporaries differ between numpy builds, so other versions may
+# need the measures taken again.
 FBP_PEAK_MB = 1.25 * 10.1
-WIGNER_INVERSION_PEAK_MB = 1.25 * 18.9
+WIGNER_INVERSION_PEAK_MB = 1.25 * 12.6
+PULL_BACK_PEAK_MB = 1.25 * 5.6
 
 
-def test_fbp_and_wigner_inversion_peak_memory(coherent_pure_tomogram):
+@pytest.fixture
+def peak_mb():
+    """tracemalloc on for one test; gives peak_mb(fn, *args), which returns
+    fn(*args) and its peak in MB above the memory traced before the call."""
     import tracemalloc
 
-    def peak_mb(fn, *args):
+    def measure(fn, *args):
         tracemalloc.reset_peak()
         held = tracemalloc.get_traced_memory()[0]
         out = fn(*args)
@@ -481,14 +542,28 @@ def test_fbp_and_wigner_inversion_peak_memory(coherent_pure_tomogram):
     tracing = tracemalloc.is_tracing()
     tracemalloc.start()
     try:
-        (W,), fbp = peak_mb(tr.inverse_radon_many, [coherent_pure_tomogram])
-        _, inversion = peak_mb(tr.density_from_wigner, W)
+        yield measure
     finally:
         if not tracing:
             tracemalloc.stop()
+
+
+def test_fbp_and_wigner_inversion_peak_memory(coherent_pure_tomogram, peak_mb):
+    (W,), fbp = peak_mb(tr.inverse_radon_many, [coherent_pure_tomogram])
+    _, inversion = peak_mb(tr.density_from_wigner, W)
     assert W.grid == CoordinateGrid()
     assert fbp <= FBP_PEAK_MB
     assert inversion <= WIGNER_INVERSION_PEAK_MB
+
+
+def test_pull_back_peak_memory(coherent_pure_tomogram, peak_mb):
+    from tomoprop import quad_dynamics as qd
+
+    H = qd.QuadraticHamiltonian(qd.CosineSampler(1.0, 0.2, 2.0), qd.ConstantSampler(0.3))
+    m = qd.optical_map(qd.solve_epsilon(H, 1.0), 1.0)
+    w, pull_back = peak_mb(qd.evolve_tomogram, coherent_pure_tomogram, m)
+    assert w.grid == TomogramGrid()
+    assert pull_back <= PULL_BACK_PEAK_MB
 
 
 def test_back_project_brackets_equal_np_interp(monkeypatch):
