@@ -619,6 +619,21 @@ def _next_fast_len(n):
         m += 1
 
 
+def _cpow(base, e):
+    """base ** e, bit for bit, for one complex scalar base and a real
+    exponent array e.
+
+    numpy's complex power calls libm's cpow per element, which glibc
+    evaluates as cexp(e * clog(base)); here the log is taken once.  The
+    integer exponents with |e| < 100 keep **: numpy multiplies those out
+    by repeated squaring.
+    """
+    out = np.exp(e * np.log(base))
+    small = (np.abs(e) < 100) & (e == np.trunc(e))
+    out[small] = base ** e[small]
+    return out
+
+
 def _czt(x, m, w, a):
     """Chirp-z transform of the 1-D x at the m points a * w**-k (Bluestein).
 
@@ -629,11 +644,19 @@ def _czt(x, m, w, a):
     had a different FFT, so the bits are pinned by
     tests/test_transforms.py::test_czt_is_bit_identical_to_scipy, not by
     this docstring.  Re-run it whenever the numpy or SciPy pin moves.
+
+    The two power arrays w ** (k**2 / 2) and a ** -k, which SciPy forms
+    with **, come from _cpow: one scalar log per row and one vectorised
+    complex exp in place of a cpow call per element, with the same bits
+    on that build.  Their integer exponents with |e| < 100 (k**2 / 2 for
+    even k <= 14, -k for k <= 99) still go through **, because numpy
+    multiplies those out by repeated squaring, which rounds differently
+    from exp-log.
     """
     n = x.shape[-1]
     k = np.arange(max(m, n), dtype=np.min_scalar_type(-max(m, n) ** 2))
-    wk2 = w ** (k**2 / 2.0)
-    awk2 = a**-k[:n] * wk2[:n]
+    wk2 = _cpow(w, k**2 / 2.0)
+    awk2 = _cpow(a, -k[:n]) * wk2[:n]
     nfft = _next_fast_len(n + m - 1)
     fwk2 = np.fft.fft(1 / np.hstack((wk2[n - 1:0:-1], wk2[:m])), nfft)
     return np.fft.ifft(fwk2 * np.fft.fft(x * awk2, nfft))[n - 1:n + m - 1] * wk2[:m]

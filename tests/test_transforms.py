@@ -97,17 +97,40 @@ def test_czt_is_bit_identical_to_scipy(monkeypatch):
     # 512 q samples feed the q rows as they are (n_fft = 2048 momentum
     # samples); 64 samples are refined twofold (128, n_fft = 256).  So both
     # branches run with m < n and with m > n: q rows 1024 > 512 and
-    # 100 < 128, momentum rows 1024 < 2048 and 300 > 256.
-    for n_q, n_x, q_lengths, n_fft in ((512, 1024, {512}, 2048),
-                                       (64, 100, {128}, 256),
-                                       (64, 300, {128}, 256)):
+    # 100 < 128, momentum rows 1024 < 2048 and 300 > 256.  The last case is
+    # the full default grid: every angle hands the kernel other bases w, a.
+    for n_q, n_x, n_theta, q_lengths, n_fft in ((512, 1024, 8, {512}, 2048),
+                                                (64, 100, 8, {128}, 256),
+                                                (64, 300, 8, {128}, 256),
+                                                (512, 1024, 180, {512}, 2048)):
         g = CoordinateGrid(q_max=8.0, n_q=n_q)
-        tg = TomogramGrid(x_max=8.0, n_x=n_x, n_theta=8)
+        tg = TomogramGrid(x_max=8.0, n_x=n_x, n_theta=n_theta)
         calls.clear()
         tr.tomogram_from_wavefunction(make_coherent(0.7 - 0.4j, g), tg)
         assert len(calls) == tg.n_theta
         assert {n for n, _ in calls} == q_lengths | {n_fft}
         assert {m for _, m in calls} == {n_x}
+
+
+def test_cpow_is_bit_identical_to_numpy_power():
+    # _czt's power arrays come from _cpow (a scalar log and a vectorised
+    # exp, with ** kept for the integer exponents |e| < 100 that numpy
+    # multiplies out); each element must carry the bits of base ** e.
+    exps = [np.array([0, 1, -1, 2, -2, 3, -3, 98, -98, 99, -99, 100, -100,
+                      0.5, 14.5, 1e6])]
+    for n in (128, 1024, 2048, 3072):
+        k = np.arange(n, dtype=np.min_scalar_type(-n**2))
+        exps += [k**2 / 2.0, -k]
+    tg = TomogramGrid()
+    du = CoordinateGrid().spacing
+    bases = [0.9 * np.exp(0.3j)]
+    for theta in tg.thetas[::30]:
+        s = np.sin(theta)
+        bases += [np.exp(-1j * tg.x_spacing * du / s), np.exp(1j * tg.xs[0] * du / s)]
+    for base in bases:
+        for e in exps:
+            got, want = tr._cpow(base, e), base ** e
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (base, e.size)
 
 
 def test_next_fast_len_matches_scipy():
