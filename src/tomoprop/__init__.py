@@ -61,7 +61,6 @@ _EXPORTS = {
     "GreenKernel": "oracles",
     "green_kernel": "oracles",
     "evolve_wavefunction": "oracles",
-    "evolve_density": "oracles",
     "ClassicalTrajectory": "oracles",
     "classical_trajectory": "oracles",
     "trace_distance": "oracles",

@@ -186,8 +186,7 @@ def _run_task(cfg, emit):
     elif cfg.task == "pipeline-check":
         H = cfg.hamiltonian
         psi, w0 = _state_tomogram(cfg)
-        rho0 = states.density_from_wavefunction(psi)
-        recs = oracles.pipeline_discrepancy(rho0, w0, _maps(H, cfg.times, _auto_dt(H)))
+        recs = oracles.pipeline_discrepancy(psi, w0, _maps(H, cfg.times, _auto_dt(H)))
         report["records"] = [
             {"t": t, **{k: float(v) for k, v in rec.items()}} for t, rec in zip(cfg.times, recs)
         ]

@@ -4,18 +4,19 @@ trajectories, as ground truth.
 green_kernel builds the Green function of every quadratic Hamiltonian from
 the same Malkin-Man'ko-Trifonov integrals of motion (Lambda, Delta) as the
 optical map.  The density-matrix propagator factorizes through it as
-K(q, q'; qt, qt') = G(q, qt) G*(q', qt'), so it is never materialized as a
-rank-4 array.  The same map is applied once to amplitudes (the quantum
-propagator) and once to tomograms (the optical propagator), and the final
-states are compared; classical_trajectory integrates the motion without
-eps(t), so it referees the map itself.
+K(q, q'; qt, qt') = G(q, qt) G*(q', qt'), so on a pure state it is never
+applied as such: rho_t = |G psi><G psi| needs one matrix-vector product.
+The same map is applied once to amplitudes (the quantum propagator) and
+once to tomograms (the optical propagator), and the final states are
+compared; classical_trajectory integrates the motion without eps(t), so it
+referees the map itself.
 """
 
 import numpy as np
 from dataclasses import dataclass
 
 from .errors import CausticError, GridError, SupportError, TimeError
-from .states import DensityMatrix, WaveFunction
+from .states import DensityMatrix, WaveFunction, density_from_wavefunction
 from . import quad_dynamics
 from . import transforms
 
@@ -85,22 +86,11 @@ def _check_edge_density(density, what):
 def evolve_wavefunction(psi, kernel):
     """psi_t = (G dq) psi with the plain-spacing quadrature of the kernel contract."""
     _check_edge_density(np.abs(psi.values) ** 2, "input wavefunction")
-    out = (kernel.matrix(psi.grid) * psi.grid.spacing) @ psi.values
+    U = kernel.matrix(psi.grid)
+    U *= psi.grid.spacing
+    out = U @ psi.values
     _check_edge_density(np.abs(out) ** 2, "evolved wavefunction")
     return WaveFunction(psi.grid, out)
-
-
-def evolve_density(rho0, kernel):
-    """rho_t = (G dq) rho0 (G dq)^dagger, Hermitian by construction."""
-    diag0 = np.real(np.diag(rho0.values))
-    _check_edge_density(diag0, "input density")
-    U = kernel.matrix(rho0.grid) * rho0.grid.spacing
-    vals = U @ rho0.values @ U.conj().T
-    vals += vals.conj().T
-    vals *= 0.5
-    _check_edge_density(np.real(np.diag(vals)), "evolved density")
-    rho = DensityMatrix(rho0.grid, vals)
-    return rho.validate(trace_tol=1e-3)
 
 
 @dataclass(frozen=True)
@@ -153,17 +143,20 @@ def trace_distance(rho_a, rho_b):
     return 0.5 * float(np.abs(np.linalg.eigvalsh(diff)).sum())
 
 
-def pipeline_discrepancy(rho0, w0, maps):
+def pipeline_discrepancy(psi0, w0, maps):
     """Gap between the quantum and the optical propagator of each map.
 
-    Route A evolves rho0 with green_kernel(m).  Route B evolves w0, the
-    caller's optical tomogram of rho0 (its grid sets the tomogram grid),
-    with evolve_tomogram(w0, m) and reconstructs the density matrix by
-    filtered back-projection.  Returns one {"trace_distance", "l_inf"}
-    between the two final densities per map, in the order of maps.  For
-    the identity map route A is rho0 itself and route B a round trip
-    through the caller's transform and the back-projection, so the record
-    isolates the transform error.
+    Route A evolves the pure state psi0 with green_kernel(m) and takes
+    rho_a = |psi_t><psi_t|, which is (G dq) rho0 (G dq)^dagger for
+    rho0 = |psi0><psi0| at the cost of one matrix-vector product; the edge
+    guards of evolve_wavefunction and a trace within 1e-3 of 1 hold it.
+    Route B evolves w0, the caller's optical tomogram of psi0 (its grid
+    sets the tomogram grid), with evolve_tomogram(w0, m) and reconstructs
+    the density matrix by filtered back-projection.  Returns one
+    {"trace_distance", "l_inf"} between the two final densities per map,
+    in the order of maps.  For the identity map route A is |psi0><psi0|
+    itself and route B a round trip through the caller's transform and
+    the back-projection, so the record isolates the transform error.
 
     Every kernel is built first, so a focal map raises CausticError before
     any back-projection runs; all the evolved tomograms then share one
@@ -173,13 +166,19 @@ def pipeline_discrepancy(rho0, w0, maps):
     """
     kernels = [None if m.is_identity else green_kernel(m) for m in maps]
     w_ts = [quad_dynamics.evolve_tomogram(w0, m) for m in maps]
-    wigners = transforms.inverse_radon_many(w_ts, rho0.grid)
+    wigners = transforms.inverse_radon_many(w_ts, psi0.grid)
     del w_ts
     records = []
     for i, kernel in enumerate(kernels):
         rho_b = transforms.density_from_wigner(wigners[i])
         wigners[i] = None
-        rho_a = rho0 if kernel is None else evolve_density(rho0, kernel)
+        if kernel is None:
+            rho_a = density_from_wavefunction(psi0)
+        else:
+            psi_t = evolve_wavefunction(psi0, kernel).values
+            rho_a = DensityMatrix(
+                psi0.grid, np.outer(psi_t, psi_t.conj()), hermiticity_defect=0.0
+            ).validate(trace_tol=1e-3)
         records.append({
             "trace_distance": trace_distance(rho_a, rho_b),
             "l_inf": float(np.abs(rho_a.values - rho_b.values).max()),

@@ -34,8 +34,10 @@ def _require_finite(values, what):
 
 
 def _hermitian_defect(values):
-    """max |v - v^H| over the square array values."""
-    return float(np.abs(values - values.conj().T).max())
+    """max |v - v^H| over the square array values, from the real and the
+    imaginary part of v - v^H, so no complex temporary is made."""
+    d = values.real - values.real.T
+    return float(np.hypot(d, values.imag + values.imag.T, out=d).max())
 
 
 @dataclass

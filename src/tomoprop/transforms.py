@@ -443,7 +443,8 @@ def _back_project(xs, rows, thetas, q, p):
         return acc
     x_lo, x_lower = xs[0], xs[:-1]
     inv_dx = (xs.size - 1) / (xs[-1] - xs[0])
-    slopes = np.diff(rows, axis=-1) / np.diff(xs)
+    slopes = np.diff(rows, axis=-1)
+    slopes /= np.diff(xs)
     lower = rows[..., :-1]
     # Nonnegative doubles order like their bit patterns; negative ones (and
     # NaN) map above every positive step, so one unsigned compare finds both.
@@ -495,10 +496,14 @@ def inverse_radon_many(ws, grid=None):
     Per theta row: real FFT in X, multiply by the |eta| ramp (band-limited
     at the X Nyquist frequency), inverse real FFT, then back-project with
     linear interpolation at s = q cos(theta) + p sin(theta) and
-    midpoint-rule theta sum.  The row FFT is zero-padded so the ramp acts as a linear (not
-    circular) convolution; the filtered projections decay only like 1/X^2
-    and would otherwise wrap their tails back into the window.  The result
-    is confined to the reconstruction disc r < x_max: outside it the
+    midpoint-rule theta sum.  The row FFT is zero-padded so the ramp acts
+    as a linear (not circular) convolution; the filtered projections decay
+    only like 1/X^2 and would otherwise wrap their tails back into the
+    window.  The padded length is the fast length at or above 2 n_x - 1:
+    the n_x kept outputs see only kernel lags |n| <= n_x - 1, which that
+    length samples without wrapping, so any longer padding computes the
+    same convolution and differs only by FFT rounding.  The result is
+    confined to the reconstruction disc r < x_max: outside it the
     projections carry no information and the truncated tails leave
     percent-level junk, so only points strictly inside are back-projected
     and every other point is exactly 0.  Each output is bit-identical to
@@ -528,12 +533,12 @@ def inverse_radon_many(ws, grid=None):
                 f"tomogram carries {edge:.3e} at |X| = x_max; support is truncated"
             )
 
-    n_fft = _next_fast_len(8 * tg.n_x)
+    n_fft = _next_fast_len(2 * tg.n_x - 1)
     dx = tg.x_spacing
     # Discrete ramp built as the FFT of the real-space kernel of the
     # Nyquist-band-limited |eta| filter.  Sampling |eta| directly would zero
     # the DC bin and under-weight the lowest bins, which back-projects into
-    # a flat negative basin (a constant ~0.6% mass deficit at this padding).
+    # a flat negative basin (a constant ~0.6% mass deficit at 8 n_x padding).
     n = np.fft.fftfreq(n_fft, d=1.0 / n_fft).astype(int)
     kern = np.zeros(n_fft)
     kern[0] = np.pi / (2.0 * dx * dx)

@@ -122,12 +122,13 @@ def vacuum_wigner_reference(grid):
 
 def reference_ramp_filter(w, real=True):
     """The FBP's ramp filter of every row of the tomogram w, as one
-    whole-array FFT zero-padded to next_fast_len(8 n_x): the real-input FFT
-    pair by default, the complex pair (the real part of its inverse) with
-    real=False.  The FFT length comes from scipy.fft, independent of the
-    code under test."""
+    whole-array FFT: the real-input FFT pair zero-padded to
+    next_fast_len(2 n_x - 1) by default, or with real=False the complex pair
+    (the real part of its inverse) zero-padded to next_fast_len(8 n_x), the
+    filter the FBP once ran.  The FFT length comes from scipy.fft,
+    independent of the code under test."""
     tg = w.grid
-    n_fft = next_fast_len(8 * tg.n_x)
+    n_fft = next_fast_len(2 * tg.n_x - 1 if real else 8 * tg.n_x)
     dx = tg.x_spacing
     n = np.fft.fftfreq(n_fft, d=1.0 / n_fft).astype(int)
     kern = np.zeros(n_fft)

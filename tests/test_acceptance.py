@@ -158,14 +158,14 @@ def test_acceptance_07_backend_agreement(capsys, coherent_rho, tgrid):
          [(fine, 1e-2), (coarse, 1e-2)], extra_pass=order >= 1.8)
 
 
-def test_acceptance_08_kernel_correspondence(capsys, vacuum_rho, coherent_rho,
+def test_acceptance_08_kernel_correspondence(capsys, vacuum_psi, coherent_psi,
                                              vacuum_tomogram, coherent_tomogram):
     maps = [qd.optical_map(qd.solve_epsilon(H, t), t)
             for H, t in ((qd.QuadraticHamiltonian.free(), 0.5),
                          (qd.QuadraticHamiltonian.harmonic(), 1.0))]
     pairs = []
-    for rho, w0 in ((vacuum_rho, vacuum_tomogram), (coherent_rho, coherent_tomogram)):
-        for rec in oracles.pipeline_discrepancy(rho, w0, maps):
+    for psi, w0 in ((vacuum_psi, vacuum_tomogram), (coherent_psi, coherent_tomogram)):
+        for rec in oracles.pipeline_discrepancy(psi, w0, maps):
             pairs.append((rec["trace_distance"], 1e-2))
     emit(capsys, 8, "kernel_correspondence", pairs)
 

@@ -133,27 +133,41 @@ def test_norm_preserved_on_reference_states(grid, vacuum_psi):
 
 # -------------------------------------------------------- density evolution
 
-def test_vacuum_is_stationary_under_oscillator(vacuum_rho):
-    rho_t = oracles.evolve_density(vacuum_rho, kernel_of(OSCILLATOR, 1.0))
+def evolve_pure_density(psi, kernel):
+    """|G psi><G psi|: the density propagator on a pure state."""
+    return density_from_wavefunction(oracles.evolve_wavefunction(psi, kernel))
+
+
+def test_vacuum_is_stationary_under_oscillator(vacuum_psi, vacuum_rho):
+    rho_t = evolve_pure_density(vacuum_psi, kernel_of(OSCILLATOR, 1.0))
     assert np.abs(rho_t.values - vacuum_rho.values).max() < 1e-10
     assert rho_t.trace() == pytest.approx(1.0, abs=1e-6)
 
 
-def test_coherent_center_rotates(grid, coherent_rho):
+def test_coherent_center_rotates(grid, coherent_psi):
     for t in (0.5, 1.0):
-        rho_t = oracles.evolve_density(coherent_rho, kernel_of(OSCILLATOR, t))
+        rho_t = evolve_pure_density(coherent_psi, kernel_of(OSCILLATOR, t))
         q_mean = float(
             np.sum(np.real(np.diag(rho_t.values)) * grid.points * grid.trapezoid_weights)
         )
         assert q_mean == pytest.approx(np.sqrt(2.0) * np.cos(t), abs=1e-8)
 
 
-def test_free_variance_grows(grid, vacuum_rho):
+def test_free_variance_grows(grid, vacuum_psi):
     t = 1.0
-    rho_t = oracles.evolve_density(vacuum_rho, kernel_of(FREE, t))
+    rho_t = evolve_pure_density(vacuum_psi, kernel_of(FREE, t))
     diag = np.real(np.diag(rho_t.values))
     var = float(np.sum(diag * grid.points**2 * grid.trapezoid_weights))
     assert var == pytest.approx((1.0 + t * t) / 2.0, abs=1e-8)
+
+
+def test_evolve_wavefunction_is_the_scaled_kernel_product(grid, coherent_psi):
+    # The kernel is scaled in place; the product is the same operation on
+    # the same operands, bit for bit.
+    k = kernel_of(FORCED_MATHIEU, 1.0)
+    out = oracles.evolve_wavefunction(coherent_psi, k)
+    ref = (k.matrix(grid) * grid.spacing) @ coherent_psi.values
+    assert out.values.tobytes() == ref.tobytes()
 
 
 # ----------------------------------------------------- classical trajectory
@@ -224,19 +238,19 @@ def test_quantum_and_optical_propagators_agree_without_fbp(grid, tgrid, coherent
         assert abs(q_mean - cl.q_cl[i]) < 1e-8
 
 
-def test_pipeline_discrepancy_at_zero_time_is_transform_error(vacuum_rho,
+def test_pipeline_discrepancy_at_zero_time_is_transform_error(vacuum_psi,
                                                              vacuum_tomogram):
     m = map_of(OSCILLATOR, 0.0)
     assert m.is_identity
-    [rec] = oracles.pipeline_discrepancy(vacuum_rho, vacuum_tomogram, [m])
+    [rec] = oracles.pipeline_discrepancy(vacuum_psi, vacuum_tomogram, [m])
     assert rec["trace_distance"] < 1e-3
     assert rec["l_inf"] < 1e-3
 
 
-def test_pipeline_discrepancy_shrinks_under_refinement(vacuum_rho):
+def test_pipeline_discrepancy_shrinks_under_refinement(vacuum_psi, vacuum_rho):
     [coarse], [fine] = (
         oracles.pipeline_discrepancy(
-            vacuum_rho, tr.tomogram_from_density(vacuum_rho, tg), [map_of(OSCILLATOR, 1.0)]
+            vacuum_psi, tr.tomogram_from_density(vacuum_rho, tg), [map_of(OSCILLATOR, 1.0)]
         )
         for tg in (TomogramGrid(x_max=8.0, n_x=512, n_theta=90),
                    TomogramGrid(x_max=8.0, n_x=1024, n_theta=180))
@@ -249,18 +263,36 @@ SMALL_GRID = CoordinateGrid(q_max=8.0, n_q=128)
 SMALL_TGRID = TomogramGrid(x_max=8.0, n_x=256, n_theta=32)
 
 
+def small_pipeline_input():
+    """A coherent state on SMALL_GRID and its density-route tomogram."""
+    psi0 = make_coherent(1.0, SMALL_GRID)
+    return psi0, tr.tomogram_from_density(density_from_wavefunction(psi0), SMALL_TGRID)
+
+
+def test_pure_state_route_equals_the_density_propagator():
+    # |G psi><G psi| is (G dq) rho0 (G dq)^dagger for rho0 = |psi><psi|.
+    psi0, _ = small_pipeline_input()
+    rho0 = density_from_wavefunction(psi0).values
+    traj = qd.solve_epsilon(FORCED_MATHIEU, 1.0, stops=[0.5, 1.0])
+    for t in (0.5, 1.0):
+        k = oracles.green_kernel(qd.optical_map(traj, t))
+        U = k.matrix(SMALL_GRID) * SMALL_GRID.spacing
+        rho_t = U @ rho0 @ U.conj().T
+        got = evolve_pure_density(psi0, k).values
+        assert np.abs(got - rho_t).max() <= 1e-14
+
+
 def test_pipeline_discrepancy_equals_the_per_map_composition():
     # One back-projection pass for every map gives each record bit for bit
     # as the two routes composed map by map.
-    rho0 = density_from_wavefunction(make_coherent(1.0, SMALL_GRID))
-    w0 = tr.tomogram_from_density(rho0, SMALL_TGRID)
+    psi0, w0 = small_pipeline_input()
     traj = qd.solve_epsilon(FORCED_MATHIEU, 1.0, stops=[0.5, 1.0])
     maps = [qd.optical_map(traj, t) for t in (0.5, 1.0)]
-    got = oracles.pipeline_discrepancy(rho0, w0, maps)
+    got = oracles.pipeline_discrepancy(psi0, w0, maps)
     assert len(got) == 2
     for rec, m in zip(got, maps):
-        rho_a = oracles.evolve_density(rho0, oracles.green_kernel(m))
-        rho_b = tr.density_from_tomogram(qd.evolve_tomogram(w0, m), rho0.grid)
+        rho_a = evolve_pure_density(psi0, oracles.green_kernel(m))
+        rho_b = tr.density_from_tomogram(qd.evolve_tomogram(w0, m), SMALL_GRID)
         assert rec == {
             "trace_distance": oracles.trace_distance(rho_a, rho_b),
             "l_inf": float(np.abs(rho_a.values - rho_b.values).max()),
@@ -268,8 +300,7 @@ def test_pipeline_discrepancy_equals_the_per_map_composition():
 
 
 def test_pipeline_discrepancy_refuses_a_focal_map_before_any_fbp(monkeypatch):
-    rho0 = density_from_wavefunction(make_coherent(1.0, SMALL_GRID))
-    w0 = tr.tomogram_from_density(rho0, SMALL_TGRID)
+    psi0, w0 = small_pipeline_input()
     maps = [map_of(OSCILLATOR, 1.0), map_of(OSCILLATOR, np.pi)]
     calls = []
 
@@ -279,5 +310,5 @@ def test_pipeline_discrepancy_refuses_a_focal_map_before_any_fbp(monkeypatch):
 
     monkeypatch.setattr(tr, "_back_project", counted)
     with pytest.raises(CausticError):
-        oracles.pipeline_discrepancy(rho0, w0, maps)
+        oracles.pipeline_discrepancy(psi0, w0, maps)
     assert calls == []

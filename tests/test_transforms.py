@@ -527,9 +527,10 @@ def test_inverse_radon_matches_reference_loop_beyond_the_disc(coherent_psi):
 
 @pytest.mark.parametrize("n_x, n_theta", [(1024, 180), (301, 45)])
 def test_real_fft_ramp_filter_equals_the_complex_one(coherent_psi, n_x, n_theta):
-    # The FBP filters through the real-input FFT pair, the inverse of length
-    # n_fft cut back to n_x (odd here on the second grid).  The complex pair
-    # it replaced agrees with it to rounding on every row.
+    # The FBP filters through the real-input FFT pair at the linear-
+    # convolution length, the inverse cut back to n_x (odd here on the
+    # second grid).  The complex pair at 8 n_x it replaced agrees with it to
+    # rounding on every row.
     w = tr.tomogram_from_wavefunction(coherent_psi, TomogramGrid(n_x=n_x, n_theta=n_theta))
     real = reference_ramp_filter(w)
     cplx = reference_ramp_filter(w, real=False)
@@ -538,16 +539,53 @@ def test_real_fft_ramp_filter_equals_the_complex_one(coherent_psi, n_x, n_theta)
     assert np.all(gap <= 1e-13 * np.abs(cplx).max(axis=1))
 
 
+def ramp_toeplitz(tg):
+    """The FBP's filter as a dense n_x x n_x matrix, no FFT: dx times the
+    Nyquist-band-limited Ram-Lak kernel h[i - j], with h[0] = pi / (2 dx^2),
+    h[n] = -2 / (pi n^2 dx^2) for odd n and 0 for even n != 0."""
+    dx = tg.x_spacing
+    n = np.subtract.outer(np.arange(tg.n_x), np.arange(tg.n_x))
+    h = np.zeros(n.shape)
+    h[n == 0] = np.pi / (2.0 * dx * dx)
+    odd = (n % 2) != 0
+    h[odd] = -2.0 / (np.pi * (n[odd] * dx) ** 2)
+    return h * dx
+
+
+@pytest.mark.parametrize("n_x, n_theta", [(1024, 180), (301, 45)])
+def test_ramp_filter_is_the_linear_convolution(coherent_psi, monkeypatch, n_x, n_theta):
+    # The rows the back-projection receives are the dense Toeplitz product
+    # of the band-limited kernel: an FFT shorter than 2 n_x - 1 would wrap
+    # the kernel's tail onto the kept samples and fail this.
+    w = tr.tomogram_from_wavefunction(coherent_psi, TomogramGrid(n_x=n_x, n_theta=n_theta))
+    seen = []
+    back_project = tr._back_project
+
+    def capture(xs, filtered, *args):
+        seen.append(filtered.copy())
+        return back_project(xs, filtered, *args)
+
+    monkeypatch.setattr(tr, "_back_project", capture)
+    tr.inverse_radon(w)
+    [[filtered]] = seen
+    ref = w.values @ ramp_toeplitz(w.grid).T
+    gap = np.abs(filtered - ref).max(axis=1)
+    assert np.all(gap <= 1e-13 * np.abs(ref).max(axis=1))
+
+
 # tracemalloc peaks (numpy reports its buffers to it) on the default grids,
 # each bound 1.25 times the measure taken with numpy 2.4.6: the FBP at
-# 10.1 MB, the Wigner inversion at 12.6 MB and one linear evolve_tomogram
-# at 5.6 MB.  An inversion over the full offset table (18.9 MB) and a
-# pull-back sampled in one whole-array pass (16.5 MB) break them.  FFT and
-# matmul temporaries differ between numpy builds, so other versions may
-# need the measures taken again.
-FBP_PEAK_MB = 1.25 * 10.1
+# 8.9 MB, the Wigner inversion at 12.6 MB, one linear evolve_tomogram
+# at 5.6 MB and a two-map pipeline_discrepancy at 16.8 MB.  An inversion
+# over the full offset table (18.9 MB), a pull-back sampled in one
+# whole-array pass (16.5 MB) and a route A that evolves the density matrix
+# as U rho0 U^dagger (23.2 MB) break them.  FFT and matmul temporaries
+# differ between numpy builds, so other versions may need the measures
+# taken again.
+FBP_PEAK_MB = 1.25 * 8.9
 WIGNER_INVERSION_PEAK_MB = 1.25 * 12.6
 PULL_BACK_PEAK_MB = 1.25 * 5.6
+PIPELINE_PEAK_MB = 1.25 * 16.8
 
 
 @pytest.fixture
@@ -577,6 +615,18 @@ def test_fbp_and_wigner_inversion_peak_memory(coherent_pure_tomogram, peak_mb):
     assert W.grid == CoordinateGrid()
     assert fbp <= FBP_PEAK_MB
     assert inversion <= WIGNER_INVERSION_PEAK_MB
+
+
+def test_pipeline_discrepancy_peak_memory(coherent_psi, coherent_pure_tomogram, peak_mb):
+    from tomoprop import oracles
+    from tomoprop import quad_dynamics as qd
+
+    traj = qd.solve_epsilon(qd.QuadraticHamiltonian.harmonic(), 1.0, stops=[0.5, 1.0])
+    maps = [qd.optical_map(traj, t) for t in (0.5, 1.0)]
+    recs, pipeline = peak_mb(oracles.pipeline_discrepancy, coherent_psi,
+                             coherent_pure_tomogram, maps)
+    assert len(recs) == 2
+    assert pipeline <= PIPELINE_PEAK_MB
 
 
 def test_pull_back_peak_memory(coherent_pure_tomogram, peak_mb):
