@@ -53,17 +53,12 @@ from . import transforms as tr  # noqa: E402
 from .errors import ParseError, TomopropError, ValidationError  # noqa: E402
 
 
-def _auto_dt(hamiltonian):
-    """Step satisfying both backends' preconditions with a factor-2 margin."""
-    return min(1e-3, 0.5 * min(qd.EPS_STEP_LIMIT, pde.STEP_LIMIT) / hamiltonian.step_scale)
-
-
 def _state_tomogram(cfg):
     """The job's pure state and its tomogram, built once by the pure-state
     (chirp-z) route.
 
-    validate() refuses a tomogram whose X window cuts off more than 1e-3
-    of a row's mass.
+    validate() refuses a tomogram whose X window cuts off more than
+    transforms.ROW_NORM_TOL of a row's mass.
     """
     psi = cfgmod.build_state(cfg)
     w = tr.tomogram_from_wavefunction(psi, cfg.tomogram_grid)
@@ -129,7 +124,7 @@ def _run_task(cfg, emit):
 
     elif cfg.task == "evolve":
         H = cfg.hamiltonian
-        dt = _auto_dt(H)
+        dt = qd.auto_dt(H)
         _, w0 = _state_tomogram(cfg)
         report["backend"] = cfg.backend
         report["dt"] = dt
@@ -186,7 +181,7 @@ def _run_task(cfg, emit):
     elif cfg.task == "pipeline-check":
         H = cfg.hamiltonian
         psi, w0 = _state_tomogram(cfg)
-        recs = oracles.pipeline_discrepancy(psi, w0, _maps(H, cfg.times, _auto_dt(H)))
+        recs = oracles.pipeline_discrepancy(psi, w0, _maps(H, cfg.times, qd.auto_dt(H)))
         report["records"] = [
             {"t": t, **{k: float(v) for k, v in rec.items()}} for t, rec in zip(cfg.times, recs)
         ]
@@ -203,7 +198,8 @@ def _invariant_suite(cfg):
     Both tomograms come from the pure-state (chirp-z) route the tasks run,
     without validate(): a clipped X window shows as failing checks.
     wronskian_drift and det_lambda_defect are measured on cfg.hamiltonian,
-    solved with the tasks' step to T = max(cfg.times), or to
+    solved at the tasks' step (quad_dynamics.auto_dt, solve_epsilon's
+    default) to T = max(cfg.times), or to
     config.VALIDATE_HORIZON without times; det Lambda is read at 21 evenly
     spaced nodes of [0, T].
     """
@@ -222,8 +218,8 @@ def _invariant_suite(cfg):
     w_vac = tr.tomogram_from_wavefunction(states.make_vacuum(g), tg)
     ref = np.exp(-tg.xs ** 2) / np.sqrt(np.pi)
     add("vacuum_tomogram_linf", np.abs(w_vac.values - ref).max(), 1e-5)
-    add("row_norm_dev", np.abs(w_vac.row_norms() - 1.0).max(), 1e-3)
-    add("negativity", max(0.0, -float(w_vac.values.min())), 1e-6)
+    add("row_norm_dev", np.abs(w_vac.row_norms() - 1.0).max(), tr.ROW_NORM_TOL)
+    add("negativity", max(0.0, -float(w_vac.values.min())), tr.NEGATIVITY_TOL)
 
     psi = cfgmod.build_state(cfg)
     rho0 = states.density_from_wavefunction(psi)
@@ -240,10 +236,10 @@ def _invariant_suite(cfg):
     nodes = np.linspace(0.0, max(cfg.times, default=cfgmod.VALIDATE_HORIZON), 21)
     # The unguarded paths: a drift or defect beyond the solver's guards is
     # reported as a failing check, not raised.
-    traj = qd._integrate_epsilon(H, nodes[-1], _auto_dt(H), stops=nodes)
-    add("wronskian_drift", traj.wronskian_drift, 1e-8)
+    traj = qd._integrate_epsilon(H, nodes[-1], stops=nodes)
+    add("wronskian_drift", traj.wronskian_drift, qd.WRONSKIAN_TOL)
     det_defect = max(abs(qd._map_at_node(traj, t).det - 1.0) for t in nodes)
-    add("det_lambda_defect", det_defect, 1e-8)
+    add("det_lambda_defect", det_defect, qd.DET_TOL)
 
     return checks
 

@@ -22,10 +22,12 @@ happens only inside the twisted sampler, so no step ever crosses the branch
 seam of the extension.
 
 The two backends share the time-stepping machinery of quad_dynamics (the
-node rule and step guards of _time_nodes, the RK4 stepper _rk4) and the
-final pull-back of one affine frame (theta0, a, b) per row
-(Tomogram.pull_back: X-window edge guard on the row ends, twisted
-sampling of every row in cache-sized blocks, validation).  Each
+node rule and step guards of _time_nodes, the default step auto_dt, the
+step ceiling STEP_LIMIT, which is quad_dynamics.PDE_STEP_LIMIT, and the
+RK4 stepper _rk4) and the final pull-back of one affine frame
+(theta0, a, b) per row (Tomogram.pull_back: X-window edge guard on the
+row ends, twisted sampling of every row in cache-sized blocks, and one
+validation, with transforms.ROW_NORM_TOL on every row).  Each
 integrates its own field: this module the characteristics of the feet
 (theta, a X + nu) and amplitudes, quad_dynamics eps(t) and beta(t).
 Their agreement checks the two fields; the referees
@@ -37,10 +39,8 @@ RK4 integration in the tests.
 import numpy as np
 
 from .quad_dynamics import _n_steps, _rk4, _time_nodes
+from .quad_dynamics import PDE_STEP_LIMIT as STEP_LIMIT
 from .transforms import Tomogram
-
-# Ceiling on the characteristic time step, tightened when omega^2 exceeds 1.
-STEP_LIMIT = 5e-3
 
 
 def _field(y, w2, f):
@@ -55,14 +55,15 @@ def _field(y, w2, f):
     return k
 
 
-def evolve_semilagrangian(w0, hamiltonian, T, dt=1e-3, stops=()):
+def evolve_semilagrangian(w0, hamiltonian, T, dt=None, stops=()):
     """Evolve a tomogram by backward characteristics to every time of
     sorted(set(stops) | {T}), returned in that order.
 
     One backward sweep from T serves every time.  As in solve_epsilon, each
     time is a node and each segment between consecutive nodes (and 0) is
-    split into equal RK4 steps no longer than dt; a time's rows join the
-    sweep at its node.  Each final grid node is traced back to t = 0, w0 is
+    split into equal RK4 steps no longer than dt, by default
+    quad_dynamics.auto_dt(hamiltonian); a time's rows join the sweep at
+    its node.  Each final grid node is traced back to t = 0, w0 is
     sampled at the feet (bilinearly, which preserves positivity) and scaled
     by the accumulated amplitude.
 
@@ -78,7 +79,7 @@ def evolve_semilagrangian(w0, hamiltonian, T, dt=1e-3, stops=()):
     0 < dt <= STEP_LIMIT / max(1, sup omega^2), and SupportError when a foot
     leaves the X window while w0 still carries mass at its edge.
     """
-    nodes = _time_nodes(T, stops, dt, STEP_LIMIT, hamiltonian)
+    nodes, dt = _time_nodes(T, stops, dt, STEP_LIMIT, hamiltonian)
     wanted = {float(s) for s in stops} | {float(T)}
     tg = w0.grid
 
@@ -97,7 +98,7 @@ def evolve_semilagrangian(w0, hamiltonian, T, dt=1e-3, stops=()):
     out = {}
     for k, t in enumerate(sweep[:-1]):
         rows = slice(k * tg.n_theta, (k + 1) * tg.n_theta)
-        out[t] = w0.pull_back(y[0, rows], amp[rows], y[1, rows], norm_tol=2e-3)
+        out[t] = w0.pull_back(y[0, rows], amp[rows], y[1, rows])
     if 0.0 in wanted:
         out[0.0] = Tomogram(tg, w0.values.copy())
     return [out[t] for t in nodes if t in wanted]

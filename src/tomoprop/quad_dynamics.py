@@ -10,8 +10,9 @@ reference-frame map w_t(X, theta) = a w_0(a X + b, theta0) with a = 1/r,
 the delta form of the propagator.
 optical_map reads Lambda and Delta straight off a node of the RK4 solve
 of eps(t); solve_epsilon(..., stops=times) puts a node at every time
-wanted.  The node rule, step guards and RK4 stepper below also integrate
-the characteristics of pde_evolution; each backend supplies its own field.
+wanted.  The node rule, step guards, default step (auto_dt, under both
+step ceilings) and RK4 stepper below also integrate the characteristics
+of pde_evolution; each backend supplies its own field.
 The two health figures live here and nowhere else:
 EpsilonTrajectory.wronskian_drift and OpticalAffineMap.det.  The guards
 of solve_epsilon and optical_map read them, and so does the CLI's
@@ -35,8 +36,10 @@ from .transforms import Tomogram
 DET_TOL = 1e-8
 WRONSKIAN_TOL = 1e-8
 
-# Ceiling on the eps(t) step, divided by max(1, sup omega_sq).
+# Ceilings on the eps(t) step and on the characteristic step of
+# pde_evolution, each divided by max(1, sup omega_sq).
 EPS_STEP_LIMIT = 1e-2
+PDE_STEP_LIMIT = 5e-3
 
 # How far outside its table a TableSampler may be read (integrator rounding).
 TABLE_SLACK = 1e-12
@@ -175,10 +178,18 @@ class EpsilonTrajectory:
         return float(np.abs(2.0 * np.imag(self.eps_dot * np.conj(self.eps)) - 2.0).max())
 
 
+def auto_dt(H):
+    """The step rule of both integrators: under both step ceilings with a
+    factor-2 margin, and never above 1e-3."""
+    return min(1e-3, 0.5 * min(EPS_STEP_LIMIT, PDE_STEP_LIMIT) / H.step_scale)
+
+
 def _time_nodes(T, stops, dt, limit, H):
-    """sorted({0, T} | stops), after the guards both integrators share:
-    TimeError for T < 0 or a stop outside [0, T], StepError unless
-    0 < dt <= limit / H.step_scale."""
+    """(sorted({0, T} | stops), dt), after the guards both integrators
+    share: TimeError for T < 0 or a stop outside [0, T], StepError unless
+    0 < dt <= limit / H.step_scale.  dt None is auto_dt(H)."""
+    if dt is None:
+        dt = auto_dt(H)
     T = float(T)
     if T < 0.0:
         raise TimeError(f"evolution time must be nonnegative, got {T:g}")
@@ -191,7 +202,7 @@ def _time_nodes(T, stops, dt, limit, H):
         raise StepError(
             f"dt = {dt:g} outside (0, {limit:g}/max(1, sup omega_sq)] = (0, {cap:g}]"
         )
-    return nodes
+    return nodes, dt
 
 
 def _n_steps(t0, t1, dt):
@@ -224,12 +235,12 @@ def _eps_field(y, w2, f):
     return np.array([y[1], -w2 * y[0], (-1j / np.sqrt(2.0)) * y[0] * f])
 
 
-def _integrate_epsilon(H, T, dt, stops):
+def _integrate_epsilon(H, T, dt=None, stops=()):
     """solve_epsilon without its Wronskian guard: the node and step guards
     of _time_nodes, then the RK4 solve.  The validate task reads the drift
     of this trajectory, so a drift beyond the guard shows as a failing
     check."""
-    nodes = _time_nodes(T, stops, dt, EPS_STEP_LIMIT, H)
+    nodes, dt = _time_nodes(T, stops, dt, EPS_STEP_LIMIT, H)
     y = np.array([1.0, 1.0j, 0.0])
     times, states = [np.zeros(1)], [y[None].copy()]
     for t0, t1 in zip(nodes, nodes[1:]):
@@ -240,14 +251,15 @@ def _integrate_epsilon(H, T, dt, stops):
     return EpsilonTrajectory(np.concatenate(times), *np.concatenate(states).T.copy())
 
 
-def solve_epsilon(H, T, dt=1e-3, stops=()):
+def solve_epsilon(H, T, dt=None, stops=()):
     """Integrate eps'' + omega_sq(t) eps = 0 with eps(0)=1, eps'(0)=i,
     accumulating beta' = -(i/sqrt(2)) eps f(t), by classic RK4.
 
     Every time in stops is made a node: each segment between consecutive
     nodes is split into equal steps no longer than dt, so the first segment
     is the trajectory solve_epsilon(H, stop) gives and optical_map can read
-    the map to every stop.
+    the map to every stop.  Without dt the step is auto_dt(H), the one
+    evolve_semilagrangian and the CLI tasks take.
 
     Raises TimeError for T < 0 or a stop outside [0, T] and StepError when
     dt exceeds EPS_STEP_LIMIT / max(1, sup omega_sq) or the Wronskian
@@ -377,4 +389,4 @@ def evolve_tomogram(w0, m, interp="linear"):
     """
     if m.is_identity:
         return Tomogram(w0.grid, w0.values.copy())
-    return w0.pull_back(*m.frames(w0.grid.thetas), interp=interp, norm_tol=1e-3)
+    return w0.pull_back(*m.frames(w0.grid.thetas), interp=interp)

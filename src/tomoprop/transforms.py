@@ -43,6 +43,12 @@ BOUNDARY_REL_TOL = 1e-4
 # the Green-kernel evolution in oracles holds the q-edge density to it too.
 EDGE_MASS_TOL = 1e-8
 
+# Tomogram.validate's bounds: the largest deviation of a row's norm from 1,
+# which every tomogram meets (the initial one, both evolution backends'
+# pull-backs, invert's input), and the default floor below 0.
+ROW_NORM_TOL = 1e-3
+NEGATIVITY_TOL = 1e-6
+
 # Largest deviation of a Wigner function's mass (its phase-space integral
 # over 2 pi) from 1.
 WIGNER_MASS_TOL = 1e-3
@@ -121,7 +127,7 @@ class Tomogram:
         """Largest |w| on the two X-window edges, over all rows."""
         return max(np.abs(self.values[:, 0]).max(), np.abs(self.values[:, -1]).max())
 
-    def validate(self, neg_tol=1e-6, norm_tol=1e-3):
+    def validate(self, neg_tol=NEGATIVITY_TOL):
         if self.values.shape != (self.grid.n_theta, self.grid.n_x):
             raise GridError(
                 f"tomogram shape {self.values.shape} does not match grid "
@@ -133,8 +139,8 @@ class Tomogram:
             raise SupportError(f"tomogram attains {vmin:.3e}, below -{neg_tol:.1e}")
         norms = self.row_norms()
         worst = float(np.abs(norms - 1.0).max())
-        if worst > norm_tol:
-            raise SupportError(f"row normalization deviates by {worst:.3e} > {norm_tol:.1e}")
+        if worst > ROW_NORM_TOL:
+            raise SupportError(f"row normalization deviates by {worst:.3e} > {ROW_NORM_TOL:.1e}")
         return self
 
     def sample_twisted(self, X, theta, interp="linear"):
@@ -189,7 +195,7 @@ class Tomogram:
             out[lo:lo + step] = kernel(ext, row, col)
         return out.reshape(shape)
 
-    def pull_back(self, theta0, a, b, interp="linear", norm_tol=1e-3):
+    def pull_back(self, theta0, a, b, interp="linear"):
         """Row-affine pull-back w(X, theta_j) = a_j * self(a_j X + b_j, theta0_j),
         the delta-kernel form of every quadratic propagator.
 
@@ -201,9 +207,9 @@ class Tomogram:
         SupportError when a source point leaves the X window while this
         tomogram has mass at its edge; that guard reads only the row ends,
         since a X + b is affine in X on each row.
-        The result must keep rows normalized within norm_tol and nonnegative
-        (cubic may undershoot by 1e-6; a negative input floor may grow by the
-        largest a).
+        The result must keep rows normalized within ROW_NORM_TOL, whichever
+        backend made the frame, and nonnegative (cubic may undershoot by
+        1e-6; a negative input floor may grow by the largest a).
         """
         tg = self.grid
         ends = a[:, None] * tg.xs[[0, -1]] + b[:, None]
@@ -220,10 +226,7 @@ class Tomogram:
         w = Tomogram(tg, vals)
         floor = min(0.0, float(self.values.min()))
         base_tol = 1e-12 if interp == "linear" else 1e-6
-        w.validate(
-            neg_tol=base_tol + 1.01 * abs(floor) * max(1.0, float(a.max())),
-            norm_tol=norm_tol,
-        )
+        w.validate(neg_tol=base_tol + 1.01 * abs(floor) * max(1.0, float(a.max())))
         return w
 
 

@@ -1,6 +1,7 @@
 """Command line front end: tasks, exit codes, reports, determinism."""
 
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -10,11 +11,14 @@ import numpy as np
 import pytest
 
 import tomoprop
+from tomoprop import pde_evolution as pde
+from tomoprop import quad_dynamics as qd
 from tomoprop.cli import main
 
 # Half-resolution grid keeps each CLI task around a second without
 # degrading any of the report quantities checked below.
 SMALL_GRID = {"x_max": 8.0, "n_x": 512, "n_theta": 90, "q_max": 8.0, "n_q": 256}
+DEFAULT_GRID = {"x_max": 8.0, "n_x": 1024, "n_theta": 180, "q_max": 8.0, "n_q": 512}
 
 
 def write_config(tmp_path, doc, name="job.json"):
@@ -80,6 +84,51 @@ def test_evolve_report_names_its_backend(tmp_path):
     assert reports["map"].pop("backend") == "map"
     assert reports["pde"].pop("backend") == "pde"
     assert reports["map"] == reports["pde"]
+
+
+def test_both_backends_refuse_the_same_tomogram(tmp_path):
+    # The vacuum under omega_sq = 1 + 0.9 cos 2t at t = 5.5 has a row norm
+    # 1.218e-3 off 1 on the default grids, past the one row-norm tolerance
+    # that holds for both backends: each must exit 3 with the same message
+    # and leave no data file.
+    for backend in ("map", "pde"):
+        doc = {"grid": DEFAULT_GRID, "times": [5.5], "backend": backend,
+               "hamiltonian": {"omega_sq": {"kind": "cosine", "a": 1.0, "b": 0.9,
+                                            "freq": 2.0}}}
+        cfg = write_config(tmp_path, doc, name=backend + ".json")
+        assert main(["evolve", "--config", cfg, "--output-dir", str(tmp_path / backend)]) == 3
+        with open(tmp_path / backend / "error.json", encoding="utf-8") as fh:
+            record = json.load(fh)
+        assert record["message"] == "row normalization deviates by 1.218e-03 > 1.0e-03"
+        assert os.listdir(tmp_path / backend) == ["error.json"]
+
+
+def test_integrators_default_to_the_evolve_step(tmp_path, vacuum_tomogram):
+    # On a stiff H the step evolve reports lies below 1e-3.  Without a dt,
+    # solve_epsilon (omega_sq = 20) and evolve_semilagrangian (omega_sq = 9)
+    # each take that step.
+    def stiff(omega_sq):
+        doc = {"times": [0.05], "backend": "both",
+               "hamiltonian": {"omega_sq": {"kind": "constant", "value": omega_sq}}}
+        outdir = tmp_path / str(omega_sq)
+        assert main(["evolve", "--config", write_config(tmp_path, doc),
+                     "--output-dir", str(outdir)]) == 0
+        with open(outdir / "report.json", encoding="utf-8") as fh:
+            dt = json.load(fh)["dt"]
+        H = qd.QuadraticHamiltonian(qd.ConstantSampler(omega_sq), qd.ConstantSampler(0.0))
+        assert dt == qd.auto_dt(H) < 1e-3
+        return H, dt
+
+    H, dt = stiff(20.0)
+    traj = qd.solve_epsilon(H, 0.2)
+    assert len(traj.times) - 1 == math.ceil(0.2 / dt - 1e-9)
+    np.testing.assert_array_equal(traj.eps, qd.solve_epsilon(H, 0.2, dt).eps)
+
+    H, dt = stiff(9.0)
+    w = pde.evolve_semilagrangian(vacuum_tomogram, H, 0.4)[-1]
+    np.testing.assert_array_equal(
+        w.values, pde.evolve_semilagrangian(vacuum_tomogram, H, 0.4, dt)[-1].values
+    )
 
 
 def test_invert_task(tmp_path):

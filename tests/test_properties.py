@@ -9,10 +9,10 @@ its float draws are seeded with the numeric literals of every loaded local
 module, so a literal edited anywhere in the package would move its cases.
 Tier-1 run time stays flat and reruns repeat.
 
-256 X points is the coarsest X axis on this window that the map backend's
-own check accepts: at 128 the bilinear pull-back moves row norms by
-1.1-1.3e-3 under any Hamiltonian that is not a pure rotation, past its
-1e-3 tolerance, while 256 keeps them at 1-3e-4.
+256 X points is the coarsest X axis on this window that the backends'
+shared row-norm check (transforms.ROW_NORM_TOL = 1e-3) accepts: at 128
+the bilinear pull-back moves row norms by 1.1-1.3e-3 under any
+Hamiltonian that is not a pure rotation, while 256 keeps them at 1-3e-4.
 """
 
 import numpy as np
@@ -21,7 +21,6 @@ from hypothesis import Phase, example, given, settings, strategies as st
 from tomoprop import pde_evolution as pde
 from tomoprop import quad_dynamics as qd
 from tomoprop import transforms as tr
-from tomoprop.cli import _auto_dt
 from tomoprop.grids import CoordinateGrid, TomogramGrid
 from tomoprop.states import make_coherent
 
@@ -90,12 +89,12 @@ COMPOSE_CASES = [
 @explicit_cases(BACKEND_CASES)
 def test_backends_conserve_rows_and_agree(H, T, alpha):
     w0 = tr.tomogram_from_wavefunction(make_coherent(alpha, GRID), TGRID)
-    dt = _auto_dt(H)
+    dt = qd.auto_dt(H)
     m = qd.optical_map(qd.solve_epsilon(H, T, dt), T)
     w_map = qd.evolve_tomogram(w0, m)
     w_pde = pde.evolve_semilagrangian(w0, H, T, dt)[-1]
-    for w, norm_tol in ((w_map, 1e-3), (w_pde, 2e-3)):
-        assert np.abs(w.row_norms() - 1.0).max() < norm_tol
+    for w in (w_map, w_pde):
+        assert np.abs(w.row_norms() - 1.0).max() < tr.ROW_NORM_TOL
         assert w.values.min() >= 0.0
     gap = float(np.mean(np.abs(w_map.values - w_pde.values) @ TGRID.x_trapezoid_weights))
     assert gap < 1e-10

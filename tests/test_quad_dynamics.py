@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from tomoprop.cli import _auto_dt, main
+from tomoprop.cli import main
 from tomoprop.errors import RangeError, StepError, SupportError, TimeError
 from tomoprop.grids import TomogramGrid
 from tomoprop.states import make_vacuum
@@ -112,7 +112,7 @@ def test_health_figures_have_one_source(tmp_path):
     checks = {c["name"]: c["measured"]
               for c in json.loads((tmp_path / "report.json").read_text())["checks"]}
     nodes = np.linspace(0.0, 10.0, 21)
-    traj = qd.solve_epsilon(mathieu(0.3), 10.0, _auto_dt(mathieu(0.3)), stops=nodes)
+    traj = qd.solve_epsilon(mathieu(0.3), 10.0, qd.auto_dt(mathieu(0.3)), stops=nodes)
     assert checks["wronskian_drift"] == traj.wronskian_drift
     assert checks["det_lambda_defect"] == max(
         abs(qd.optical_map(traj, t).det - 1.0) for t in nodes
