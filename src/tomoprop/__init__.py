@@ -22,7 +22,6 @@ _EXPORTS = {
     "GridError": "errors",
     "SupportError": "errors",
     "DegenerateError": "errors",
-    "SingularityError": "errors",
     "StepError": "errors",
     "RangeError": "errors",
     "TimeError": "errors",
@@ -36,6 +35,7 @@ _EXPORTS = {
     "make_vacuum": "states",
     "make_coherent": "states",
     "make_cat": "states",
+    "StateSpec": "states",
     "density_from_wavefunction": "states",
     "Tomogram": "transforms",
     "WignerFunction": "transforms",

@@ -60,7 +60,7 @@ def _state_tomogram(cfg):
     validate() refuses a tomogram whose X window cuts off more than
     transforms.ROW_NORM_TOL of a row's mass.
     """
-    psi = cfgmod.build_state(cfg)
+    psi = cfg.state.build(cfg.coordinate_grid)
     w = tr.tomogram_from_wavefunction(psi, cfg.tomogram_grid)
     return psi, w.validate()
 
@@ -221,7 +221,7 @@ def _invariant_suite(cfg):
     add("row_norm_dev", np.abs(w_vac.row_norms() - 1.0).max(), tr.ROW_NORM_TOL)
     add("negativity", max(0.0, -float(w_vac.values.min())), tr.NEGATIVITY_TOL)
 
-    psi = cfgmod.build_state(cfg)
+    psi = cfg.state.build(cfg.coordinate_grid)
     rho0 = states.density_from_wavefunction(psi)
     w0 = tr.tomogram_from_wavefunction(psi, tg)
     # One FBP onto the coordinate grid serves both round trips, as in invert.

@@ -3,20 +3,29 @@
 A job is one JSON document; the CLI decodes it and parse_config checks it.
 Everything except the task has a default, and validation collects every
 violated invariant before raising, so a broken config reports all of its
-problems in one pass instead of one per rerun.  The JobConfig it returns
-carries the grids and the Hamiltonian it checked; the state stays a dict
-for build_state, whose guards are run-time (exit 3) failures.
+problems in one pass instead of one per rerun.
+
+Each section is read through the classes it builds: the state through
+StateSpec, the grid through CoordinateGrid and TomogramGrid, each
+Hamiltonian coefficient through the sampler class SAMPLERS names.  Their
+dataclass fields name the keys and give the defaults (a field without a
+default is required), and their violations(...) give the bounds, so the
+config checks and the constructors' guards are one rule.  The JobConfig
+it returns carries the built objects; StateSpec.build's guards stay
+run-time (exit 3) failures.
 
 Sampler specs describe the time-dependent Hamiltonian coefficients:
 {"kind": "constant", "value": v}, {"kind": "cosine", "a": a, "b": b,
 "freq": f, "phase": 0} meaning a + b cos(f t + phase), or {"kind":
-"table", "times": [...], "values": [...]}.  The fields are those of the
-sampler class SAMPLERS names; a field without a default is required.
+"table", "times": [...], "values": [...]}.  A coefficient the job leaves
+out is QuadraticHamiltonian.harmonic()'s.
 """
 
 import json
 import math
 from dataclasses import MISSING, dataclass, fields
+
+import numpy as np
 
 from .errors import ParseError, ValidationError
 from .grids import CoordinateGrid, TomogramGrid
@@ -26,10 +35,9 @@ from .quad_dynamics import (
     QuadraticHamiltonian,
     TableSampler,
 )
-from .states import make_cat, make_coherent, make_vacuum
+from .states import StateSpec
 
 TASKS = ("tomogram", "evolve", "invert", "moments", "validate", "pipeline-check")
-STATE_KINDS = ("vacuum", "coherent", "cat")
 BACKENDS = ("map", "pde", "both")
 SAMPLERS = {"constant": ConstantSampler, "cosine": CosineSampler, "table": TableSampler}
 
@@ -37,20 +45,13 @@ SAMPLERS = {"constant": ConstantSampler, "cosine": CosineSampler, "table": Table
 # the job gives none.
 VALIDATE_HORIZON = 10.0
 
-_DEFAULT_STATE = {"kind": "vacuum", "alpha_re": 0.0, "alpha_im": 0.0, "sign": 1}
-_DEFAULT_GRID = {"x_max": 8.0, "n_x": 1024, "n_theta": 180, "q_max": 8.0, "n_q": 512}
-_DEFAULT_HAMILTONIAN = {
-    "omega_sq": {"kind": "constant", "value": 1.0},
-    "force": {"kind": "constant", "value": 0.0},
-}
-
 
 @dataclass(frozen=True)
 class JobConfig:
     """Validated job description with defaults applied."""
 
     task: str
-    state: dict
+    state: StateSpec
     coordinate_grid: CoordinateGrid
     tomogram_grid: TomogramGrid
     hamiltonian: QuadraticHamiltonian
@@ -95,7 +96,63 @@ def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _check_sampler(name, spec, bad, t_end=None):
+def _is_number_list(x):
+    return isinstance(x, list) and all(_is_number(v) for v in x)
+
+
+# The check a field's annotation picks: the test a value must pass, what
+# the value becomes, and what a failing value is told it must be.  Other
+# annotations (str, Literal) leave the whole rule to violations(...).
+_FIELD_CHECKS = {
+    float: (_is_number, float, "a finite number"),
+    int: (_is_int, int, "an integer"),
+    np.ndarray: (_is_number_list, list, "a list of finite numbers"),
+}
+
+
+def _section(doc, key, bad):
+    """doc[key] as an object, {} when it is absent or listed as no object."""
+    value = doc.get(key, {})
+    if isinstance(value, dict):
+        return value
+    bad.append(f"{key} must be an object")
+    return {}
+
+
+def _check_fields(name, spec, classes, bad, **context):
+    """One instance of each class, built from spec's keys; Nones after
+    listing every violation.
+
+    The classes' dataclass fields name the keys, and a missing key takes
+    its field's default.  A value that fails its annotation's check is
+    listed and stands in as the default, so each class's violations(...,
+    **context) still runs, unless a required field failed.  Keys that no
+    class declares are listed as unknown.
+    """
+    n_bad, built = len(bad), []
+    for cls in classes:
+        args = {}
+        for f in fields(cls):
+            value = spec.get(f.name, f.default)
+            check = _FIELD_CHECKS.get(f.type)
+            if check is None:
+                args[f.name] = value
+            elif check[0](value):
+                args[f.name] = check[1](value)
+            else:
+                bad.append(f"{name}.{f.name} must be {check[2]}")
+                args[f.name] = f.default
+        if hasattr(cls, "violations") and MISSING not in args.values():
+            bad.extend(f"{name}." + v for v in cls.violations(**args, **context))
+        built.append(args)
+    known = {f.name for cls in classes for f in fields(cls)}
+    bad.extend(f"{name} has unknown field {k!r}" for k in spec if k not in known)
+    if len(bad) > n_bad:
+        return [None] * len(classes)
+    return [cls(**args) for cls, args in zip(classes, built)]
+
+
+def _check_sampler(name, spec, bad, t_end):
     """The sampler a spec describes, or None after listing its violations."""
     if not isinstance(spec, dict):
         bad.append(f"{name} must be a sampler object, got {type(spec).__name__}")
@@ -105,29 +162,8 @@ def _check_sampler(name, spec, bad, t_end=None):
     if cls is None:
         bad.append(f"{name}.kind must be one of {tuple(SAMPLERS)}, got {kind!r}")
         return None
-    n_bad, args = len(bad), {}
-    for f in fields(cls):
-        if f.name not in spec and f.default is not MISSING:
-            continue
-        value = spec.get(f.name)
-        if f.type is float:
-            if _is_number(value):
-                args[f.name] = float(value)
-            else:
-                bad.append(f"{name}.{f.name} must be a finite number")
-        elif isinstance(value, list) and all(_is_number(x) for x in value):
-            args[f.name] = value
-        else:
-            bad.append(f"{name}.{f.name} must be a list of finite numbers")
-    if cls is TableSampler:
-        if len(bad) > n_bad:
-            return None
-        bad.extend(f"{name}." + v for v in TableSampler.violations(t_end=t_end, **args))
-    known = {"kind", *(f.name for f in fields(cls))}
-    for k in spec:
-        if k not in known:
-            bad.append(f"{name} has unknown field {k!r}")
-    return cls(**args) if len(bad) == n_bad else None
+    rest = {k: v for k, v in spec.items() if k != "kind"}
+    return _check_fields(name, rest, (cls,), bad, t_end=t_end)[0]
 
 
 def parse_config(doc):
@@ -146,39 +182,9 @@ def parse_config(doc):
     if task not in TASKS:
         bad.append(f"task must be one of {TASKS}, got {task!r}")
 
-    state = {**_DEFAULT_STATE, **(doc.get("state") if isinstance(doc.get("state"), dict) else {})}
-    if not isinstance(doc.get("state", {}), dict):
-        bad.append("state must be an object")
-    if state["kind"] not in STATE_KINDS:
-        bad.append(f"state.kind must be one of {STATE_KINDS}, got {state['kind']!r}")
-    for f in ("alpha_re", "alpha_im"):
-        if not _is_number(state[f]):
-            bad.append(f"state.{f} must be a finite number")
-    if not (_is_int(state["sign"]) and state["sign"] in (1, -1)):
-        bad.append(f"state.sign must be 1 or -1, got {state['sign']!r}")
-    for k in state:
-        if k not in _DEFAULT_STATE:
-            bad.append(f"state has unknown field {k!r}")
-
-    grid = {**_DEFAULT_GRID, **(doc.get("grid") if isinstance(doc.get("grid"), dict) else {})}
-    if not isinstance(doc.get("grid", {}), dict):
-        bad.append("grid must be an object")
-    for f in ("x_max", "q_max"):
-        if not _is_number(grid[f]):
-            bad.append(f"grid.{f} must be a finite number")
-    for f in ("n_x", "n_theta", "n_q"):
-        if not _is_int(grid[f]):
-            bad.append(f"grid.{f} must be an integer")
-    # The grid classes own their bounds; asking them here turns a bad size
-    # into a config error instead of a GridError at run time.
-    for cls, fields in ((CoordinateGrid, ("q_max", "n_q")),
-                        (TomogramGrid, ("x_max", "n_x", "n_theta"))):
-        args = [grid[f] for f in fields]
-        if all(_is_number(a) for a in args):
-            bad.extend("grid." + v for v in cls.violations(*args))
-    for k in grid:
-        if k not in _DEFAULT_GRID:
-            bad.append(f"grid has unknown field {k!r}")
+    (state,) = _check_fields("state", _section(doc, "state", bad), (StateSpec,), bad)
+    coordinate_grid, tomogram_grid = _check_fields(
+        "grid", _section(doc, "grid", bad), (CoordinateGrid, TomogramGrid), bad)
 
     times = doc.get("times", [])
     if not isinstance(times, list) or not all(_is_number(t) for t in times):
@@ -190,13 +196,9 @@ def parse_config(doc):
         if any(b <= a for a, b in zip(times, times[1:])):
             bad.append("times not increasing")
 
-    ham_doc = doc.get("hamiltonian", {})
-    if not isinstance(ham_doc, dict):
-        bad.append("hamiltonian must be an object")
-        ham_doc = {}
-    for k in ham_doc:
-        if k not in _DEFAULT_HAMILTONIAN:
-            bad.append(f"hamiltonian has unknown field {k!r}")
+    ham_doc = _section(doc, "hamiltonian", bad)
+    coefficients = [f.name for f in fields(QuadraticHamiltonian)]
+    bad.extend(f"hamiltonian has unknown field {k!r}" for k in ham_doc if k not in coefficients)
     # The tasks that evolve read the Hamiltonian over [0, max(times)], and
     # validate over [0, VALIDATE_HORIZON] when there are no times, so a
     # table sampler has to cover that span.
@@ -205,9 +207,11 @@ def parse_config(doc):
         t_end = max(times, default=VALIDATE_HORIZON)
     elif task in ("evolve", "pipeline-check") and times:
         t_end = max(times)
+    harmonic = QuadraticHamiltonian.harmonic()
     omega_sq, force = (
-        _check_sampler(f"hamiltonian.{f}", ham_doc.get(f, default), bad, t_end)
-        for f, default in _DEFAULT_HAMILTONIAN.items()
+        _check_sampler(f"hamiltonian.{c}", ham_doc[c], bad, t_end) if c in ham_doc
+        else getattr(harmonic, c)
+        for c in coefficients
     )
 
     backend = doc.get("backend", "map")
@@ -233,9 +237,8 @@ def parse_config(doc):
     return JobConfig(
         task=task,
         state=state,
-        coordinate_grid=CoordinateGrid(q_max=float(grid["q_max"]), n_q=int(grid["n_q"])),
-        tomogram_grid=TomogramGrid(x_max=float(grid["x_max"]), n_x=int(grid["n_x"]),
-                                   n_theta=int(grid["n_theta"])),
+        coordinate_grid=coordinate_grid,
+        tomogram_grid=tomogram_grid,
         hamiltonian=QuadraticHamiltonian(omega_sq=omega_sq, force=force),
         backend=backend,
         times=tuple(float(t) for t in times),
@@ -243,14 +246,3 @@ def parse_config(doc):
         input_path=input_path,
     )
 
-
-def build_state(cfg):
-    """Reference wavefunction described by the config's state block."""
-    g = cfg.coordinate_grid
-    s = cfg.state
-    if s["kind"] == "vacuum":
-        return make_vacuum(g)
-    alpha = complex(s["alpha_re"], s["alpha_im"])
-    if s["kind"] == "coherent":
-        return make_coherent(alpha, g)
-    return make_cat(alpha, sign=int(s["sign"]), grid=g)

@@ -21,10 +21,6 @@ class DegenerateError(TomopropError):
     """A construction collapsed to the zero function (e.g. odd cat with alpha=0)."""
 
 
-class SingularityError(TomopropError):
-    """An evaluation point sits on a singular locus of the formula in use."""
-
-
 class StepError(TomopropError):
     """Time step too large, or a step-wise invariant drifted past tolerance."""
 

@@ -6,6 +6,7 @@ and the vacuum wavefunction is pi^(-1/4) exp(-q^2/2).
 """
 
 from dataclasses import dataclass, field
+from typing import Literal
 
 import numpy as np
 
@@ -164,6 +165,41 @@ def make_cat(alpha, sign=+1, grid=None):
 def make_vacuum(grid=None):
     """Ground state of the unit oscillator (coherent state with alpha = 0)."""
     return make_coherent(0.0, grid)
+
+
+@dataclass(frozen=True)
+class StateSpec:
+    """A reference state by name: the vacuum, the coherent state |alpha>, or
+    the even (sign = 1) or odd (sign = -1) cat state, alpha = alpha_re +
+    i alpha_im.  build(grid) samples it; the constructors' guards apply."""
+
+    KINDS = ("vacuum", "coherent", "cat")
+
+    kind: str = "vacuum"
+    alpha_re: float = 0.0
+    alpha_im: float = 0.0
+    # Literal, not int, so the config's integer check leaves the sign to
+    # violations: it must be exactly the int 1 or -1, and JSON true == 1.
+    sign: Literal[1, -1] = 1
+
+    @staticmethod
+    def violations(kind, alpha_re, alpha_im, sign):
+        """Messages for every rule the arguments break; empty when valid."""
+        bad = []
+        if kind not in StateSpec.KINDS:
+            bad.append(f"kind must be one of {StateSpec.KINDS}, got {kind!r}")
+        if type(sign) is not int or sign not in (1, -1):
+            bad.append(f"sign must be 1 or -1, got {sign!r}")
+        return bad
+
+    def build(self, grid=None):
+        """The state's wavefunction on grid (the default CoordinateGrid)."""
+        if self.kind == "vacuum":
+            return make_vacuum(grid)
+        alpha = complex(self.alpha_re, self.alpha_im)
+        if self.kind == "coherent":
+            return make_coherent(alpha, grid)
+        return make_cat(alpha, sign=self.sign, grid=grid)
 
 
 def density_from_wavefunction(psi):

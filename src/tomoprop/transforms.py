@@ -19,7 +19,7 @@ first use.
 import numpy as np
 from dataclasses import dataclass
 
-from .errors import GridError, SingularityError, SupportError
+from .errors import GridError, SupportError
 from .grids import CoordinateGrid, TomogramGrid, trapezoid_weights
 from .states import (
     GAUSSIAN_MARGIN,
@@ -272,7 +272,8 @@ def _fourier_refine(values, axis, factor):
     The samples are treated as one period; for data that decays to zero at
     both ends this is spectrally accurate interpolation.  Returns the refined
     array restricted to the span of the original samples, i.e. length
-    (n - 1) * factor + 1 along the refined axis.
+    (n - 1) * factor + 1 along the refined axis; complex for complex values,
+    real otherwise.
     """
     if factor <= 1:
         return values
@@ -290,8 +291,10 @@ def _fourier_refine(values, axis, factor):
     else:
         pad[..., :h + 1] = spec[..., :h + 1]
         pad[..., m - h:] = spec[..., h + 1:]
-    fine = np.real(np.fft.ifft(pad, axis=-1)) * factor
-    fine = fine[..., : (n - 1) * factor + 1]
+    fine = np.fft.ifft(pad, axis=-1)
+    if not np.iscomplexobj(values):
+        fine = fine.real
+    fine = fine[..., : (n - 1) * factor + 1] * factor
     return np.moveaxis(fine, -1, axis)
 
 
@@ -494,7 +497,8 @@ def _back_project(xs, rows, thetas, q, p):
 def inverse_radon_many(ws, grid=None):
     """Filtered back-projection of tomograms on one TomogramGrid onto the
     square (q, p) grid of a CoordinateGrid, by default
-    CoordinateGrid(x_max, min(n_x, 512)); one WignerFunction per tomogram.
+    CoordinateGrid(x_max, min(n_x, CoordinateGrid.n_q)); one WignerFunction
+    per tomogram.
 
     Per theta row: real FFT in X, multiply by the |eta| ramp (band-limited
     at the X Nyquist frequency), inverse real FFT, then back-project with
@@ -527,7 +531,7 @@ def inverse_radon_many(ws, grid=None):
     if any(w.grid != tg for w in ws):
         raise GridError("tomograms to back-project live on different grids")
     if grid is None:
-        grid = CoordinateGrid(q_max=tg.x_max, n_q=min(tg.n_x, 512))
+        grid = CoordinateGrid(q_max=tg.x_max, n_q=min(tg.n_x, CoordinateGrid.n_q))
     for w in ws:
         _require_finite(w.values, "tomogram")
         edge = w.edge_mass()
@@ -701,18 +705,9 @@ def tomogram_from_wavefunction(psi, tgrid=None):
     qs, wq, vals, dq_s = grid.points, grid.trapezoid_weights, psi.values, dq
     k = int(np.ceil(span * dq / (2.0 * np.pi)))
     if k > 1:
-        # Zero-padded spectrum; the state vanishes at both grid edges, so
-        # plain weights stand in for the trapezoid ones.
-        n = grid.n_q
-        h = (n + 1) // 2
-        spec_q = np.fft.fft(psi.values)
-        padded = np.zeros(k * n, dtype=complex)
-        padded[:h] = spec_q[:h]
-        padded[h - n:] = spec_q[h:]
-        dq_s = dq / k
-        vals = np.fft.ifft(padded) * k
-        qs = grid.points[0] + dq_s * np.arange(k * n)
-        wq = np.full(k * n, dq_s)
+        fine = CoordinateGrid(q_max=grid.q_max, n_q=(grid.n_q - 1) * k + 1)
+        qs, wq, dq_s = fine.points, fine.trapezoid_weights, fine.spacing
+        vals = _fourier_refine(psi.values, -1, k)
 
     # Momentum samples on a q-padded FFT axis.
     n_fft = _next_fast_len(max(4 * grid.n_q, int(np.ceil(span / dq))))
@@ -724,8 +719,6 @@ def tomogram_from_wavefunction(psi, tgrid=None):
     rows = np.empty((tgrid.n_theta, tgrid.n_x))
     for j, theta in enumerate(tgrid.thetas):
         s, c = np.sin(theta), np.cos(theta)
-        if abs(s) < 1e-12:
-            raise SingularityError("tomogram row requested at sin(theta) = 0")
         # Position samples, or momentum ones with (sin, cos) -> (-cos, sin).
         u, f, w, du, sn, cs = (
             (qs, vals, wq, dq_s, s, c) if abs(s) >= abs(c) else (ps, psi_p, dp, dp, -c, s)

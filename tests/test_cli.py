@@ -479,7 +479,7 @@ def test_state_tomogram_keeps_every_needed_refusal():
                               "alpha_im": alpha.imag},
                 })
                 try:
-                    psi = cfgmod.build_state(cfg)
+                    psi = cfg.state.build(cfg.coordinate_grid)
                 except TomopropError:
                     continue
                 tg = cfg.tomogram_grid

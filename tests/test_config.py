@@ -14,6 +14,7 @@ from tomoprop.quad_dynamics import (
     QuadraticHamiltonian,
     TableSampler,
 )
+from tomoprop.states import StateSpec
 
 
 def parse(doc):
@@ -33,7 +34,7 @@ def violations_of(doc):
 def test_minimal_doc_gets_defaults():
     cfg = parse({"task": "tomogram"})
     assert cfg.task == "tomogram"
-    assert cfg.state["kind"] == "vacuum"
+    assert cfg.state.kind == "vacuum"
     assert cfg.tomogram_grid == TomogramGrid(x_max=8.0, n_x=1024, n_theta=180)
     assert cfg.coordinate_grid == CoordinateGrid(q_max=8.0, n_q=512)
     assert cfg.hamiltonian == QuadraticHamiltonian(ConstantSampler(1.0), ConstantSampler(0.0))
@@ -49,10 +50,19 @@ def test_partial_blocks_merge_with_defaults():
         "state": {"kind": "coherent", "alpha_re": 1.0},
         "grid": {"n_x": 512},
     })
-    assert cfg.state["alpha_im"] == 0.0
-    assert cfg.state["sign"] == 1
+    assert cfg.state.alpha_im == 0.0
+    assert cfg.state.sign == 1
     assert cfg.tomogram_grid.n_x == 512
     assert cfg.tomogram_grid.n_theta == 180
+
+
+def test_defaults_are_those_of_the_built_classes():
+    # Each section's defaults are its classes' own, not a copy in config.
+    cfg = parse({"task": "tomogram"})
+    assert cfg.state == StateSpec()
+    assert cfg.coordinate_grid == CoordinateGrid()
+    assert cfg.tomogram_grid == TomogramGrid()
+    assert cfg.hamiltonian == QuadraticHamiltonian.harmonic()
 
 
 def test_times_coerce_to_float_tuple():
@@ -376,12 +386,15 @@ def test_grid_builders():
 
 
 def test_build_state_kinds():
-    vac = config.build_state(parse({"task": "tomogram"}))
+    def build_state(cfg):
+        return cfg.state.build(cfg.coordinate_grid)
+
+    vac = build_state(parse({"task": "tomogram"}))
     # the axis has no exact zero node, so the peak is the central pair
     assert np.argmax(np.abs(vac.values)) in (vac.grid.n_q // 2 - 1,
                                              vac.grid.n_q // 2)
 
-    coh = config.build_state(parse({
+    coh = build_state(parse({
         "task": "tomogram",
         "state": {"kind": "coherent", "alpha_re": 1.0, "alpha_im": 0.5},
     }))
@@ -389,7 +402,7 @@ def test_build_state_kinds():
                * coh.grid.spacing)
     assert qc == pytest.approx(np.sqrt(2.0), abs=1e-9)
 
-    cat = config.build_state(parse({
+    cat = build_state(parse({
         "task": "tomogram",
         "state": {"kind": "cat", "alpha_re": 2.0, "sign": -1},
         "grid": {"q_max": 9.0, "x_max": 9.0},

@@ -19,6 +19,7 @@ def test_every_export_resolves():
     "SymplecticTomogram", "symplectic_tomogram", "density_point_from_tomogram",
     "kernel_norm_defect", "position_expectation", "momentum_expectation",
     "MotionIntegrals", "motion_integrals", "wigner_from_density",
+    "SingularityError",
 ])
 def test_removed_names_are_gone(name):
     with pytest.raises(AttributeError):

@@ -4,6 +4,7 @@ import pytest
 from tomoprop.errors import DegenerateError, GridError, SupportError
 from tomoprop.grids import CoordinateGrid
 from tomoprop.states import (
+    StateSpec,
     WaveFunction,
     density_from_wavefunction,
     make_cat,
@@ -82,6 +83,31 @@ def test_odd_cat_at_zero_alpha_is_degenerate(grid):
 def test_cat_rejects_other_signs(grid9):
     with pytest.raises(DegenerateError):
         make_cat(2.0, sign=0, grid=grid9)
+
+
+def test_state_spec_violations():
+    assert StateSpec.violations("cat", 2.0, 0.0, -1) == []
+    assert StateSpec.violations("squeezed", 0.0, 0.0, 1) == [
+        "kind must be one of ('vacuum', 'coherent', 'cat'), got 'squeezed'"
+    ]
+    # A sign is exactly the int 1 or -1: JSON true and 1.0 both equal 1.
+    for sign in (2, True, 1.0):
+        assert StateSpec.violations("cat", 2.0, 0.0, sign) == [
+            f"sign must be 1 or -1, got {sign!r}"
+        ]
+
+
+def test_state_spec_builds_each_kind(grid, grid9):
+    assert np.array_equal(StateSpec().build(grid).values, make_vacuum(grid).values)
+    coh = StateSpec(kind="coherent", alpha_re=0.7, alpha_im=-0.4).build(grid)
+    assert np.array_equal(coh.values, make_coherent(0.7 - 0.4j, grid).values)
+    cat = StateSpec(kind="cat", alpha_re=2.0, sign=-1).build(grid9)
+    assert np.array_equal(cat.values, make_cat(2.0, sign=-1, grid=grid9).values)
+    # The constructors' run-time guards still apply.
+    with pytest.raises(DegenerateError):
+        StateSpec(kind="cat", sign=-1).build(grid)
+    with pytest.raises(SupportError):
+        StateSpec(kind="coherent", alpha_re=2.5).build(grid)
 
 
 def test_wavefunction_validate_rejects_unnormalized(grid):

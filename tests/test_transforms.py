@@ -95,13 +95,13 @@ def test_czt_is_bit_identical_to_scipy(monkeypatch):
     kernel = tr._czt
     monkeypatch.setattr(tr, "_czt", recording)
     # 512 q samples feed the q rows as they are (n_fft = 2048 momentum
-    # samples); 64 samples are refined twofold (128, n_fft = 256).  So both
+    # samples); 64 samples are refined twofold (127, n_fft = 256).  So both
     # branches run with m < n and with m > n: q rows 1024 > 512 and
-    # 100 < 128, momentum rows 1024 < 2048 and 300 > 256.  The last case is
+    # 100 < 127, momentum rows 1024 < 2048 and 300 > 256.  The last case is
     # the full default grid: every angle hands the kernel other bases w, a.
     for n_q, n_x, n_theta, q_lengths, n_fft in ((512, 1024, 8, {512}, 2048),
-                                                (64, 100, 8, {128}, 256),
-                                                (64, 300, 8, {128}, 256),
+                                                (64, 100, 8, {127}, 256),
+                                                (64, 300, 8, {127}, 256),
                                                 (512, 1024, 180, {512}, 2048)):
         g = CoordinateGrid(q_max=8.0, n_q=n_q)
         tg = TomogramGrid(x_max=8.0, n_x=n_x, n_theta=n_theta)
