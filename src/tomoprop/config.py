@@ -10,9 +10,12 @@ StateSpec, the grid through CoordinateGrid and TomogramGrid, each
 Hamiltonian coefficient through the sampler class SAMPLERS names.  Their
 dataclass fields name the keys and give the defaults (a field without a
 default is required), and their violations(...) give the bounds, so the
-config checks and the constructors' guards are one rule.  The JobConfig
-it returns carries the built objects; StateSpec.build's guards stay
-run-time (exit 3) failures.
+config checks and the constructors' guards are one rule.  The grid is
+checked first, so the state's center rule sees the coordinate grid; every
+task but invert, which never builds the state, gets that rule.  The
+JobConfig it returns carries the built objects; only a cat that cancels
+to zero and WaveFunction.validate() stay run-time (exit 3) failures of
+StateSpec.build.
 
 Sampler specs describe the time-dependent Hamiltonian coefficients:
 {"kind": "constant", "value": v}, {"kind": "cosine", "a": a, "b": b,
@@ -182,9 +185,11 @@ def parse_config(doc):
     if task not in TASKS:
         bad.append(f"task must be one of {TASKS}, got {task!r}")
 
-    (state,) = _check_fields("state", _section(doc, "state", bad), (StateSpec,), bad)
     coordinate_grid, tomogram_grid = _check_fields(
         "grid", _section(doc, "grid", bad), (CoordinateGrid, TomogramGrid), bad)
+    # Every task but invert builds the state on the coordinate grid.
+    (state,) = _check_fields("state", _section(doc, "state", bad), (StateSpec,), bad,
+                             grid=None if task == "invert" else coordinate_grid)
 
     times = doc.get("times", [])
     if not isinstance(times, list) or not all(_is_number(t) for t in times):

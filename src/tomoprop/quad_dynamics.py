@@ -267,7 +267,8 @@ def solve_epsilon(H, T, dt=None, stops=()):
     """
     traj = _integrate_epsilon(H, T, dt, stops)
     drift = traj.wronskian_drift
-    if drift > WRONSKIAN_TOL:
+    # Written so that a NaN drift fails the guard too.
+    if not drift <= WRONSKIAN_TOL:
         raise StepError(
             f"Wronskian drift {drift:.3e} exceeds {WRONSKIAN_TOL:g}; reduce dt"
         )
@@ -354,7 +355,8 @@ def optical_map(traj, t, t_from=0.0):
     Lambda departs from 1 by more than DET_TOL.
     """
     m = _map_at_node(traj, t, t_from)
-    if abs(m.det - 1.0) > DET_TOL:
+    # Written so that a NaN det fails the guard too.
+    if not abs(m.det - 1.0) <= DET_TOL:
         raise StepError(f"det Lambda = {m.det:.10f} is not symplectic within {DET_TOL:g}")
     return m
 

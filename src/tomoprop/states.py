@@ -112,19 +112,6 @@ class DensityMatrix:
         return self
 
 
-def _check_center(center_q, center_p, grid):
-    if abs(center_q) > grid.q_max - GAUSSIAN_MARGIN:
-        raise SupportError(
-            f"state center q = {center_q:.3f} is within {GAUSSIAN_MARGIN} of the grid "
-            f"edge +/-{grid.q_max}"
-        )
-    if abs(center_p) + GAUSSIAN_MARGIN > grid.nyquist_momentum:
-        raise SupportError(
-            f"state center p = {center_p:.3f} too close to the Nyquist momentum "
-            f"{grid.nyquist_momentum:.1f} for spacing {grid.spacing:.4f}"
-        )
-
-
 def _coherent_values(alpha, q):
     """Unnormalized coherent-state samples with the phase convention fixed so
     that the q-representation is real for real alpha."""
@@ -136,42 +123,27 @@ def _coherent_values(alpha, q):
 
 def make_coherent(alpha, grid=None):
     """Coherent state |alpha> on the grid."""
-    grid = grid or CoordinateGrid()
     alpha = complex(alpha)
-    _check_center(np.sqrt(2.0) * alpha.real, np.sqrt(2.0) * alpha.imag, grid)
-    vals = _coherent_values(alpha, grid.points)
-    n = np.sqrt(np.sum(np.abs(vals) ** 2 * grid.trapezoid_weights))
-    psi = WaveFunction(grid, vals / n)
-    return psi.validate()
+    return StateSpec("coherent", alpha.real, alpha.imag).build(grid)
 
 
 def make_cat(alpha, sign=+1, grid=None):
     """Even (sign=+1) or odd (sign=-1) superposition of |alpha> and |-alpha>."""
-    grid = grid or CoordinateGrid()
-    if sign not in (+1, -1):
-        raise DegenerateError(f"cat sign must be +1 or -1, got {sign}")
     alpha = complex(alpha)
-    _check_center(np.sqrt(2.0) * abs(alpha.real), np.sqrt(2.0) * abs(alpha.imag), grid)
-    vals = _coherent_values(alpha, grid.points) + sign * _coherent_values(-alpha, grid.points)
-    norm_sq = np.sum(np.abs(vals) ** 2 * grid.trapezoid_weights)
-    if norm_sq < 1e-12:
-        raise DegenerateError(
-            f"cat state with alpha = {alpha} and sign = {sign:+d} is numerically zero"
-        )
-    psi = WaveFunction(grid, vals / np.sqrt(norm_sq))
-    return psi.validate()
+    return StateSpec("cat", alpha.real, alpha.imag, sign).build(grid)
 
 
 def make_vacuum(grid=None):
     """Ground state of the unit oscillator (coherent state with alpha = 0)."""
-    return make_coherent(0.0, grid)
+    return StateSpec().build(grid)
 
 
 @dataclass(frozen=True)
 class StateSpec:
     """A reference state by name: the vacuum, the coherent state |alpha>, or
     the even (sign = 1) or odd (sign = -1) cat state, alpha = alpha_re +
-    i alpha_im.  build(grid) samples it; the constructors' guards apply."""
+    i alpha_im.  build(grid) samples it; make_vacuum, make_coherent and
+    make_cat are this class's shorthands."""
 
     KINDS = ("vacuum", "coherent", "cat")
 
@@ -182,24 +154,54 @@ class StateSpec:
     # violations: it must be exactly the int 1 or -1, and JSON true == 1.
     sign: Literal[1, -1] = 1
 
+    def __post_init__(self):
+        bad = self.violations(self.kind, self.alpha_re, self.alpha_im, self.sign)
+        if bad:
+            raise DegenerateError("; ".join(bad))
+
     @staticmethod
-    def violations(kind, alpha_re, alpha_im, sign):
-        """Messages for every rule the arguments break; empty when valid."""
+    def violations(kind, alpha_re, alpha_im, sign, grid=None):
+        """Messages for every rule the arguments break; empty when valid.
+
+        With grid given, the state's center (the vacuum's is 0) must also lie
+        GAUSSIAN_MARGIN inside the q window and below the Nyquist momentum.
+        """
         bad = []
         if kind not in StateSpec.KINDS:
             bad.append(f"kind must be one of {StateSpec.KINDS}, got {kind!r}")
         if type(sign) is not int or sign not in (1, -1):
             bad.append(f"sign must be 1 or -1, got {sign!r}")
+        if grid is None:
+            return bad
+        if kind == "vacuum":
+            alpha_re = alpha_im = 0.0
+        q, p = np.sqrt(2.0) * alpha_re, np.sqrt(2.0) * alpha_im
+        if abs(q) > grid.q_max - GAUSSIAN_MARGIN:
+            bad.append(f"center q = {q:.3f} is within {GAUSSIAN_MARGIN} of the grid "
+                       f"edge +/-{grid.q_max}")
+        if abs(p) + GAUSSIAN_MARGIN > grid.nyquist_momentum:
+            bad.append(f"center p = {p:.3f} too close to the Nyquist momentum "
+                       f"{grid.nyquist_momentum:.1f} for spacing {grid.spacing:.4f}")
         return bad
 
     def build(self, grid=None):
-        """The state's wavefunction on grid (the default CoordinateGrid)."""
-        if self.kind == "vacuum":
-            return make_vacuum(grid)
-        alpha = complex(self.alpha_re, self.alpha_im)
-        if self.kind == "coherent":
-            return make_coherent(alpha, grid)
-        return make_cat(alpha, sign=self.sign, grid=grid)
+        """The state's normalized, validated wavefunction on grid (the default
+        CoordinateGrid).  SupportError when the grid breaks the center rule,
+        DegenerateError when a cat cancels to zero."""
+        grid = grid or CoordinateGrid()
+        bad = self.violations(self.kind, self.alpha_re, self.alpha_im, self.sign, grid)
+        if bad:
+            raise SupportError("; ".join("state " + b for b in bad))
+        alpha = 0j if self.kind == "vacuum" else complex(self.alpha_re, self.alpha_im)
+        vals = _coherent_values(alpha, grid.points)
+        if self.kind == "cat":
+            vals = vals + self.sign * _coherent_values(-alpha, grid.points)
+        norm_sq = np.sum(np.abs(vals) ** 2 * grid.trapezoid_weights)
+        if norm_sq < 1e-12:
+            raise DegenerateError(
+                f"cat state with alpha = {alpha} and sign = {self.sign:+d} is numerically zero"
+            )
+        return WaveFunction(grid, vals / np.sqrt(norm_sq)).validate()
 
 
 def density_from_wavefunction(psi):

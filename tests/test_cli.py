@@ -473,12 +473,12 @@ def test_state_tomogram_keeps_every_needed_refusal():
         for q_c in (0.0, 2.0):
             for p_c in np.arange(0.0, 13.0, 0.5):
                 alpha = complex(q_c, p_c) / np.sqrt(2.0)
-                cfg = cfgmod.parse_config({
-                    "task": "tomogram", "grid": grid,
-                    "state": {"kind": "coherent", "alpha_re": alpha.real,
-                              "alpha_im": alpha.imag},
-                })
                 try:
+                    cfg = cfgmod.parse_config({
+                        "task": "tomogram", "grid": grid,
+                        "state": {"kind": "coherent", "alpha_re": alpha.real,
+                                  "alpha_im": alpha.imag},
+                    })
                     psi = cfg.state.build(cfg.coordinate_grid)
                 except TomopropError:
                     continue
@@ -618,14 +618,41 @@ def test_validation_failure_exits_2_with_violations(tmp_path, capsys):
     assert any("backend" in v for v in record["violations"])
 
 
+# An X window too narrow for the state: the config check passes it and the
+# tomogram's row-norm guard refuses it at run time.
+CLIPPED = {"grid": {**SMALL_GRID, "x_max": 3.0}, "state": {"kind": "coherent", "alpha_re": 1.4}}
+
+
 def test_numeric_failure_exits_3_with_error_file(tmp_path, capsys):
-    doc = {"state": {"kind": "coherent", "alpha_re": 2.5}}
-    rc = run(tmp_path, "tomogram", doc)
+    rc = run(tmp_path, "tomogram", CLIPPED)
     assert rc == 3
     record = json.loads(capsys.readouterr().err)
     assert record["error"] == "SupportError"
+    assert "row normalization deviates" in record["message"]
     err = read_json(tmp_path, "error.json")
     assert err == record
+
+
+def test_off_center_state_is_listed_with_the_other_violations(tmp_path, capsys):
+    doc = {"state": {"kind": "coherent", "alpha_re": 2.5}, "backend": "warp"}
+    assert run(tmp_path, "tomogram", doc) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "ValidationError"
+    assert record["violations"] == [
+        "state.center q = 3.536 is within 6.0 of the grid edge +/-8.0",
+        "backend must be one of ('map', 'pde', 'both'), got 'warp'",
+    ]
+
+
+def test_invert_ignores_the_center_of_its_unused_state(tmp_path, capsys):
+    # invert never builds the state, so an off-center one does not stop it.
+    assert run(tmp_path, "tomogram", {}) == 0
+    path = tmp_path / "out" / "tomogram.csv"
+    doc = {"state": {"kind": "coherent", "alpha_re": 2.5}, "input_path": str(path)}
+    rc = main(["invert", "--config", write_config(tmp_path, doc),
+               "--output-dir", str(tmp_path / "out2")])
+    assert rc == 0, capsys.readouterr().err
+    assert (tmp_path / "out2" / "density.csv").exists()
 
 
 def test_invert_refuses_malformed_tomogram_files(tmp_path, capsys):
@@ -658,13 +685,12 @@ def test_invert_refuses_malformed_tomogram_files(tmp_path, capsys):
 def test_each_outcome_record_removes_the_other(tmp_path, capsys):
     # error.json never sits beside report.json or run_meta.json; data files
     # from an earlier run are left as they are.
-    refused = {"state": {"kind": "coherent", "alpha_re": 3.0}}
     accepted = {"state": {"kind": "coherent", "alpha_re": 0.5}}
     out = tmp_path / "out"
-    assert run(tmp_path, "tomogram", refused) == 3
+    assert run(tmp_path, "tomogram", CLIPPED) == 3
     assert run(tmp_path, "tomogram", accepted) == 0
     assert sorted(os.listdir(out)) == ["report.json", "run_meta.json", "tomogram.csv"]
-    assert run(tmp_path, "tomogram", refused) == 3
+    assert run(tmp_path, "tomogram", CLIPPED) == 3
     assert sorted(os.listdir(out)) == ["error.json", "tomogram.csv"]
     capsys.readouterr()
 

@@ -229,6 +229,19 @@ def test_optical_map_rejects_nonsymplectic():
         qd.optical_map(traj, 1.0)
 
 
+def test_guards_refuse_nan_figures():
+    # A NaN table value gives a Wronskian drift and a det Lambda of NaN;
+    # both compare False with their tolerance, so the guards test for the
+    # pass, not the failure.
+    nan_table = qd.TableSampler([0.0, 1.0, 2.0], [1.0, np.nan, 1.0])
+    H = qd.QuadraticHamiltonian(nan_table, qd.ConstantSampler(0.0))
+    with pytest.raises(StepError, match="Wronskian drift nan"):
+        qd.solve_epsilon(H, 2.0)
+    traj = qd._integrate_epsilon(H, 2.0)
+    with pytest.raises(StepError, match="det Lambda = nan"):
+        qd.optical_map(traj, 2.0)
+
+
 def test_map_backward_interval_rejected():
     with pytest.raises(TimeError):
         qd.OpticalAffineMap(np.eye(2), np.zeros(2), t_from=1.0, t_to=0.5)

@@ -81,8 +81,10 @@ def test_odd_cat_at_zero_alpha_is_degenerate(grid):
 
 
 def test_cat_rejects_other_signs(grid9):
-    with pytest.raises(DegenerateError):
-        make_cat(2.0, sign=0, grid=grid9)
+    # The config's rule: True and 1.0 equal 1 but are refused too.
+    for sign in (0, True, 1.0):
+        with pytest.raises(DegenerateError, match="sign must be 1 or -1"):
+            make_cat(2.0, sign=sign, grid=grid9)
 
 
 def test_state_spec_violations():
@@ -95,6 +97,31 @@ def test_state_spec_violations():
         assert StateSpec.violations("cat", 2.0, 0.0, sign) == [
             f"sign must be 1 or -1, got {sign!r}"
         ]
+
+
+def test_state_spec_refuses_what_violations_lists():
+    # The constructor raises on every grid-free rule, so no spec that the
+    # config would refuse can be built by a library caller.
+    with pytest.raises(DegenerateError, match="kind must be one of"):
+        StateSpec(kind="squeezed")
+    with pytest.raises(DegenerateError, match="sign must be 1 or -1"):
+        StateSpec(kind="cat", sign=True)
+
+
+def test_center_rule_is_one_rule(grid):
+    # violations(..., grid) lists what build raises, in the same words.
+    coarse = CoordinateGrid(q_max=8.0, n_q=64)
+    assert StateSpec.violations("coherent", 2.5, 0.0, 1, grid) == [
+        "center q = 3.536 is within 6.0 of the grid edge +/-8.0"
+    ]
+    assert StateSpec.violations("vacuum", 0.0, 0.0, 1, coarse) == []
+    assert StateSpec.violations("coherent", 0.0, 5.0, 1, coarse) == [
+        "center p = 7.071 too close to the Nyquist momentum 12.4 for spacing 0.2540"
+    ]
+    with pytest.raises(SupportError, match="^state center q = 3.536 is within"):
+        make_coherent(2.5, grid)
+    # The vacuum is centered at the origin whatever alpha it carries.
+    assert StateSpec.violations("vacuum", 5.0, 5.0, 1, grid) == []
 
 
 def test_state_spec_builds_each_kind(grid, grid9):
