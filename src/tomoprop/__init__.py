@@ -8,76 +8,50 @@ integrals of motion, and semi-Lagrangian integration of the evolution
 PDE), and the Schroedinger Green function of the same affine map to
 referee both.
 
-Attributes re-export lazily from the submodules: the command-line entry
-point must export thread caps to the environment before numpy first
-loads, so importing the package itself cannot pull in the numeric stack.
+TOMOPROP_THREADS caps the BLAS/FFT thread pools (0 or unset = automatic).
+The cap must reach the environment before numpy first loads, so it is
+applied here, before any submodule is imported, and _THREAD_CAP records
+it.  Every public name below is then re-exported from its submodule.
 """
 
-import importlib
+import os
+
+
+def _apply_thread_env():
+    """Export the TOMOPROP_THREADS cap; returns it, or None for automatic."""
+    val = os.environ.get("TOMOPROP_THREADS", "").strip()
+    if val and val != "0":
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+            os.environ.setdefault(var, val)
+        return val
+    return None
+
+
+_THREAD_CAP = _apply_thread_env()
 
 __version__ = "0.1.0"
 
-_EXPORTS = {
-    "TomopropError": "errors",
-    "GridError": "errors",
-    "SupportError": "errors",
-    "DegenerateError": "errors",
-    "StepError": "errors",
-    "RangeError": "errors",
-    "TimeError": "errors",
-    "CausticError": "errors",
-    "ParseError": "errors",
-    "ValidationError": "errors",
-    "CoordinateGrid": "grids",
-    "TomogramGrid": "grids",
-    "WaveFunction": "states",
-    "DensityMatrix": "states",
-    "make_vacuum": "states",
-    "make_coherent": "states",
-    "make_cat": "states",
-    "StateSpec": "states",
-    "density_from_wavefunction": "states",
-    "Tomogram": "transforms",
-    "WignerFunction": "transforms",
-    "density_from_wigner": "transforms",
-    "radon": "transforms",
-    "inverse_radon": "transforms",
-    "inverse_radon_many": "transforms",
-    "tomogram_from_density": "transforms",
-    "tomogram_from_wavefunction": "transforms",
-    "density_from_tomogram": "transforms",
-    "moments": "transforms",
-    "ConstantSampler": "quad_dynamics",
-    "CosineSampler": "quad_dynamics",
-    "TableSampler": "quad_dynamics",
-    "QuadraticHamiltonian": "quad_dynamics",
-    "EpsilonTrajectory": "quad_dynamics",
-    "solve_epsilon": "quad_dynamics",
-    "OpticalAffineMap": "quad_dynamics",
-    "optical_map": "quad_dynamics",
-    "compose": "quad_dynamics",
-    "evolve_tomogram": "quad_dynamics",
-    "evolve_semilagrangian": "pde_evolution",
-    "GreenKernel": "oracles",
-    "green_kernel": "oracles",
-    "evolve_wavefunction": "oracles",
-    "ClassicalTrajectory": "oracles",
-    "classical_trajectory": "oracles",
-    "trace_distance": "oracles",
-    "pipeline_discrepancy": "oracles",
-    "JobConfig": "config",
-    "parse_config": "config",
-    "apply_overrides": "config",
-}
-
-
-def __getattr__(name):
-    if name in _EXPORTS:
-        value = getattr(importlib.import_module("." + _EXPORTS[name], __name__), name)
-        globals()[name] = value
-        return value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_EXPORTS))
+from .errors import (  # noqa: E402
+    TomopropError, GridError, SupportError, DegenerateError, StepError, RangeError, TimeError,
+    CausticError, ParseError, ValidationError,
+)
+from .grids import CoordinateGrid, TomogramGrid  # noqa: E402
+from .states import (  # noqa: E402
+    WaveFunction, DensityMatrix, make_vacuum, make_coherent, make_cat, StateSpec,
+    density_from_wavefunction,
+)
+from .transforms import (  # noqa: E402
+    Tomogram, WignerFunction, density_from_wigner, radon, inverse_radon, inverse_radon_many,
+    tomogram_from_density, tomogram_from_wavefunction, density_from_tomogram, moments,
+)
+from .quad_dynamics import (  # noqa: E402
+    ConstantSampler, CosineSampler, TableSampler, QuadraticHamiltonian, EpsilonTrajectory,
+    solve_epsilon, OpticalAffineMap, optical_map, compose, evolve_tomogram,
+)
+from .pde_evolution import evolve_semilagrangian  # noqa: E402
+from .oracles import (  # noqa: E402
+    GreenKernel, green_kernel, evolve_wavefunction, ClassicalTrajectory, classical_trajectory,
+    trace_distance, pipeline_discrepancy,
+)
+from .config import JobConfig, parse_config, apply_overrides  # noqa: E402

@@ -1,8 +1,7 @@
 """`python -m tomoprop`: the `tomoprop` console command without an install.
 
 Runs `tomoprop.cli.main` exactly as the console script declared in
-pyproject.toml does.  `tomoprop.cli` is imported first and alone, so that
-it exports the thread cap before anything loads numpy.
+pyproject.toml does.
 """
 
 import sys

@@ -8,14 +8,10 @@ Exit codes: 0 success, 2 config error, 3 numeric or validation failure,
 4 I/O error.  Every run writes report.json (machine-readable results, no
 timestamps, byte identical across reruns) next to the task's data files;
 volatile metadata (timestamps, versions of the package, numpy and SciPy,
-the thread cap) is segregated into run_meta.json.
+the TOMOPROP_THREADS cap that importing the package applied) is segregated
+into run_meta.json.
 On failure an error.json record is written when the output directory is
 usable, and the same record always goes to stderr.
-
-TOMOPROP_THREADS caps the BLAS/FFT thread pools (0 or unset = automatic).
-The cap must be exported to the environment before numpy first loads, so
-this module resolves it first and imports numpy and the package's numeric
-modules right after, in one block; the task bodies import nothing.
 """
 
 import argparse
@@ -26,31 +22,17 @@ import os
 import sys
 import tempfile
 
+import numpy as np
 
-def _apply_thread_env():
-    """Export the TOMOPROP_THREADS cap; returns it, or None for automatic."""
-    val = os.environ.get("TOMOPROP_THREADS", "").strip()
-    if val and val != "0":
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-            os.environ.setdefault(var, val)
-        return val
-    return None
-
-
-_THREAD_CAP = _apply_thread_env()
-
-import numpy as np  # noqa: E402
-
-from . import __version__  # noqa: E402
-from . import config as cfgmod  # noqa: E402
-from . import oracles  # noqa: E402
-from . import output as io  # noqa: E402
-from . import pde_evolution as pde  # noqa: E402
-from . import quad_dynamics as qd  # noqa: E402
-from . import states  # noqa: E402
-from . import transforms as tr  # noqa: E402
-from .errors import ParseError, TomopropError, ValidationError  # noqa: E402
+from . import _THREAD_CAP, __version__
+from . import config as cfgmod
+from . import oracles
+from . import output as io
+from . import pde_evolution as pde
+from . import quad_dynamics as qd
+from . import states
+from . import transforms as tr
+from .errors import ParseError, TomopropError, ValidationError
 
 
 def _state_tomogram(cfg):
@@ -156,8 +138,9 @@ def _run_task(cfg, emit):
         except OSError as e:
             raise _IOFailure(f"cannot read input tomogram: {e}")
         w.validate()
-        # One FBP onto the coordinate grid serves both files.
-        W = tr.inverse_radon(w, cfg.coordinate_grid)
+        # One FBP onto the coordinate grid serves both files; validate()
+        # refuses a Wigner function whose q window lost its mass.
+        W = tr.inverse_radon(w, cfg.coordinate_grid).validate()
         emit("wigner.csv", io.write_wigner, W)
         rho = tr.density_from_wigner(W)
         emit("density.csv", io.write_density, rho)

@@ -5,6 +5,7 @@ symmetric X-axis with a half-offset angle axis theta_j = (j + 1/2) * pi / n_thet
 which keeps sin(theta) bounded away from zero on every stored row.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -42,6 +43,8 @@ class CoordinateGrid:
         bad = []
         if not q_max > 0:
             bad.append(f"q_max must be a positive number, got {q_max}")
+        elif not math.isfinite(q_max):
+            bad.append(f"q_max must be finite, got {q_max}")
         if n_q < 8:
             bad.append(f"n_q must be at least 8, got {n_q}")
         return bad
@@ -90,6 +93,8 @@ class TomogramGrid:
         bad = []
         if not x_max > 0:
             bad.append(f"x_max must be a positive number, got {x_max}")
+        elif not math.isfinite(x_max):
+            bad.append(f"x_max must be finite, got {x_max}")
         if n_x < 16:
             bad.append(f"n_x must be at least 16, got {n_x}")
         if n_theta < 8:

@@ -26,6 +26,8 @@ by the Ehrenfest law q' = p, p' = -omega_sq q + f for first moments of
 evolved tomograms); see the repository README for the derivation sketch.
 """
 
+import math
+
 import numpy as np
 from dataclasses import dataclass
 
@@ -45,11 +47,31 @@ PDE_STEP_LIMIT = 5e-3
 TABLE_SLACK = 1e-12
 
 
+def _refuse(kind, bad):
+    if bad:
+        raise ValueError(f"{kind} sampler: " + "; ".join(bad))
+
+
+def _non_finite(**coefficients):
+    """Messages for the coefficients that are not finite numbers."""
+    return [f"{k} must be finite, got {v}" for k, v in coefficients.items()
+            if not math.isfinite(v)]
+
+
 @dataclass(frozen=True)
 class ConstantSampler:
     """Time-independent coefficient."""
 
     value: float
+
+    def __post_init__(self):
+        _refuse("constant", self.violations(self.value))
+
+    @staticmethod
+    def violations(value, t_end=None):
+        """Messages for every bound the coefficient breaks; empty when
+        valid.  A constant covers any span [0, t_end]."""
+        return _non_finite(value=value)
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -72,6 +94,15 @@ class CosineSampler:
     freq: float
     phase: float = 0.0
 
+    def __post_init__(self):
+        _refuse("cosine", self.violations(self.a, self.b, self.freq, self.phase))
+
+    @staticmethod
+    def violations(a, b, freq, phase=0.0, t_end=None):
+        """Messages for every bound the coefficients break; empty when
+        valid.  A cosine covers any span [0, t_end]."""
+        return _non_finite(a=a, b=b, freq=freq, phase=phase)
+
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         out = self.a + self.b * np.cos(self.freq * t + self.phase)
@@ -92,9 +123,7 @@ class TableSampler:
     values: np.ndarray
 
     def __post_init__(self):
-        bad = self.violations(self.times, self.values)
-        if bad:
-            raise ValueError("table sampler: " + "; ".join(bad))
+        _refuse("table", self.violations(self.times, self.values))
         object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
 
@@ -109,6 +138,8 @@ class TableSampler:
         if times.ndim != 1 or times.size < 2 or values.shape != times.shape:
             return ["times and values must be matching 1-d tables of at least 2 rows"]
         bad = []
+        if not (np.isfinite(times).all() and np.isfinite(values).all()):
+            bad.append("times and values must be finite")
         if np.any(np.diff(times) <= 0):
             bad.append("times must be strictly increasing")
         lo, hi = float(times[0]), float(times[-1])

@@ -712,6 +712,24 @@ def test_invert_refuses_non_finite_tomogram(tmp_path, capsys):
     assert not (tmp_path / "out2" / "report.json").exists()
 
 
+def test_invert_refuses_a_wigner_function_that_lost_mass(tmp_path, capsys):
+    # A q window of +/-4 cuts off a quarter of a coherent state at 2.5
+    # (mass 0.744); the FBP's output is validated before anything is written.
+    wide = {**SMALL_GRID, "q_max": 12.0}
+    state = {"kind": "coherent", "alpha_re": 2.5}
+    assert run(tmp_path, "tomogram", {"grid": wide, "state": state}) == 0
+    narrow = {**SMALL_GRID, "q_max": 4.0, "n_q": 128}
+    doc = {"grid": narrow, "input_path": str(tmp_path / "out" / "tomogram.csv")}
+    out = tmp_path / "out2"
+    rc = main(["invert", "--config", write_config(tmp_path, doc, name="invert.json"),
+               "--output-dir", str(out)])
+    assert rc == 3
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "SupportError"
+    assert record["message"].startswith("Wigner mass 0.744")
+    assert sorted(os.listdir(out)) == ["error.json"]
+
+
 def test_grid_below_constructor_bounds_exits_2_listing_all(tmp_path, capsys):
     grid = {"x_max": 8.0, "n_x": 8, "n_theta": 4, "q_max": 8.0, "n_q": 6}
     assert run(tmp_path, "tomogram", {"grid": grid}) == 2

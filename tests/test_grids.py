@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,12 @@ def test_grid_errors_list_every_violation():
     assert TomogramGrid.violations(8.0, 16, 8) == []
     assert CoordinateGrid.violations(-1.0, 4) == [
         "q_max must be a positive number, got -1.0", "n_q must be at least 8, got 4"]
+    # An infinite extent would give NaN points and spacings.
+    with pytest.raises(GridError, match="q_max must be finite, got inf"):
+        CoordinateGrid(q_max=math.inf)
+    assert TomogramGrid.violations(math.inf, 16, 8) == ["x_max must be finite, got inf"]
+    assert TomogramGrid.violations(math.nan, 16, 8) == [
+        "x_max must be a positive number, got nan"]
 
 
 def test_tomogram_grid_x_weights():

@@ -60,6 +60,22 @@ def test_table_sampler_rejects_bad_tables():
         qd.TableSampler(np.array([0.0, 0.0]), np.array([1.0, 2.0]))
 
 
+def test_samplers_refuse_non_finite_coefficients():
+    # A NaN coefficient would read as step_scale 1 (max(1.0, nan)) and run
+    # a whole solve before a guard refused it with the wrong advice.
+    nan = float("nan")
+    with pytest.raises(ValueError, match="constant sampler: value must be finite, got nan"):
+        qd.ConstantSampler(nan)
+    with pytest.raises(ValueError, match="cosine sampler: b must be finite, got nan"):
+        qd.CosineSampler(1.0, nan, 2.0)
+    with pytest.raises(ValueError, match="cosine sampler: phase must be finite, got inf"):
+        qd.CosineSampler(1.0, 0.5, 2.0, float("inf"))
+    with pytest.raises(ValueError, match="table sampler: times and values must be finite"):
+        qd.TableSampler([0.0, 1.0, 2.0], [1.0, nan, 1.0])
+    assert qd.ConstantSampler.violations(1.0, t_end=5.0) == []
+    assert qd.CosineSampler.violations(1.0, 0.2, 2.0, t_end=5.0) == []
+
+
 # ----------------------------------------------------------- epsilon solver
 
 def test_free_epsilon_is_linear():
@@ -229,12 +245,22 @@ def test_optical_map_rejects_nonsymplectic():
         qd.optical_map(traj, 1.0)
 
 
+class _NanAfterOne:
+    """A stub omega_sq that turns NaN at t > 1; every sampler class now
+    refuses a NaN coefficient at construction."""
+
+    def __call__(self, t):
+        return np.where(np.asarray(t) > 1.0, np.nan, 1.0)
+
+    def upper_bound(self):
+        return 1.0
+
+
 def test_guards_refuse_nan_figures():
-    # A NaN table value gives a Wronskian drift and a det Lambda of NaN;
-    # both compare False with their tolerance, so the guards test for the
-    # pass, not the failure.
-    nan_table = qd.TableSampler([0.0, 1.0, 2.0], [1.0, np.nan, 1.0])
-    H = qd.QuadraticHamiltonian(nan_table, qd.ConstantSampler(0.0))
+    # A NaN omega_sq gives a Wronskian drift and a det Lambda of NaN; both
+    # compare False with their tolerance, so the guards test for the pass,
+    # not the failure.
+    H = qd.QuadraticHamiltonian(_NanAfterOne(), qd.ConstantSampler(0.0))
     with pytest.raises(StepError, match="Wronskian drift nan"):
         qd.solve_epsilon(H, 2.0)
     traj = qd._integrate_epsilon(H, 2.0)
@@ -396,4 +422,7 @@ def test_table_sampler_violations():
     assert len(qd.TableSampler.violations([0.0, 0.0, 0.5], [1.0, 2.0, 3.0], t_end=1.0)) == 2
     assert qd.TableSampler.violations([0.0], [1.0]) == [
         "times and values must be matching 1-d tables of at least 2 rows"
+    ]
+    assert qd.TableSampler.violations([0.0, 1.0, np.inf], [1.0, 2.0, 1.0]) == [
+        "times and values must be finite"
     ]
