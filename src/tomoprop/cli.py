@@ -86,6 +86,13 @@ def _remove_stale(outdir, *names):
             os.unlink(os.path.join(outdir, name))
 
 
+def _job_step(cfg):
+    """(dt, error estimate at dt): the job's step, quad_dynamics.choose_step
+    on [0, T] with T the last of the job's times, or
+    config.VALIDATE_HORIZON without times."""
+    return qd.choose_step(cfg.hamiltonian, max(cfg.times, default=cfgmod.VALIDATE_HORIZON))
+
+
 def _maps(H, times, dt):
     """The affine map to each time, read off one eps(t) solve with a node
     at every time."""
@@ -106,11 +113,12 @@ def _run_task(cfg, emit):
 
     elif cfg.task == "evolve":
         H = cfg.hamiltonian
-        dt = qd.auto_dt(H)
-        _, w0 = _state_tomogram(cfg)
+        dt, estimate = _job_step(cfg)
         report["backend"] = cfg.backend
         report["dt"] = dt
+        report["dt_error_estimate"] = estimate
         report["times"] = list(cfg.times)
+        _, w0 = _state_tomogram(cfg)
         if cfg.backend in ("map", "both"):
             maps = _maps(H, cfg.times, dt)
         if cfg.backend in ("pde", "both"):
@@ -162,9 +170,16 @@ def _run_task(cfg, emit):
         report["pass"] = all(c["pass"] for c in report["checks"])
 
     elif cfg.task == "pipeline-check":
-        H = cfg.hamiltonian
+        dt, estimate = _job_step(cfg)
+        report["dt"] = dt
+        report["dt_error_estimate"] = estimate
+        maps = _maps(cfg.hamiltonian, cfg.times, dt)
+        # The kernels need only the maps, so a focal time refuses the job
+        # before the state is built; pipeline_discrepancy builds them
+        # again, at a few scalar operations each.
+        oracles.green_kernels(maps)
         psi, w0 = _state_tomogram(cfg)
-        recs = oracles.pipeline_discrepancy(psi, w0, _maps(H, cfg.times, qd.auto_dt(H)))
+        recs = oracles.pipeline_discrepancy(psi, w0, maps)
         report["records"] = [
             {"t": t, **{k: float(v) for k, v in rec.items()}} for t, rec in zip(cfg.times, recs)
         ]
@@ -181,10 +196,10 @@ def _invariant_suite(cfg):
     Both tomograms come from the pure-state (chirp-z) route the tasks run,
     without validate(): a clipped X window shows as failing checks.
     wronskian_drift and det_lambda_defect are measured on cfg.hamiltonian,
-    solved at the tasks' step (quad_dynamics.auto_dt, solve_epsilon's
-    default) to T = max(cfg.times), or to
-    config.VALIDATE_HORIZON without times; det Lambda is read at 21 evenly
-    spaced nodes of [0, T].
+    solved to T = max(cfg.times), or to config.VALIDATE_HORIZON without
+    times, at the step the other tasks take on [0, T] (_job_step, the
+    error-budget rule of quad_dynamics.choose_step); det Lambda is read at
+    21 evenly spaced nodes of [0, T].
     """
     checks = []
 
@@ -219,7 +234,7 @@ def _invariant_suite(cfg):
     nodes = np.linspace(0.0, max(cfg.times, default=cfgmod.VALIDATE_HORIZON), 21)
     # The unguarded paths: a drift or defect beyond the solver's guards is
     # reported as a failing check, not raised.
-    traj = qd._integrate_epsilon(H, nodes[-1], stops=nodes)
+    traj = qd._integrate_epsilon(H, nodes[-1], _job_step(cfg)[0], stops=nodes)
     add("wronskian_drift", traj.wronskian_drift, qd.WRONSKIAN_TOL)
     det_defect = max(abs(qd._map_at_node(traj, t).det - 1.0) for t in nodes)
     add("det_lambda_defect", det_defect, qd.DET_TOL)

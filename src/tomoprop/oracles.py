@@ -74,6 +74,12 @@ def green_kernel(m):
     return GreenKernel(float(a), float(b), float(c), float(e), float(g))
 
 
+def green_kernels(maps):
+    """green_kernel of each map, None for an identity map, in the order of
+    maps.  The first focal map raises CausticError."""
+    return [None if m.is_identity else green_kernel(m) for m in maps]
+
+
 def _check_edge_density(density, what):
     edge = max(float(density[0]), float(density[-1]))
     if edge > transforms.EDGE_MASS_TOL:
@@ -164,7 +170,7 @@ def pipeline_discrepancy(psi0, w0, maps):
     Each map's Wigner function and densities are freed before the next
     map's are built.
     """
-    kernels = [None if m.is_identity else green_kernel(m) for m in maps]
+    kernels = green_kernels(maps)
     w_ts = [quad_dynamics.evolve_tomogram(w0, m) for m in maps]
     wigners = transforms.inverse_radon_many(w_ts, psi0.grid)
     del w_ts

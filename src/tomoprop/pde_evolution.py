@@ -22,10 +22,10 @@ happens only inside the twisted sampler, so no step ever crosses the branch
 seam of the extension.
 
 The two backends share the time-stepping machinery of quad_dynamics (the
-node rule and step guards of _time_nodes, the default step auto_dt, the
-step ceiling STEP_LIMIT, which is quad_dynamics.PDE_STEP_LIMIT, and the
-RK4 stepper _rk4) and the final pull-back of one affine frame
-(theta0, a, b) per row (Tomogram.pull_back: X-window edge guard on the
+node rule and step guards of _time_nodes, the one stability ceiling
+STEP_LIMIT, the default step auto_dt, sized from an error budget on both
+fields, and the RK4 stepper _rk4) and the final pull-back of one affine
+frame (theta0, a, b) per row (Tomogram.pull_back: X-window edge guard on the
 row ends, twisted sampling of every row in cache-sized blocks, and one
 validation, with transforms.ROW_NORM_TOL on every row).  Each
 integrates its own field: this module the characteristics of the feet
@@ -38,8 +38,7 @@ RK4 integration in the tests.
 
 import numpy as np
 
-from .quad_dynamics import _n_steps, _rk4, _time_nodes
-from .quad_dynamics import PDE_STEP_LIMIT as STEP_LIMIT
+from .quad_dynamics import STEP_LIMIT, _n_steps, _rk4, _time_nodes
 from .transforms import Tomogram
 
 
@@ -62,7 +61,7 @@ def evolve_semilagrangian(w0, hamiltonian, T, dt=None, stops=()):
     One backward sweep from T serves every time.  As in solve_epsilon, each
     time is a node and each segment between consecutive nodes (and 0) is
     split into equal RK4 steps no longer than dt, by default
-    quad_dynamics.auto_dt(hamiltonian); a time's rows join the sweep at
+    quad_dynamics.auto_dt(hamiltonian, T); a time's rows join the sweep at
     its node.  Each final grid node is traced back to t = 0, w0 is
     sampled at the feet (bilinearly, which preserves positivity) and scaled
     by the accumulated amplitude.
@@ -79,7 +78,7 @@ def evolve_semilagrangian(w0, hamiltonian, T, dt=None, stops=()):
     0 < dt <= STEP_LIMIT / max(1, sup omega^2), and SupportError when a foot
     leaves the X window while w0 still carries mass at its edge.
     """
-    nodes, dt = _time_nodes(T, stops, dt, STEP_LIMIT, hamiltonian)
+    nodes, dt = _time_nodes(T, stops, dt, hamiltonian)
     wanted = {float(s) for s in stops} | {float(T)}
     tg = w0.grid
 

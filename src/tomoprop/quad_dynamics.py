@@ -10,9 +10,12 @@ reference-frame map w_t(X, theta) = a w_0(a X + b, theta0) with a = 1/r,
 the delta form of the propagator.
 optical_map reads Lambda and Delta straight off a node of the RK4 solve
 of eps(t); solve_epsilon(..., stops=times) puts a node at every time
-wanted.  The node rule, step guards, default step (auto_dt, under both
-step ceilings) and RK4 stepper below also integrate the characteristics
-of pde_evolution; each backend supplies its own field.
+wanted.  The node rule, step guards, one stability ceiling (STEP_LIMIT),
+default step (auto_dt) and RK4 stepper below also integrate the
+characteristics of pde_evolution; each backend supplies its own field.
+auto_dt(H, T) sizes the step from an error budget: the largest step of a
+1-2-5 ladder, under the ceiling, whose step-doubling estimate of the
+error over [0, T] stays under STEP_TARGET on both fields.
 The two health figures live here and nowhere else:
 EpsilonTrajectory.wronskian_drift and OpticalAffineMap.det.  The guards
 of solve_epsilon and optical_map read them, and so does the CLI's
@@ -38,10 +41,16 @@ from .transforms import Tomogram
 DET_TOL = 1e-8
 WRONSKIAN_TOL = 1e-8
 
-# Ceilings on the eps(t) step and on the characteristic step of
-# pde_evolution, each divided by max(1, sup omega_sq).
-EPS_STEP_LIMIT = 1e-2
-PDE_STEP_LIMIT = 5e-3
+# Stability ceiling on the step of both integrators, divided by
+# max(1, sup omega_sq).
+STEP_LIMIT = 2e-2
+# The step rule's error budget: the step-doubling estimate of the error at
+# T, each entry relative to max(1, |entry|), on the entries of Lambda and
+# Delta and on the PDE frames (theta0, a, b) traced back from T.
+STEP_TARGET = 1e-10
+# Initial angles of the PDE frames the rule probes: the midpoints of
+# [0, pi) at the default 180 rows.
+_PROBE_THETAS = (np.arange(180) + 0.5) * (np.pi / 180)
 
 # How far outside its table a TableSampler may be read (integrator rounding).
 TABLE_SLACK = 1e-12
@@ -185,8 +194,8 @@ class QuadraticHamiltonian:
 
     @property
     def step_scale(self):
-        """max(1, sup omega_sq): each integrator's step limit is its own
-        constant divided by this."""
+        """max(1, sup omega_sq): the step ceiling of both integrators is
+        STEP_LIMIT divided by this."""
         return max(1.0, float(self.omega_sq.upper_bound()))
 
 
@@ -209,18 +218,75 @@ class EpsilonTrajectory:
         return float(np.abs(2.0 * np.imag(self.eps_dot * np.conj(self.eps)) - 2.0).max())
 
 
-def auto_dt(H):
-    """The step rule of both integrators: under both step ceilings with a
-    factor-2 margin, and never above 1e-3."""
-    return min(1e-3, 0.5 * min(EPS_STEP_LIMIT, PDE_STEP_LIMIT) / H.step_scale)
+def _ladder_floor(h):
+    """The largest of 1, 2 and 5 times a power of ten that is <= h."""
+    k = math.floor(math.log10(h))
+    while float(f"1e{k + 1}") <= h:
+        k += 1
+    while float(f"1e{k}") > h:
+        k -= 1
+    return next(v for v in (float(f"{d}e{k}") for d in (5, 2, 1)) if v <= h)
 
 
-def _time_nodes(T, stops, dt, limit, H):
+def _relative_gap(y, ref):
+    """max |y - ref| / max(1, |ref|) over the entries."""
+    return float((np.abs(y - ref) / np.maximum(1.0, np.abs(ref))).max())
+
+
+def _probe(H, T, n):
+    """Both fields at n equal RK4 steps over [0, T]: the entries of Lambda
+    and Delta at T, and the PDE frames (theta0, a, b) of _PROBE_THETAS
+    traced back from T to 0."""
+    # pde_evolution imports this module, so its field is read on call.
+    from .pde_evolution import _field
+
+    eps = np.array([1.0, 1.0j, 0.0])
+    _rk4(_eps_field, eps, 0.0, T, n, H)
+    m = _map_of(*eps, 0.0, T)
+    y = np.zeros((3, _PROBE_THETAS.size))
+    y[0] = _PROBE_THETAS
+    _rk4(_field, y, T, 0.0, n, H)
+    return np.append(m.lambda_mat, m.delta), np.array([y[0], np.exp(-y[2]), y[1]])
+
+
+def choose_step(H, T):
+    """(dt, error estimate at dt): the step rule of both integrators on
+    [0, T], a function of (H, T) alone.
+
+    Step doubling (Hairer, Norsett & Wanner, Solving ODEs I, II.4): both
+    fields are solved in n equal steps of h no longer than the ceiling
+    STEP_LIMIT / max(1, sup omega_sq), and in 2n; 16/15 of the larger
+    relative gap between the two is the error of the h solve.  RK4's
+    error goes as h^4, so 0.9 h (STEP_TARGET / err)^(1/4) is the step
+    that meets STEP_TARGET; dt is that step, at most h, rounded down onto
+    the 1-2-5 ladder, which keeps it a short decimal that a last-bit
+    change in the probe rarely moves.  The estimate returned is err
+    (dt / h)^4.  The probes call only private code.
+    """
+    ceiling = STEP_LIMIT / H.step_scale
+    if T == 0.0:
+        return _ladder_floor(ceiling), 0.0
+    n = _n_steps(0.0, T, ceiling)
+    h = T / n
+    coarse, fine = _probe(H, T, n), _probe(H, T, 2 * n)
+    err = 16.0 / 15.0 * max(_relative_gap(c, f) for c, f in zip(coarse, fine))
+    # An exact probe (err 0) keeps h; so does a probe that overflowed
+    # (err inf or NaN), and the solver guards then refuse the solve.
+    scaled = 0.9 * h * (STEP_TARGET / err) ** 0.25 if 0.0 < err < math.inf else h
+    dt = _ladder_floor(min(h, scaled))
+    return dt, err * (dt / h) ** 4
+
+
+def auto_dt(H, T):
+    """The default step of solve_epsilon and evolve_semilagrangian, and
+    the step of every task: choose_step(H, T)'s dt."""
+    return choose_step(H, T)[0]
+
+
+def _time_nodes(T, stops, dt, H):
     """(sorted({0, T} | stops), dt), after the guards both integrators
     share: TimeError for T < 0 or a stop outside [0, T], StepError unless
-    0 < dt <= limit / H.step_scale.  dt None is auto_dt(H)."""
-    if dt is None:
-        dt = auto_dt(H)
+    0 < dt <= STEP_LIMIT / H.step_scale.  dt None is auto_dt(H, T)."""
     T = float(T)
     if T < 0.0:
         raise TimeError(f"evolution time must be nonnegative, got {T:g}")
@@ -228,10 +294,12 @@ def _time_nodes(T, stops, dt, limit, H):
     bad = [s for s in nodes if not 0.0 <= s <= T]
     if bad:
         raise TimeError(f"stop {bad[0]:g} outside [0, {T:g}]")
-    cap = limit / H.step_scale
+    if dt is None:
+        dt = auto_dt(H, T)
+    cap = STEP_LIMIT / H.step_scale
     if not 0.0 < dt <= cap * (1.0 + 1e-12):
         raise StepError(
-            f"dt = {dt:g} outside (0, {limit:g}/max(1, sup omega_sq)] = (0, {cap:g}]"
+            f"dt = {dt:g} outside (0, {STEP_LIMIT:g}/max(1, sup omega_sq)] = (0, {cap:g}]"
         )
     return nodes, dt
 
@@ -271,7 +339,7 @@ def _integrate_epsilon(H, T, dt=None, stops=()):
     of _time_nodes, then the RK4 solve.  The validate task reads the drift
     of this trajectory, so a drift beyond the guard shows as a failing
     check."""
-    nodes, dt = _time_nodes(T, stops, dt, EPS_STEP_LIMIT, H)
+    nodes, dt = _time_nodes(T, stops, dt, H)
     y = np.array([1.0, 1.0j, 0.0])
     times, states = [np.zeros(1)], [y[None].copy()]
     for t0, t1 in zip(nodes, nodes[1:]):
@@ -289,11 +357,11 @@ def solve_epsilon(H, T, dt=None, stops=()):
     Every time in stops is made a node: each segment between consecutive
     nodes is split into equal steps no longer than dt, so the first segment
     is the trajectory solve_epsilon(H, stop) gives and optical_map can read
-    the map to every stop.  Without dt the step is auto_dt(H), the one
+    the map to every stop.  Without dt the step is auto_dt(H, T), the one
     evolve_semilagrangian and the CLI tasks take.
 
     Raises TimeError for T < 0 or a stop outside [0, T] and StepError when
-    dt exceeds EPS_STEP_LIMIT / max(1, sup omega_sq) or the Wronskian
+    dt exceeds STEP_LIMIT / max(1, sup omega_sq) or the Wronskian
     2 Im(eps' eps*) = 2 drifts beyond WRONSKIAN_TOL at any node.
     """
     traj = _integrate_epsilon(H, T, dt, stops)
@@ -366,7 +434,11 @@ def _map_at_node(traj, t, t_from=0.0):
             f"t = {t:g} is not a node of the trajectory on [{times[0]:g}, {times[-1]:g}]; "
             "solve it with solve_epsilon(..., stops=[t])"
         )
-    e, ed, b = traj.eps[i], traj.eps_dot[i], traj.beta[i]
+    return _map_of(traj.eps[i], traj.eps_dot[i], traj.beta[i], t_from, t)
+
+
+def _map_of(e, ed, b, t_from, t):
+    """The affine map over [t_from, t_from + t] from eps, eps' and beta at t."""
     return OpticalAffineMap(
         lambda_mat=[[np.real(e), -np.real(ed)], [-np.imag(e), np.imag(ed)]],
         delta=[np.sqrt(2.0) * np.imag(b), np.sqrt(2.0) * np.real(b)],

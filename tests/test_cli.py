@@ -57,7 +57,11 @@ def test_evolve_task_both_backends(tmp_path):
     assert run(tmp_path, "evolve", {"times": [0.5], "backend": "both"}) == 0
     report = read_json(tmp_path, "report.json")
     assert report["times"] == [0.5]
-    assert report["dt"] == 1e-3
+    # The step of the default (harmonic) Hamiltonian on [0, 0.5], with the
+    # rule's error estimate at it.
+    assert (report["dt"], report["dt_error_estimate"]) == qd.choose_step(
+        qd.QuadraticHamiltonian.harmonic(), 0.5
+    )
     assert report["l1_backend_gap"][0] < 1e-10
     # Every staged data file is in place and no temporary is left behind.
     assert sorted(os.listdir(tmp_path / "out")) == [
@@ -104,11 +108,14 @@ def test_both_backends_refuse_the_same_tomogram(tmp_path):
 
 
 def test_integrators_default_to_the_evolve_step(tmp_path, vacuum_tomogram):
-    # On a stiff H the step evolve reports lies below 1e-3.  Without a dt,
-    # solve_epsilon (omega_sq = 20) and evolve_semilagrangian (omega_sq = 9)
-    # each take that step.
+    # evolve reports the rule's step on [0, max(times)], under the ceiling
+    # that shrinks with sup omega_sq.  Without a dt, solve_epsilon
+    # (omega_sq = 20) and evolve_semilagrangian (omega_sq = 9) each take
+    # that step on the same span.
+    T = 0.05
+
     def stiff(omega_sq):
-        doc = {"times": [0.05], "backend": "both",
+        doc = {"times": [T], "backend": "both",
                "hamiltonian": {"omega_sq": {"kind": "constant", "value": omega_sq}}}
         outdir = tmp_path / str(omega_sq)
         assert main(["evolve", "--config", write_config(tmp_path, doc),
@@ -116,18 +123,18 @@ def test_integrators_default_to_the_evolve_step(tmp_path, vacuum_tomogram):
         with open(outdir / "report.json", encoding="utf-8") as fh:
             dt = json.load(fh)["dt"]
         H = qd.QuadraticHamiltonian(qd.ConstantSampler(omega_sq), qd.ConstantSampler(0.0))
-        assert dt == qd.auto_dt(H) < 1e-3
+        assert dt == qd.auto_dt(H, T) <= qd.STEP_LIMIT / omega_sq
         return H, dt
 
     H, dt = stiff(20.0)
-    traj = qd.solve_epsilon(H, 0.2)
-    assert len(traj.times) - 1 == math.ceil(0.2 / dt - 1e-9)
-    np.testing.assert_array_equal(traj.eps, qd.solve_epsilon(H, 0.2, dt).eps)
+    traj = qd.solve_epsilon(H, T)
+    assert len(traj.times) - 1 == math.ceil(T / dt - 1e-9)
+    np.testing.assert_array_equal(traj.eps, qd.solve_epsilon(H, T, dt).eps)
 
     H, dt = stiff(9.0)
-    w = pde.evolve_semilagrangian(vacuum_tomogram, H, 0.4)[-1]
+    w = pde.evolve_semilagrangian(vacuum_tomogram, H, T)[-1]
     np.testing.assert_array_equal(
-        w.values, pde.evolve_semilagrangian(vacuum_tomogram, H, 0.4, dt)[-1].values
+        w.values, pde.evolve_semilagrangian(vacuum_tomogram, H, T, dt)[-1].values
     )
 
 
@@ -417,13 +424,38 @@ def test_pipeline_check_solves_epsilon_once(tmp_path, monkeypatch):
     doc = {"times": [0.5, 1.0], "state": {"kind": "coherent", "alpha_re": 1.0}}
     assert run(tmp_path, "pipeline-check", doc) == 0
     assert calls == [(1.0, (0.5, 1.0))]
-    assert len(read_json(tmp_path, "report.json")["records"]) == 2
+    report = read_json(tmp_path, "report.json")
+    assert len(report["records"]) == 2
+    # The report records the step, and the rule's error estimate at it,
+    # as evolve's does.
+    assert (report["dt"], report["dt_error_estimate"]) == qd.choose_step(
+        qd.QuadraticHamiltonian.harmonic(), 1.0
+    )
+
+
+def test_pipeline_check_refuses_a_focal_time_before_the_state(tmp_path, monkeypatch):
+    # The harmonic oscillator is focal at t = pi.  The maps and their Green
+    # kernels come first, so the job exits 3 before any tomogram is built.
+    from tomoprop import transforms
+
+    built = []
+    monkeypatch.setattr(transforms, "tomogram_from_wavefunction",
+                        lambda *args, **kwargs: built.append(args))
+    doc = {"times": [1.0, math.pi], "hamiltonian": {"omega_sq": {"kind": "constant",
+                                                                 "value": 1.0}}}
+    assert run(tmp_path, "pipeline-check", doc) == 3
+    record = read_json(tmp_path, "error.json")
+    assert record["error"] == "CausticError"
+    assert record["message"].startswith("kernel is focal over [0, 3.14159]")
+    assert built == []
 
 
 def test_evolve_reads_every_time_at_a_node(tmp_path, monkeypatch):
     # Times off the step grid get nodes of their own in the one eps(t)
     # solve, so each map matches a solve to that time alone instead of an
-    # interpolation between nodes (which was 2.4e-8 off in Lambda here).
+    # interpolation between nodes (which was 2.4e-8 off in Lambda here at
+    # a step of 1e-3).  The two solves split [0.3333, 1] into different
+    # steps, so they agree within the step rule's budget for each.
     from tomoprop import quad_dynamics as qd
 
     solves, maps = [], []
@@ -450,8 +482,9 @@ def test_evolve_reads_every_time_at_a_node(tmp_path, monkeypatch):
     (H, dt), = solves
     for t, m in zip(doc["times"], maps):
         ref = qd.optical_map(solve(H, t, dt), t)
-        np.testing.assert_allclose(m.lambda_mat, ref.lambda_mat, rtol=0.0, atol=1e-14)
-        np.testing.assert_allclose(m.delta, ref.delta, rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(m.lambda_mat, ref.lambda_mat, rtol=0.0,
+                                   atol=2.0 * qd.STEP_TARGET)
+        np.testing.assert_allclose(m.delta, ref.delta, rtol=0.0, atol=2.0 * qd.STEP_TARGET)
     assert max(read_json(tmp_path, "report.json")["l1_backend_gap"]) < 1e-10
 
 

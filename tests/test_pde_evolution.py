@@ -105,10 +105,10 @@ def test_guards():
     with pytest.raises(StepError):
         pde.evolve_semilagrangian(w, H, 1.0, dt=0.0)
     with pytest.raises(StepError):
-        pde.evolve_semilagrangian(w, H, 1.0, dt=6e-3)
+        pde.evolve_semilagrangian(w, H, 1.0, dt=2.1e-2)
     # The cap shrinks with sup omega^2.
     with pytest.raises(StepError):
-        pde.evolve_semilagrangian(w, mathieu(), 1.0, dt=5e-3)
+        pde.evolve_semilagrangian(w, mathieu(), 1.0, dt=2e-2)
     # Every stop must lie in [0, T].
     with pytest.raises(TimeError):
         pde.evolve_semilagrangian(w, H, 1.0, stops=[-0.1, 0.5])
@@ -134,18 +134,22 @@ def table_mathieu(force=0.3):
 def test_stops_share_one_sweep(coherent_tomogram, H):
     # One backward sweep from T serves every stop; each time's tomogram
     # matches a call for that time alone up to rounding.
-    out = pde.evolve_semilagrangian(coherent_tomogram, H, 1.7, stops=[0.0, 0.3, 1.7])
+    # A call for a time alone takes the sweep's step, not its own default.
+    dt = qd.auto_dt(H, 1.7)
+    out = pde.evolve_semilagrangian(coherent_tomogram, H, 1.7, dt, stops=[0.0, 0.3, 1.7])
     assert len(out) == 3
     np.testing.assert_array_equal(out[0].values, coherent_tomogram.values)
     assert out[0].values is not coherent_tomogram.values
     for w, t in zip(out[1:], (0.3, 1.7)):
-        alone = pde.evolve_semilagrangian(coherent_tomogram, H, t)[-1]
+        alone = pde.evolve_semilagrangian(coherent_tomogram, H, t, dt)[-1]
         assert np.abs(w.values - alone.values).max() < 1e-13
 
 
 def test_harmonic_evolution_is_twisted_shift(coherent_tomogram):
     t = np.pi / 3
-    out = pde.evolve_semilagrangian(coherent_tomogram, qd.QuadraticHamiltonian.harmonic(), t)[-1]
+    out = pde.evolve_semilagrangian(
+        coherent_tomogram, qd.QuadraticHamiltonian.harmonic(), t, dt=1e-3
+    )[-1]
     v = coherent_tomogram.values
     ref = np.vstack([v[60:], v[:60, ::-1]])
     assert np.abs(out.values - ref).max() < 1e-12

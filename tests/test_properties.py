@@ -89,7 +89,7 @@ COMPOSE_CASES = [
 @explicit_cases(BACKEND_CASES)
 def test_backends_conserve_rows_and_agree(H, T, alpha):
     w0 = tr.tomogram_from_wavefunction(make_coherent(alpha, GRID), TGRID)
-    dt = qd.auto_dt(H)
+    dt = qd.auto_dt(H, T)
     m = qd.optical_map(qd.solve_epsilon(H, T, dt), T)
     w_map = qd.evolve_tomogram(w0, m)
     w_pde = pde.evolve_semilagrangian(w0, H, T, dt)[-1]

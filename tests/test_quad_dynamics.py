@@ -87,7 +87,7 @@ def test_free_epsilon_is_linear():
 
 
 def test_harmonic_epsilon_is_phase():
-    traj = qd.solve_epsilon(qd.QuadraticHamiltonian.harmonic(), np.pi)
+    traj = qd.solve_epsilon(qd.QuadraticHamiltonian.harmonic(), np.pi, dt=1e-3)
     ref = np.exp(1j * traj.times)
     assert np.abs(traj.eps - ref).max() < 1e-11
     assert np.abs(traj.eps_dot - 1j * ref).max() < 1e-11
@@ -103,7 +103,7 @@ def test_forced_oscillator_beta_closed_form():
 
 
 def test_wronskian_conserved_over_long_run():
-    traj = qd.solve_epsilon(mathieu(), 10.0)
+    traj = qd.solve_epsilon(mathieu(), 10.0, dt=1e-3)
     wr = 2.0 * np.imag(traj.eps_dot * np.conj(traj.eps))
     assert np.abs(wr - 2.0).max() < 1e-12
 
@@ -128,7 +128,7 @@ def test_health_figures_have_one_source(tmp_path):
     checks = {c["name"]: c["measured"]
               for c in json.loads((tmp_path / "report.json").read_text())["checks"]}
     nodes = np.linspace(0.0, 10.0, 21)
-    traj = qd.solve_epsilon(mathieu(0.3), 10.0, qd.auto_dt(mathieu(0.3)), stops=nodes)
+    traj = qd.solve_epsilon(mathieu(0.3), 10.0, qd.auto_dt(mathieu(0.3), 10.0), stops=nodes)
     assert checks["wronskian_drift"] == traj.wronskian_drift
     assert checks["det_lambda_defect"] == max(
         abs(qd.optical_map(traj, t).det - 1.0) for t in nodes
@@ -146,10 +146,11 @@ def test_solver_guards():
         qd.solve_epsilon(qd.QuadraticHamiltonian.free(), -1.0)
     with pytest.raises(StepError):
         qd.solve_epsilon(qd.QuadraticHamiltonian.harmonic(), 1.0, dt=0.0)
-    # dt cap scales with the stiffness: sup omega_sq = 1.2 lowers it.
+    # The ceiling scales with the stiffness: sup omega_sq = 1.2 lowers it.
+    qd.solve_epsilon(qd.QuadraticHamiltonian.harmonic(), 1.0, dt=2e-2)
     with pytest.raises(StepError):
-        qd.solve_epsilon(mathieu(), 1.0, dt=1e-2)
-    qd.solve_epsilon(mathieu(), 1.0, dt=1e-2 / 1.2)
+        qd.solve_epsilon(mathieu(), 1.0, dt=2e-2)
+    qd.solve_epsilon(mathieu(), 1.0, dt=2e-2 / 1.2)
     # Every stop must lie in [0, T].
     with pytest.raises(TimeError):
         qd.solve_epsilon(mathieu(), 1.0, stops=[-0.5])
@@ -176,10 +177,117 @@ def test_stops_become_nodes():
     assert 0.7071 in traj.times and traj.final_time == 1.0
     assert 0.0 < np.diff(traj.times).min() and np.diff(traj.times).max() <= 1e-3
     m = qd.optical_map(traj, 0.7071)
-    ref = qd.optical_map(qd.solve_epsilon(H, 0.7071), 0.7071)
+    ref = qd.optical_map(qd.solve_epsilon(H, 0.7071, 1e-3), 0.7071)
     assert abs(det(m.lambda_mat) - 1.0) < 1e-13
     np.testing.assert_allclose(m.lambda_mat, ref.lambda_mat, rtol=0.0, atol=1e-13)
     np.testing.assert_allclose(m.delta, ref.delta, rtol=0.0, atol=1e-13)
+
+
+# ---------------------------------------------------------------- step rule
+#
+# The panel the rule was sized on: constant omega_sq (f = 0.3) against the
+# closed form, time-dependent drives against an RK4 solve at a sixteenth
+# of the step.  The stiff constants run to T = 1 to keep the suite fast;
+# the ceiling, not T, sets their probe step.
+
+
+def _constant(omega_sq):
+    return qd.QuadraticHamiltonian(qd.ConstantSampler(omega_sq), qd.ConstantSampler(0.3))
+
+
+_TABLE_TIMES = np.linspace(0.0, 10.0, 401)
+STEP_PANEL = {
+    "free": (_constant(0.0), 10.0),
+    "harmonic": (_constant(1.0), 10.0),
+    "inverted": (_constant(-1.0), 10.0),
+    "omega_sq=9": (_constant(9.0), 1.0),
+    "omega_sq=20": (_constant(20.0), 1.0),
+    "omega_sq=25": (_constant(25.0), 1.0),
+    "parametric": (qd.QuadraticHamiltonian(qd.CosineSampler(1.0, 0.9, 2.0),
+                                           qd.ConstantSampler(0.0)), 5.5),
+    "table": (qd.QuadraticHamiltonian(
+        qd.TableSampler(_TABLE_TIMES, 1.0 + 0.3 * np.sin(1.3 * _TABLE_TIMES)),
+        qd.TableSampler(_TABLE_TIMES, 0.2 * np.cos(_TABLE_TIMES))), 10.0),
+    "forced Mathieu": (mathieu(0.3), 10.0),
+}
+
+
+def _closed_form(omega_sq, T, thetas):
+    """The exact probe of a constant omega_sq with f = 0.3: the entries of
+    Lambda and Delta at T, and the map's frames (theta0 in (-pi, pi])."""
+    if omega_sq == 0.0:
+        e, ed, integral = 1.0 + 1j * T, 1j, T + 0.5j * T * T
+    else:
+        w = np.sqrt(complex(omega_sq))
+        e = np.cos(w * T) + 1j * np.sin(w * T) / w
+        ed = -w * np.sin(w * T) + 1j * np.cos(w * T)
+        # eps'' = -omega_sq eps, so the integral of eps is (eps'(0) - eps'(T)) / omega_sq.
+        integral = (1j - ed) / omega_sq
+    beta = -(1j / np.sqrt(2.0)) * 0.3 * integral
+    m = qd._map_of(e, ed, beta, 0.0, T)
+    return np.append(m.lambda_mat, m.delta), np.array(m.frames(thetas))
+
+
+@pytest.mark.parametrize("name", STEP_PANEL)
+def test_step_rule_meets_its_budget(name):
+    H, T = STEP_PANEL[name]
+    dt, estimate = qd.choose_step(H, T)
+    assert qd.auto_dt(H, T) == dt
+    assert 0.0 < dt <= qd.STEP_LIMIT / H.step_scale
+    assert 0.0 <= estimate < qd.STEP_TARGET
+    n = qd._n_steps(0.0, T, dt)
+    entries, frames = qd._probe(H, T, n)
+    if isinstance(H.omega_sq, qd.ConstantSampler):
+        ref_entries, ref_frames = _closed_form(H.omega_sq.value, T, qd._PROBE_THETAS)
+        # The sweep's angles are unfolded; the map's are folded into (-pi, pi].
+        turns = np.round((frames[0] - ref_frames[0]) / (2.0 * np.pi))
+        ref_frames[0] += 2.0 * np.pi * turns
+    else:
+        ref_entries, ref_frames = qd._probe(H, T, 16 * n)
+    # Every Lambda / Delta entry and every frame row, each relative to
+    # max(1, |reference|).
+    assert qd._relative_gap(entries, ref_entries) < qd.STEP_TARGET
+    for row, ref_row in zip(frames.T, ref_frames.T):
+        assert qd._relative_gap(row, ref_row) < qd.STEP_TARGET
+
+
+def _guards_pass(H, T, dt):
+    try:
+        qd.optical_map(qd.solve_epsilon(H, T, dt), T)
+    except StepError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("name", STEP_PANEL)
+def test_step_rule_keeps_the_solver_guards(name):
+    # The Wronskian and det Lambda guards pass at the chosen step wherever
+    # they passed at the fixed step the rule replaced.
+    H, T = STEP_PANEL[name]
+    fixed = min(1e-3, 2.5e-3 / H.step_scale)
+    if _guards_pass(H, T, fixed):
+        assert _guards_pass(H, T, qd.auto_dt(H, T))
+
+
+def test_inverted_oscillator_drift_falls_with_the_step():
+    # Under omega_sq = -1 eps grows like e^t, and the drift to T = 10 is
+    # rounding, not truncation: past the guard at either step (1.5e-6 at
+    # 1e-3), and lower at the rule's larger step (5.4e-7 at 5e-3).
+    H, T = STEP_PANEL["inverted"]
+    dt = qd.auto_dt(H, T)
+    assert dt > 1e-3
+    chosen = qd._integrate_epsilon(H, T, dt).wronskian_drift
+    fixed = qd._integrate_epsilon(H, T, 1e-3).wronskian_drift
+    assert qd.WRONSKIAN_TOL < chosen < fixed
+
+
+@pytest.mark.parametrize("h, step", [
+    (1e-2, 1e-2), (9.99e-3, 5e-3), (5e-3, 5e-3), (4.9e-3, 2e-3), (1.99e-3, 1e-3),
+    (1.2e-4, 1e-4), (3e-7, 2e-7),
+])
+def test_step_ladder(h, step):
+    # The rule rounds down onto 1, 2, 5 times a power of ten.
+    assert qd._ladder_floor(h) == step
 
 
 # --------------------------------------------------------- motion integrals
@@ -193,7 +301,7 @@ def test_motion_integrals_free():
 
 
 def test_motion_integrals_harmonic_rotation():
-    traj = qd.solve_epsilon(qd.QuadraticHamiltonian.harmonic(), 2.0)
+    traj = qd.solve_epsilon(qd.QuadraticHamiltonian.harmonic(), 2.0, dt=1e-3)
     t = 0.773
     m = qd.optical_map(traj, t)
     c, s = np.cos(t), np.sin(t)
@@ -330,7 +438,7 @@ def test_harmonic_evolution_is_twisted_shift(coherent_tomogram, tgrid):
     # pi/3 is exactly 60 theta rows on the default grid, so the evolved
     # tomogram is a pure row shift through the twisted extension.
     t = np.pi / 3
-    traj = qd.solve_epsilon(qd.QuadraticHamiltonian.harmonic(), t)
+    traj = qd.solve_epsilon(qd.QuadraticHamiltonian.harmonic(), t, dt=1e-3)
     m = qd.optical_map(traj, t)
     wt = qd.evolve_tomogram(coherent_tomogram, m)
     v = coherent_tomogram.values

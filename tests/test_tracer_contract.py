@@ -2,7 +2,8 @@
 arguments: `bench/tracer.py` binds `T` and `dt` by name and calls float(T).
 A traced `evolve` job through `bench/job.py` must therefore record one
 `evolve_semilagrangian` span whose step count is ceil(T / dt), and one
-`solve_epsilon` span whose step count is the sum over its segments."""
+`solve_epsilon` span whose step count is the sum over its segments.
+Both take the step the job reports."""
 
 import json
 import math
@@ -43,8 +44,9 @@ def test_traced_evolve_records_one_pde_sweep(tmp_path):
     T, dt = max(report["times"]), report["dt"]
     assert spans[0]["steps"] == math.ceil(T / dt - 1e-9)
     # One eps(t) solve whose steps are the per-segment counts summed
-    # (500 to 0.5, 500 more to 1.0); the private stepper is not a span.
+    # (to 0.5, then 0.5 more to 1.0); neither the private stepper nor the
+    # step rule's private probes are a span.
     eps = [s for s in rec["spans"] if s["name"] == "quad_dynamics.solve_epsilon"]
     assert len(eps) == 1
-    assert eps[0]["steps"] == 1000
+    assert eps[0]["steps"] == 2 * math.ceil(0.5 / dt - 1e-9)
     assert not [s["name"] for s in rec["spans"] if "._" in s["name"]]
