@@ -88,9 +88,8 @@ def _remove_stale(outdir, *names):
 
 def _job_step(cfg):
     """(dt, error estimate at dt): the job's step, quad_dynamics.choose_step
-    on [0, T] with T the last of the job's times, or
-    config.VALIDATE_HORIZON without times."""
-    return qd.choose_step(cfg.hamiltonian, max(cfg.times, default=cfgmod.VALIDATE_HORIZON))
+    on [0, config.horizon(times)]."""
+    return qd.choose_step(cfg.hamiltonian, cfgmod.horizon(cfg.times))
 
 
 def _maps(H, times, dt):
@@ -195,11 +194,10 @@ def _invariant_suite(cfg):
 
     Both tomograms come from the pure-state (chirp-z) route the tasks run,
     without validate(): a clipped X window shows as failing checks.
-    wronskian_drift and det_lambda_defect are measured on cfg.hamiltonian,
-    solved to T = max(cfg.times), or to config.VALIDATE_HORIZON without
-    times, at the step the other tasks take on [0, T] (_job_step, the
-    error-budget rule of quad_dynamics.choose_step); det Lambda is read at
-    21 evenly spaced nodes of [0, T].
+    wronskian_drift, the one health figure of the eps(t) solve (det Lambda
+    is half the Wronskian), is measured on cfg.hamiltonian solved to
+    T = config.horizon(cfg.times) at the step the other tasks take on
+    [0, T] (_job_step, the error-budget rule of quad_dynamics.choose_step).
     """
     checks = []
 
@@ -230,14 +228,11 @@ def _invariant_suite(cfg):
     w_rb = tr.radon(W, tg)
     add("tomogram_round_trip_linf", np.abs(w_rb.values - w0.values).max(), 2e-3)
 
-    H = cfg.hamiltonian
-    nodes = np.linspace(0.0, max(cfg.times, default=cfgmod.VALIDATE_HORIZON), 21)
-    # The unguarded paths: a drift or defect beyond the solver's guards is
+    # The raw nodes, before EpsilonTrajectory's guard: a drift beyond it is
     # reported as a failing check, not raised.
-    traj = qd._integrate_epsilon(H, nodes[-1], _job_step(cfg)[0], stops=nodes)
-    add("wronskian_drift", traj.wronskian_drift, qd.WRONSKIAN_TOL)
-    det_defect = max(abs(qd._map_at_node(traj, t).det - 1.0) for t in nodes)
-    add("det_lambda_defect", det_defect, qd.DET_TOL)
+    _, eps, eps_dot, _ = qd._integrate_epsilon(
+        cfg.hamiltonian, cfgmod.horizon(cfg.times), _job_step(cfg)[0])
+    add("wronskian_drift", qd._wronskian_drift(eps, eps_dot), qd.WRONSKIAN_TOL)
 
     return checks
 

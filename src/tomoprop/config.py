@@ -49,6 +49,12 @@ SAMPLERS = {"constant": ConstantSampler, "cosine": CosineSampler, "table": Table
 VALIDATE_HORIZON = 10.0
 
 
+def horizon(times):
+    """T of the span [0, T] a job evolves or validates over: the last of
+    its times, or VALIDATE_HORIZON without times."""
+    return max(times, default=VALIDATE_HORIZON)
+
+
 @dataclass(frozen=True)
 class JobConfig:
     """Validated job description with defaults applied."""
@@ -204,14 +210,12 @@ def parse_config(doc):
     ham_doc = _section(doc, "hamiltonian", bad)
     coefficients = [f.name for f in fields(QuadraticHamiltonian)]
     bad.extend(f"hamiltonian has unknown field {k!r}" for k in ham_doc if k not in coefficients)
-    # The tasks that evolve read the Hamiltonian over [0, max(times)], and
-    # validate over [0, VALIDATE_HORIZON] when there are no times, so a
-    # table sampler has to cover that span.
+    # validate and the tasks that evolve read the Hamiltonian over the
+    # job's horizon, so a table sampler has to cover it.  An evolving task
+    # without times is refused below.
     t_end = None
-    if task == "validate":
-        t_end = max(times, default=VALIDATE_HORIZON)
-    elif task in ("evolve", "pipeline-check") and times:
-        t_end = max(times)
+    if task == "validate" or (task in ("evolve", "pipeline-check") and times):
+        t_end = horizon(times)
     harmonic = QuadraticHamiltonian.harmonic()
     omega_sq, force = (
         _check_sampler(f"hamiltonian.{c}", ham_doc[c], bad, t_end) if c in ham_doc

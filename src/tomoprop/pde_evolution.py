@@ -23,7 +23,7 @@ seam of the extension.
 
 The two backends share the time-stepping machinery of quad_dynamics (the
 node rule and step guards of _time_nodes, the one stability ceiling
-STEP_LIMIT, the default step auto_dt, sized from an error budget on both
+STEP_LIMIT, the step rule choose_step, sized from an error budget on both
 fields, and the RK4 stepper _rk4) and the final pull-back of one affine
 frame (theta0, a, b) per row (Tomogram.pull_back: X-window edge guard on the
 row ends, twisted sampling of every row in cache-sized blocks, and one
@@ -32,7 +32,7 @@ integrates its own field: this module the characteristics of the feet
 (theta, a X + nu) and amplitudes, quad_dynamics eps(t) and beta(t).
 Their agreement checks the two fields; the referees
 that share none of this machinery are oracles.classical_trajectory
-(scipy solve_ivp), the Wronskian check of solve_epsilon and the per-node
+(scipy solve_ivp), the Wronskian guard of EpsilonTrajectory and the per-node
 RK4 integration in the tests.
 """
 
@@ -60,9 +60,9 @@ def evolve_semilagrangian(w0, hamiltonian, T, dt=None, stops=()):
 
     One backward sweep from T serves every time.  As in solve_epsilon, each
     time is a node and each segment between consecutive nodes (and 0) is
-    split into equal RK4 steps no longer than dt, by default
-    quad_dynamics.auto_dt(hamiltonian, T); a time's rows join the sweep at
-    its node.  Each final grid node is traced back to t = 0, w0 is
+    split into equal RK4 steps no longer than dt, by default the step of
+    quad_dynamics.choose_step(hamiltonian, T); a time's rows join the sweep
+    at its node.  Each final grid node is traced back to t = 0, w0 is
     sampled at the feet (bilinearly, which preserves positivity) and scaled
     by the accumulated amplitude.
 

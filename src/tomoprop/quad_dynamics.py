@@ -11,16 +11,18 @@ the delta form of the propagator.
 optical_map reads Lambda and Delta straight off a node of the RK4 solve
 of eps(t); solve_epsilon(..., stops=times) puts a node at every time
 wanted.  The node rule, step guards, one stability ceiling (STEP_LIMIT),
-default step (auto_dt) and RK4 stepper below also integrate the
+step rule (choose_step) and RK4 stepper below also integrate the
 characteristics of pde_evolution; each backend supplies its own field.
-auto_dt(H, T) sizes the step from an error budget: the largest step of a
-1-2-5 ladder, under the ceiling, whose step-doubling estimate of the
+choose_step(H, T) sizes the step from an error budget: the largest step
+of a 1-2-5 ladder, under the ceiling, whose step-doubling estimate of the
 error over [0, T] stays under STEP_TARGET on both fields.
-The two health figures live here and nowhere else:
-EpsilonTrajectory.wronskian_drift and OpticalAffineMap.det.  The guards
-of solve_epsilon and optical_map read them, and so does the CLI's
-validate task, through the unguarded _integrate_epsilon and _map_at_node
-so that a figure beyond its guard is reported, not raised.
+The one health figure of the solve is the Wronskian drift
+(EpsilonTrajectory.wronskian_drift).  At every node det Lambda =
+Im(eps* eps') is half the Wronskian, so the one guard, at WRONSKIAN_TOL
+in EpsilonTrajectory's constructor, also keeps every map read off a
+trajectory symplectic.  The CLI's validate task reads the drift of the
+raw node arrays of _integrate_epsilon, so a drift beyond the guard is
+reported, not raised.
 
 Sign convention: Delta = (sqrt(2) Im beta, sqrt(2) Re beta).  The sign of
 the first component is pinned by requiring the integrals of motion to
@@ -37,8 +39,8 @@ from dataclasses import dataclass
 from .errors import RangeError, StepError, TimeError
 from .transforms import Tomogram
 
-# RK4 nodes hold det Lambda = 1 to ~1e-12; a trajectory built by hand may not.
-DET_TOL = 1e-8
+# Bound on the Wronskian drift at every node of an EpsilonTrajectory; RK4
+# nodes hold it to ~1e-12, a trajectory built by hand may not.
 WRONSKIAN_TOL = 1e-8
 
 # Stability ceiling on the step of both integrators, divided by
@@ -48,6 +50,10 @@ STEP_LIMIT = 2e-2
 # T, each entry relative to max(1, |entry|), on the entries of Lambda and
 # Delta and on the PDE frames (theta0, a, b) traced back from T.
 STEP_TARGET = 1e-10
+# The most RK4 steps at the ceiling that choose_step will take on: T
+# max(1, sup omega_sq) / STEP_LIMIT.  Its probes run three times that many
+# steps of both fields.
+STEP_BUDGET = 10**6
 # Initial angles of the PDE frames the rule probes: the midpoints of
 # [0, pi) at the default 180 rows.
 _PROBE_THETAS = (np.arange(180) + 0.5) * (np.pi / 180)
@@ -199,23 +205,38 @@ class QuadraticHamiltonian:
         return max(1.0, float(self.omega_sq.upper_bound()))
 
 
+def _wronskian_drift(eps, eps_dot):
+    """max over nodes of |2 Im(eps' eps*) - 2|; 0 for exact dynamics."""
+    return float(np.abs(2.0 * np.imag(eps_dot * np.conj(eps)) - 2.0).max())
+
+
 @dataclass(frozen=True)
 class EpsilonTrajectory:
-    """Stored RK4 nodes of eps, eps', beta on [0, T]."""
+    """Stored RK4 nodes of eps, eps', beta on [0, T].
+
+    StepError when the Wronskian 2 Im(eps' eps*) = 2 drifts beyond
+    WRONSKIAN_TOL at any node, whether the nodes were solved or built by
+    hand: det Lambda is half the Wronskian, so every map read off a
+    trajectory is symplectic within WRONSKIAN_TOL / 2.
+    """
 
     times: np.ndarray
     eps: np.ndarray
     eps_dot: np.ndarray
     beta: np.ndarray
 
-    @property
-    def final_time(self):
-        return float(self.times[-1])
+    def __post_init__(self):
+        drift = self.wronskian_drift
+        # Written so that a NaN drift fails the guard too.
+        if not drift <= WRONSKIAN_TOL:
+            raise StepError(
+                f"Wronskian drift {drift:.3e} exceeds {WRONSKIAN_TOL:g}; reduce dt"
+            )
 
     @property
     def wronskian_drift(self):
-        """max over nodes of |2 Im(eps' eps*) - 2|; 0 for exact dynamics."""
-        return float(np.abs(2.0 * np.imag(self.eps_dot * np.conj(self.eps)) - 2.0).max())
+        """The solve's one health figure, _wronskian_drift of the nodes."""
+        return _wronskian_drift(self.eps, self.eps_dot)
 
 
 def _ladder_floor(h):
@@ -262,7 +283,17 @@ def choose_step(H, T):
     the 1-2-5 ladder, which keeps it a short decimal that a last-bit
     change in the probe rarely moves.  The estimate returned is err
     (dt / h)^4.  The probes call only private code.
+
+    StepError, before any array is built, when [0, T] takes more than
+    STEP_BUDGET steps at the ceiling.
     """
+    steps = T * H.step_scale / STEP_LIMIT
+    # Written so that a NaN count (T = 0, sup omega_sq = inf) fails too.
+    if not steps <= STEP_BUDGET:
+        raise StepError(
+            f"sup omega_sq = {H.omega_sq.upper_bound():g} over T = {T:g} takes "
+            f"{steps:.3g} steps at the ceiling, more than STEP_BUDGET = {STEP_BUDGET:g}"
+        )
     ceiling = STEP_LIMIT / H.step_scale
     if T == 0.0:
         return _ladder_floor(ceiling), 0.0
@@ -277,16 +308,10 @@ def choose_step(H, T):
     return dt, err * (dt / h) ** 4
 
 
-def auto_dt(H, T):
-    """The default step of solve_epsilon and evolve_semilagrangian, and
-    the step of every task: choose_step(H, T)'s dt."""
-    return choose_step(H, T)[0]
-
-
 def _time_nodes(T, stops, dt, H):
     """(sorted({0, T} | stops), dt), after the guards both integrators
     share: TimeError for T < 0 or a stop outside [0, T], StepError unless
-    0 < dt <= STEP_LIMIT / H.step_scale.  dt None is auto_dt(H, T)."""
+    0 < dt <= STEP_LIMIT / H.step_scale.  dt None is choose_step(H, T)'s."""
     T = float(T)
     if T < 0.0:
         raise TimeError(f"evolution time must be nonnegative, got {T:g}")
@@ -295,7 +320,7 @@ def _time_nodes(T, stops, dt, H):
     if bad:
         raise TimeError(f"stop {bad[0]:g} outside [0, {T:g}]")
     if dt is None:
-        dt = auto_dt(H, T)
+        dt = choose_step(H, T)[0]
     cap = STEP_LIMIT / H.step_scale
     if not 0.0 < dt <= cap * (1.0 + 1e-12):
         raise StepError(
@@ -335,10 +360,10 @@ def _eps_field(y, w2, f):
 
 
 def _integrate_epsilon(H, T, dt=None, stops=()):
-    """solve_epsilon without its Wronskian guard: the node and step guards
-    of _time_nodes, then the RK4 solve.  The validate task reads the drift
-    of this trajectory, so a drift beyond the guard shows as a failing
-    check."""
+    """The node arrays (times, eps, eps', beta) of solve_epsilon, before
+    EpsilonTrajectory's Wronskian guard: the node and step guards of
+    _time_nodes, then the RK4 solve.  The validate task reads the drift of
+    these nodes, so a drift beyond the guard shows as a failing check."""
     nodes, dt = _time_nodes(T, stops, dt, H)
     y = np.array([1.0, 1.0j, 0.0])
     times, states = [np.zeros(1)], [y[None].copy()]
@@ -347,7 +372,7 @@ def _integrate_epsilon(H, T, dt=None, stops=()):
         times.append(np.linspace(t0, t1, n + 1)[1:])
         states.append(np.empty((n, 3), dtype=complex))
         _rk4(_eps_field, y, t0, t1, n, H, trace=states[-1])
-    return EpsilonTrajectory(np.concatenate(times), *np.concatenate(states).T.copy())
+    return (np.concatenate(times), *np.concatenate(states).T.copy())
 
 
 def solve_epsilon(H, T, dt=None, stops=()):
@@ -357,21 +382,14 @@ def solve_epsilon(H, T, dt=None, stops=()):
     Every time in stops is made a node: each segment between consecutive
     nodes is split into equal steps no longer than dt, so the first segment
     is the trajectory solve_epsilon(H, stop) gives and optical_map can read
-    the map to every stop.  Without dt the step is auto_dt(H, T), the one
-    evolve_semilagrangian and the CLI tasks take.
+    the map to every stop.  Without dt the step is choose_step(H, T)'s,
+    the one evolve_semilagrangian and the CLI tasks take.
 
     Raises TimeError for T < 0 or a stop outside [0, T] and StepError when
     dt exceeds STEP_LIMIT / max(1, sup omega_sq) or the Wronskian
     2 Im(eps' eps*) = 2 drifts beyond WRONSKIAN_TOL at any node.
     """
-    traj = _integrate_epsilon(H, T, dt, stops)
-    drift = traj.wronskian_drift
-    # Written so that a NaN drift fails the guard too.
-    if not drift <= WRONSKIAN_TOL:
-        raise StepError(
-            f"Wronskian drift {drift:.3e} exceeds {WRONSKIAN_TOL:g}; reduce dt"
-        )
-    return traj
+    return EpsilonTrajectory(*_integrate_epsilon(H, T, dt, stops))
 
 
 @dataclass(frozen=True)
@@ -399,12 +417,6 @@ class OpticalAffineMap:
             )
 
     @property
-    def det(self):
-        """det Lambda; 1 for a symplectic map."""
-        lam = self.lambda_mat
-        return float(lam[0, 0] * lam[1, 1] - lam[0, 1] * lam[1, 0])
-
-    @property
     def is_identity(self):
         """Exactly the identity: no rotation, squeeze or drift."""
         return bool(np.array_equal(self.lambda_mat, np.eye(2)) and not np.any(self.delta))
@@ -415,26 +427,14 @@ class OpticalAffineMap:
         a is also the prefactor of the pull-back."""
         theta = np.asarray(theta, dtype=float)
         lam = self.lambda_mat
-        # det Lambda = 1, so the inverse is the adjugate.
+        # det Lambda = 1 (half the Wronskian EpsilonTrajectory guards), so
+        # the inverse is the adjugate.
         inv = np.array([[lam[1, 1], -lam[0, 1]], [-lam[1, 0], lam[0, 0]]])
         s, c = np.sin(theta), np.cos(theta)
         n1 = s * inv[0, 0] + c * inv[1, 0]
         n2 = s * inv[0, 1] + c * inv[1, 1]
         a = 1.0 / np.hypot(n1, n2)
         return np.arctan2(n1, n2), a, a * (n1 * self.delta[0] + n2 * self.delta[1])
-
-
-def _map_at_node(traj, t, t_from=0.0):
-    """optical_map without its det Lambda guard; the node check stays."""
-    t = float(t)
-    times = traj.times
-    i = int(np.abs(times - t).argmin())
-    if abs(t - times[i]) >= 1e-12:
-        raise RangeError(
-            f"t = {t:g} is not a node of the trajectory on [{times[0]:g}, {times[-1]:g}]; "
-            "solve it with solve_epsilon(..., stops=[t])"
-        )
-    return _map_of(traj.eps[i], traj.eps_dot[i], traj.beta[i], t_from, t)
 
 
 def _map_of(e, ed, b, t_from, t):
@@ -454,14 +454,18 @@ def optical_map(traj, t, t_from=0.0):
     Lambda = [[Re eps, -Re eps'], [-Im eps, Im eps']] acting on (p, q);
     Delta = (sqrt(2) Im beta, sqrt(2) Re beta).  Only a node (|t - node| <
     1e-12) is read: any other t raises RangeError, and
-    solve_epsilon(..., stops=[t]) makes t a node.  StepError when det
-    Lambda departs from 1 by more than DET_TOL.
+    solve_epsilon(..., stops=[t]) makes t a node.  det Lambda is half the
+    Wronskian that EpsilonTrajectory guards, so the map is symplectic.
     """
-    m = _map_at_node(traj, t, t_from)
-    # Written so that a NaN det fails the guard too.
-    if not abs(m.det - 1.0) <= DET_TOL:
-        raise StepError(f"det Lambda = {m.det:.10f} is not symplectic within {DET_TOL:g}")
-    return m
+    t = float(t)
+    times = traj.times
+    i = int(np.abs(times - t).argmin())
+    if abs(t - times[i]) >= 1e-12:
+        raise RangeError(
+            f"t = {t:g} is not a node of the trajectory on [{times[0]:g}, {times[-1]:g}]; "
+            "solve it with solve_epsilon(..., stops=[t])"
+        )
+    return _map_of(traj.eps[i], traj.eps_dot[i], traj.beta[i], t_from, t)
 
 
 def compose(outer, inner):

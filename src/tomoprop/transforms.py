@@ -58,6 +58,10 @@ WIGNER_MASS_TOL = 1e-3
 # (times the largest eigenvalue), far below every transform tolerance.
 EIG_REL_TOL = 1e-12
 
+# Most samples tomogram_from_wavefunction may ask for on its refined q grid
+# or its momentum FFT (2**22 complex values = 64 MiB).
+SAMPLE_LIMIT = 1 << 22
+
 
 def _linear_nodes(x, n):
     """Per-axis part of _bilinear: whether x lies in [0, n - 1] (False for
@@ -693,6 +697,8 @@ def tomogram_from_wavefunction(psi, tgrid=None):
     both periods are made longer than twice that reach: a wide X window
     refines the q samples spectrally, which is exact for the band-limited
     states WaveFunction.validate admits, and lengthens the momentum FFT.
+    GridError, before either is built, when one would hold more than
+    SAMPLE_LIMIT samples.
     """
     if tgrid is None:
         tgrid = TomogramGrid()
@@ -702,15 +708,24 @@ def tomogram_from_wavefunction(psi, tgrid=None):
     x0 = float(tgrid.xs[0])
     span = 2.0 * np.sqrt(2.0) * (tgrid.x_max + GAUSSIAN_MARGIN)
 
+    # The refinement factor k and both lengths as floats first: a huge
+    # window is refused, not left to overflow an int or an allocation.
+    k = np.ceil(span * dq / (2.0 * np.pi))
+    n_fine, n_fft = (grid.n_q - 1) * k + 1, max(4.0 * grid.n_q, np.ceil(span / dq))
+    if max(n_fine, n_fft) > SAMPLE_LIMIT:
+        raise GridError(
+            f"x_max = {tgrid.x_max:g} at q spacing {dq:g} asks for {n_fine:.3g} refined "
+            f"q samples and a momentum FFT of {n_fft:.3g}, more than SAMPLE_LIMIT = {SAMPLE_LIMIT}"
+        )
+
     qs, wq, vals, dq_s = grid.points, grid.trapezoid_weights, psi.values, dq
-    k = int(np.ceil(span * dq / (2.0 * np.pi)))
     if k > 1:
-        fine = CoordinateGrid(q_max=grid.q_max, n_q=(grid.n_q - 1) * k + 1)
+        fine = CoordinateGrid(q_max=grid.q_max, n_q=int(n_fine))
         qs, wq, dq_s = fine.points, fine.trapezoid_weights, fine.spacing
-        vals = _fourier_refine(psi.values, -1, k)
+        vals = _fourier_refine(psi.values, -1, int(k))
 
     # Momentum samples on a q-padded FFT axis.
-    n_fft = _next_fast_len(max(4 * grid.n_q, int(np.ceil(span / dq))))
+    n_fft = _next_fast_len(int(n_fft))
     spec = np.fft.fft(psi.values * grid.trapezoid_weights, n=n_fft)
     ps = 2.0 * np.pi * np.fft.fftshift(np.fft.fftfreq(n_fft, d=dq))
     dp = ps[1] - ps[0]

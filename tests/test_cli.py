@@ -123,7 +123,7 @@ def test_integrators_default_to_the_evolve_step(tmp_path, vacuum_tomogram):
         with open(outdir / "report.json", encoding="utf-8") as fh:
             dt = json.load(fh)["dt"]
         H = qd.QuadraticHamiltonian(qd.ConstantSampler(omega_sq), qd.ConstantSampler(0.0))
-        assert dt == qd.auto_dt(H, T) <= qd.STEP_LIMIT / omega_sq
+        assert dt == qd.choose_step(H, T)[0] <= qd.STEP_LIMIT / omega_sq
         return H, dt
 
     H, dt = stiff(20.0)
@@ -221,7 +221,7 @@ def test_validate_task(tmp_path):
     assert run(tmp_path, "validate", {}) == 0
     report = read_json(tmp_path, "report.json")
     assert report["pass"] is True
-    assert len(report["checks"]) == 7
+    assert len(report["checks"]) == 6
     names = {c["name"] for c in report["checks"]}
     assert "vacuum_tomogram_linf" in names
     assert "wronskian_drift" in names
@@ -314,16 +314,16 @@ def test_validate_measures_the_configured_hamiltonian(tmp_path):
         doc = {"hamiltonian": {"omega_sq": omega_sq}, "times": [3.0]}
         assert run(job, "validate", doc) == 0
         checks = {c["name"]: c for c in read_json(job, "report.json")["checks"]}
-        assert checks["wronskian_drift"]["pass"] and checks["det_lambda_defect"]["pass"]
+        assert checks["wronskian_drift"]["pass"]
         drifts.append(checks["wronskian_drift"]["measured"])
     assert drifts[0] != drifts[1]
 
 
 def test_validate_reports_failing_health_figures(tmp_path):
     # The inverted oscillator's eps grows like e^t, so over T = 10 its
-    # Wronskian drift and det Lambda defect pass both 1e-8 thresholds.
-    # Those are also the solver guards' bounds; validate reports the failing
-    # checks instead of stopping at the guard.
+    # Wronskian drift passes the 1e-8 threshold.  That is also the bound of
+    # EpsilonTrajectory's guard; validate reports the failing check instead
+    # of stopping at the guard.
     doc = {"grid": {"x_max": 8.0, "n_x": 256, "n_theta": 45, "q_max": 8.0, "n_q": 128},
            "hamiltonian": {"omega_sq": {"kind": "constant", "value": -1.0}}}
     assert run(tmp_path, "validate", doc) == 3
@@ -331,7 +331,7 @@ def test_validate_reports_failing_health_figures(tmp_path):
     report = read_json(tmp_path, "report.json")
     assert report["pass"] is False
     failed = {c["name"] for c in report["checks"] if not c["pass"]}
-    assert failed == {"wronskian_drift", "det_lambda_defect"}
+    assert failed == {"wronskian_drift"}
     assert read_json(tmp_path, "run_meta.json")["status"] == "invariants_failed"
 
 
@@ -800,6 +800,37 @@ def test_failed_evolve_leaves_no_data_file(tmp_path, capsys):
     record = json.loads(capsys.readouterr().err)
     assert "row normalization" in record["message"]
     assert sorted(os.listdir(tmp_path / "out")) == ["error.json"]
+
+
+# Two configs a CLI fuzzer found ending in an uncaught ValueError (exit 1,
+# traceback): each asked numpy for an array past its size limit.  Both are
+# refused before any allocation.
+FUZZ_GRID = {"x_max": 8.0, "n_x": 64, "n_theta": 16, "q_max": 8.0, "n_q": 64}
+
+
+def test_stiffness_past_the_step_budget_exits_3(tmp_path, capsys):
+    doc = {"grid": FUZZ_GRID, "times": [1.0],
+           "hamiltonian": {"omega_sq": {"kind": "constant", "value": 1e300}}}
+    assert run(tmp_path, "evolve", doc) == 3
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "StepError"
+    assert record["message"] == (
+        "sup omega_sq = 1e+300 over T = 1 takes 5e+301 steps at the ceiling, "
+        "more than STEP_BUDGET = 1e+06"
+    )
+    assert read_json(tmp_path, "error.json") == record
+    assert os.listdir(tmp_path / "out") == ["error.json"]
+
+
+@pytest.mark.parametrize("task", ["tomogram", "moments"])
+def test_x_window_past_the_sample_limit_exits_3(tmp_path, capsys, task):
+    assert run(tmp_path, task, {"grid": {**FUZZ_GRID, "x_max": 1e300}}) == 3
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "GridError"
+    assert record["message"].startswith("x_max = 1e+300 at q spacing 0.253968 asks for ")
+    assert record["message"].endswith(f"SAMPLE_LIMIT = {tomoprop.transforms.SAMPLE_LIMIT}")
+    assert read_json(tmp_path, "error.json") == record
+    assert os.listdir(tmp_path / "out") == ["error.json"]
 
 
 def test_validate_runs_on_odd_n_q(tmp_path):

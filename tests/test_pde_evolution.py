@@ -135,7 +135,7 @@ def test_stops_share_one_sweep(coherent_tomogram, H):
     # One backward sweep from T serves every stop; each time's tomogram
     # matches a call for that time alone up to rounding.
     # A call for a time alone takes the sweep's step, not its own default.
-    dt = qd.auto_dt(H, 1.7)
+    dt = qd.choose_step(H, 1.7)[0]
     out = pde.evolve_semilagrangian(coherent_tomogram, H, 1.7, dt, stops=[0.0, 0.3, 1.7])
     assert len(out) == 3
     np.testing.assert_array_equal(out[0].values, coherent_tomogram.values)

@@ -109,16 +109,13 @@ def test_wronskian_conserved_over_long_run():
 
 
 def test_health_figures_have_one_source(tmp_path):
-    # The trajectory and the map carry the only copies of the two formulas;
-    # the solver guards and validate's report read them.
+    # One drift formula serves the trajectory's guard and validate's report.
     traj = qd.solve_epsilon(mathieu(0.3), 10.0)
     wr = 2.0 * np.imag(traj.eps_dot * np.conj(traj.eps))
     assert traj.wronskian_drift == np.abs(wr - 2.0).max()
-    for t in np.linspace(0.0, 10.0, 21):
-        m = qd.optical_map(traj, t)
-        assert m.det == det(m.lambda_mat)
 
-    # validate measures the job's Hamiltonian, to T = 10 without times.
+    # validate measures the job's Hamiltonian, to T = 10 without times, on
+    # the nodes of the default solve.
     grid = {"x_max": 8.0, "n_x": 256, "n_theta": 45, "q_max": 8.0, "n_q": 128}
     hamiltonian = {"omega_sq": {"kind": "cosine", "a": 1.0, "b": 0.2, "freq": 2.0},
                    "force": {"kind": "constant", "value": 0.3}}
@@ -127,12 +124,36 @@ def test_health_figures_have_one_source(tmp_path):
     assert main(["validate", "--config", str(config), "--output-dir", str(tmp_path)]) == 0
     checks = {c["name"]: c["measured"]
               for c in json.loads((tmp_path / "report.json").read_text())["checks"]}
-    nodes = np.linspace(0.0, 10.0, 21)
-    traj = qd.solve_epsilon(mathieu(0.3), 10.0, qd.auto_dt(mathieu(0.3), 10.0), stops=nodes)
+    assert "det_lambda_defect" not in checks
     assert checks["wronskian_drift"] == traj.wronskian_drift
-    assert checks["det_lambda_defect"] == max(
-        abs(qd.optical_map(traj, t).det - 1.0) for t in nodes
-    )
+
+
+# The Hamiltonians the identity below was measured on, each to its T.
+IDENTITY_PANEL = {
+    "forced Mathieu": (mathieu(0.3), 10.0),
+    "omega_sq=9": (qd.QuadraticHamiltonian(qd.ConstantSampler(9.0), qd.ConstantSampler(0.3)), 3.0),
+    "inverted": (qd.QuadraticHamiltonian(qd.ConstantSampler(-1.0), qd.ConstantSampler(0.3)), 10.0),
+    "parametric": (qd.QuadraticHamiltonian(qd.CosineSampler(1.0, 0.9, 2.0),
+                                           qd.ConstantSampler(0.0)), 5.5),
+}
+
+
+@pytest.mark.parametrize("name", IDENTITY_PANEL)
+def test_det_lambda_is_half_the_wronskian(name):
+    # det Lambda = Re eps Im eps' - Re eps' Im eps = Im(eps* eps') = W / 2 at
+    # every node, so the Wronskian guard is the only symplecticity guard.
+    # The two formulas round differently: measured at most 2 eps_machine
+    # times |Re eps Im eps'| + |Im eps Re eps'| (the inverted oscillator,
+    # whose drift is itself past the guard, differs by 1.5e-8 at |eps| =
+    # 1.6e4); the bound is twice that.
+    H, T = IDENTITY_PANEL[name]
+    raw = qd._integrate_epsilon(H, T, qd.choose_step(H, T)[0], stops=np.linspace(0.0, T, 21))
+    _, eps, eps_dot, _ = raw
+    dets = np.array([det(qd._map_of(e, ed, b, 0.0, t).lambda_mat)
+                     for t, e, ed, b in zip(*raw)])
+    wr = 2.0 * np.imag(eps_dot * np.conj(eps))
+    scale = np.abs(eps.real * eps_dot.imag) + np.abs(eps.imag * eps_dot.real)
+    assert np.all(np.abs(2.0 * (dets - 1.0) - (wr - 2.0)) <= 4.0 * np.finfo(float).eps * scale)
 
 
 def test_epsilon_step_consistency():
@@ -162,7 +183,7 @@ def test_zero_time_trajectory():
     traj = qd.solve_epsilon(mathieu(), 0.0)
     assert traj.times.size == 1
     assert traj.eps[0] == 1.0 + 0.0j
-    assert traj.final_time == 0.0
+    assert traj.times[-1] == 0.0
 
 
 def test_stops_become_nodes():
@@ -174,7 +195,7 @@ def test_stops_become_nodes():
     k = alone.times.size
     for name in ("times", "eps", "eps_dot", "beta"):
         np.testing.assert_array_equal(getattr(traj, name)[:k], getattr(alone, name))
-    assert 0.7071 in traj.times and traj.final_time == 1.0
+    assert 0.7071 in traj.times and traj.times[-1] == 1.0
     assert 0.0 < np.diff(traj.times).min() and np.diff(traj.times).max() <= 1e-3
     m = qd.optical_map(traj, 0.7071)
     ref = qd.optical_map(qd.solve_epsilon(H, 0.7071, 1e-3), 0.7071)
@@ -232,7 +253,6 @@ def _closed_form(omega_sq, T, thetas):
 def test_step_rule_meets_its_budget(name):
     H, T = STEP_PANEL[name]
     dt, estimate = qd.choose_step(H, T)
-    assert qd.auto_dt(H, T) == dt
     assert 0.0 < dt <= qd.STEP_LIMIT / H.step_scale
     assert 0.0 <= estimate < qd.STEP_TARGET
     n = qd._n_steps(0.0, T, dt)
@@ -253,7 +273,7 @@ def test_step_rule_meets_its_budget(name):
 
 def _guards_pass(H, T, dt):
     try:
-        qd.optical_map(qd.solve_epsilon(H, T, dt), T)
+        qd.solve_epsilon(H, T, dt)
     except StepError:
         return False
     return True
@@ -261,12 +281,12 @@ def _guards_pass(H, T, dt):
 
 @pytest.mark.parametrize("name", STEP_PANEL)
 def test_step_rule_keeps_the_solver_guards(name):
-    # The Wronskian and det Lambda guards pass at the chosen step wherever
-    # they passed at the fixed step the rule replaced.
+    # The Wronskian guard passes at the chosen step wherever it passed at
+    # the fixed step the rule replaced.
     H, T = STEP_PANEL[name]
     fixed = min(1e-3, 2.5e-3 / H.step_scale)
     if _guards_pass(H, T, fixed):
-        assert _guards_pass(H, T, qd.auto_dt(H, T))
+        assert _guards_pass(H, T, qd.choose_step(H, T)[0])
 
 
 def test_inverted_oscillator_drift_falls_with_the_step():
@@ -274,10 +294,10 @@ def test_inverted_oscillator_drift_falls_with_the_step():
     # rounding, not truncation: past the guard at either step (1.5e-6 at
     # 1e-3), and lower at the rule's larger step (5.4e-7 at 5e-3).
     H, T = STEP_PANEL["inverted"]
-    dt = qd.auto_dt(H, T)
+    dt = qd.choose_step(H, T)[0]
     assert dt > 1e-3
-    chosen = qd._integrate_epsilon(H, T, dt).wronskian_drift
-    fixed = qd._integrate_epsilon(H, T, 1e-3).wronskian_drift
+    chosen = qd._wronskian_drift(*qd._integrate_epsilon(H, T, dt)[1:3])
+    fixed = qd._wronskian_drift(*qd._integrate_epsilon(H, T, 1e-3)[1:3])
     assert qd.WRONSKIAN_TOL < chosen < fixed
 
 
@@ -343,14 +363,14 @@ def test_motion_integrals_range_guard():
 
 # ------------------------------------------------------------- optical maps
 
-def test_optical_map_rejects_nonsymplectic():
-    # A hand-built trajectory whose second node has det Lambda = 1.1.
-    traj = qd.EpsilonTrajectory(
-        np.array([0.0, 1.0]), np.array([1.0, 1.1]), np.array([1.0j, 1.0j]), np.zeros(2)
-    )
-    qd.optical_map(traj, 0.0)
-    with pytest.raises(StepError):
-        qd.optical_map(traj, 1.0)
+def test_trajectory_rejects_nonsymplectic_nodes():
+    # A hand-built trajectory whose second node has det Lambda = 1.1, a
+    # Wronskian of 2.2, is refused before any map is read off it.
+    times, eps_dot, beta = np.array([0.0, 1.0]), np.array([1.0j, 1.0j]), np.zeros(2)
+    with pytest.raises(StepError, match="Wronskian drift 2.000e-01"):
+        qd.EpsilonTrajectory(times, np.array([1.0, 1.1]), eps_dot, beta)
+    traj = qd.EpsilonTrajectory(times, np.array([1.0, 1.0 + 1.0j]), eps_dot, beta)
+    assert det(qd.optical_map(traj, 1.0).lambda_mat) == 1.0
 
 
 class _NanAfterOne:
@@ -365,15 +385,16 @@ class _NanAfterOne:
 
 
 def test_guards_refuse_nan_figures():
-    # A NaN omega_sq gives a Wronskian drift and a det Lambda of NaN; both
-    # compare False with their tolerance, so the guards test for the pass,
-    # not the failure.
+    # A NaN omega_sq gives a Wronskian drift of NaN; it compares False with
+    # the tolerance, so the guard tests for the pass, not the failure.  The
+    # guard sits in the trajectory, so the raw nodes are refused too.
     H = qd.QuadraticHamiltonian(_NanAfterOne(), qd.ConstantSampler(0.0))
     with pytest.raises(StepError, match="Wronskian drift nan"):
         qd.solve_epsilon(H, 2.0)
-    traj = qd._integrate_epsilon(H, 2.0)
-    with pytest.raises(StepError, match="det Lambda = nan"):
-        qd.optical_map(traj, 2.0)
+    raw = qd._integrate_epsilon(H, 2.0)
+    assert np.isnan(qd._wronskian_drift(raw[1], raw[2]))
+    with pytest.raises(StepError, match="Wronskian drift nan"):
+        qd.EpsilonTrajectory(*raw)
 
 
 def test_map_backward_interval_rejected():
